@@ -6,6 +6,12 @@ grows past the depth at store time, at which point the boundary must move
 down and the activation is recomputed and recached. Because the tuning
 depth only ever grows, a session expires the cache at most once per depth
 increase, i.e. at most D times.
+
+This cache serves training only. Evaluation has its own server-side store
+of the global test set's frozen-prefix activations (``model.EvalStore``),
+bounded by the same argument: it rebuilds from the embedding at most D
+times per session. It does not go through ``fetch_or_recompute``, so the
+hit and recompute counts here and in the trace stay client-side counts.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from typing import Iterable
 import numpy as np
 
 from . import model as model_mod
-from .errors import CacheIntegrityError, RegistryError
-from .model import ModelSpec, ModelState
+from .errors import RegistryError
+from .model import ModelState
 
 
 @dataclass
@@ -35,12 +41,6 @@ class ActivationCache:
     entries: dict[int, CacheEntry] = field(default_factory=dict)
     depth_at_store: int | None = None
     integrity_failures: int = 0
-
-    def total_bytes(self) -> int:
-        return sum(int(e.activations.nbytes) for e in self.entries.values())
-
-    def total_samples(self) -> int:
-        return sum(int(e.activations.shape[0]) for e in self.entries.values())
 
     def clear(self) -> None:
         self.entries.clear()
@@ -124,11 +124,6 @@ def fetch_or_recompute(
     activations = model_mod.compute_boundary_activation(model, tokens, boundary)
     cache.entries[batch_id] = CacheEntry(batch_id, boundary, round_index, activations)
     return boundary, activations, True
-
-
-def storage_bytes(spec: ModelSpec, num_samples: int, bytes_per_scalar: int = 8) -> int:
-    """Bytes needed to cache one boundary layer for ``num_samples`` samples."""
-    return num_samples * spec.seqlen * spec.hidden * bytes_per_scalar
 
 
 def expirations_this_session(events: Iterable[dict]) -> int:

@@ -33,14 +33,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
+def parse_grid(text: str) -> list[tuple[int, int]]:
+    """``"0:8,2:16"`` -> ``[(0, 8), (2, 16)]``; anything else is a ConfigurationError."""
+    grid = []
+    for spec in text.split(","):
+        try:
+            d, w = spec.split(":")
+            grid.append((int(d), int(w)))
+        except ValueError:
+            raise ConfigurationError(
+                f"--grid entry '{spec}' is not depth:width (e.g. 0:8,2:16)") from None
+    return grid
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
+    grid = parse_grid(args.grid)
     cfg = session_mod.load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    grid = []
-    for spec in args.grid.split(","):
-        d, w = spec.split(":")
-        grid.append((int(d), int(w)))
     rows = session_mod.sweep(cfg, grid, args.out, reference_accuracy=args.reference_accuracy)
     table_path = Path(args.out) / "sweep_table.json"
     with open(table_path, "w") as fh:

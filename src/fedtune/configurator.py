@@ -126,6 +126,24 @@ def decide_winner(tracks: list[TrialTrack]) -> TrialTrack:
     return min(contenders, key=lambda t: config_cost_key(t.config))
 
 
+def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
+                    store: model_mod.EvalStore, test_tokens, test_labels) -> list[float]:
+    """Accuracy of every live track on the global test set, in track order.
+
+    The store keeps exactly the boundaries these tracks resume from; a
+    track without a frozen prefix (full fine-tuning) runs the plain forward.
+    """
+    num_layers = backbone.spec.num_layers
+    boundaries = [t.payload.scheme.boundary_layer(num_layers) for t in tracks]
+    store.retain({b for b in boundaries if b is not None})
+    accuracies = []
+    for track, boundary in zip(tracks, boundaries):
+        model = adapter_mod.materialize(backbone, track.payload.scheme, track.payload)
+        accuracies.append(model_mod.evaluate(model, test_tokens, test_labels,
+                                             store=store, boundary=boundary))
+    return accuracies
+
+
 @dataclass
 class SessionOutcome:
     reached: bool
@@ -154,8 +172,12 @@ def run_session(
     """Run the trial loop until the target accuracy or the round budget.
 
     Every round advances all live tracks once (each on its own emulated
-    clock) and evaluates them centrally; decisions happen when the current
-    track's clock passes the trial interval.
+    clock), then the server scores each track on the global test set with
+    ``evaluate_tracks``; decisions happen when the current track's clock
+    passes the trial interval. Two frozen-prefix stores are at work: each
+    client's ``ActivationCache`` serves its training batches, and one
+    server-side ``model.EvalStore`` per session serves evaluation, rebuilt
+    from the embedding at most D times because depths only grow.
     """
     def emit(evt: dict) -> None:
         if writer is not None:
@@ -174,6 +196,7 @@ def run_session(
             ],
         })
 
+    store = model_mod.EvalStore(backbone, test_tokens)
     tracks = dispatch(state, None, backbone, adapter_rng, start_clock=0.0)
     state.t_trial = 0.0
     emit_dispatch(tracks, 0.0)
@@ -206,9 +229,8 @@ def run_session(
             # between decisions at the bundled profiles
             state.trial_intvl = 3.0 * report.tracks[0].round_seconds
 
-        for track in tracks:
-            model = adapter_mod.materialize(backbone, track.payload.scheme, track.payload)
-            acc = model_mod.evaluate(model, test_tokens, test_labels)
+        accuracies = evaluate_tracks(tracks, backbone, store, test_tokens, test_labels)
+        for track, acc in zip(tracks, accuracies):
             track.acc_history.append((track.clock, acc))
             emit({"evt": "eval", "round": report.round_index, "track": track.name,
                   "clock": track.clock, "accuracy": acc})

@@ -9,8 +9,8 @@ any inserted adapter stacks are the only trainable parts. Layers are
 
 from __future__ import annotations
 
-import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -29,6 +29,7 @@ CHECKPOINT_VERSION = 1
 LN_EPS = 1e-5
 EMBED_INIT_STD = 1.0
 ADAPTER_INIT_STD = 0.02  # also used for the classifier head
+EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -255,8 +256,10 @@ def _apply_block(block: BlockParams, h: Tensor, heads: int) -> Tensor:
     return h
 
 
-def _run_blocks(model: ModelState, h: Tensor, start_layer: int) -> Tensor:
-    for block in model.blocks[start_layer - 1:]:
+def _run_blocks(model: ModelState, h: Tensor, start_layer: int,
+                stop_layer: int | None = None) -> Tensor:
+    """Layers ``start_layer`` to ``stop_layer`` (inclusive; default the top)."""
+    for block in model.blocks[start_layer - 1:stop_layer]:
         h = _apply_block(block, h, model.spec.heads)
     return h
 
@@ -273,10 +276,7 @@ def forward(model: ModelState, tokens: np.ndarray) -> Tensor:
 def compute_boundary_activation(model: ModelState, tokens: np.ndarray, boundary: int) -> np.ndarray:
     """Output of layer ``boundary`` (0 = embedding output) as a plain array."""
     _check_boundary(model, boundary)
-    h = _embed(model, tokens)
-    for block in model.blocks[:boundary]:
-        h = _apply_block(block, h, model.spec.heads)
-    return h.data
+    return _run_blocks(model, _embed(model, tokens), 1, boundary).data
 
 
 def _check_boundary(model: ModelState, boundary: int) -> None:
@@ -306,17 +306,105 @@ def forward_from_boundary(model: ModelState, boundary: int, cached_act: np.ndarr
     return _classify(model, _run_blocks(model, Tensor(act), boundary + 1))
 
 
+class EvalStore:
+    """Server-side frozen-prefix activations of one fixed evaluation set.
+
+    Holds the output of layer ``b`` (0 = embedding output) for every
+    boundary ``b`` a live track resumes from, split into the same chunks
+    ``evaluate`` uses, so every resumed op sees the shapes of a full
+    ``forward`` and the logits are bit-identical. A new boundary is derived
+    from the nearest stored lower one by running only the frozen blocks in
+    between; the embedding is the starting point only when no lower
+    boundary is stored (counted in ``embedding_builds``). Tuning depths only
+    grow, so the lowest live boundary only falls, and a session rebuilds
+    from the embedding at most D times.
+    """
+
+    def __init__(self, backbone: ModelState, tokens: np.ndarray, chunk: int = EVAL_CHUNK):
+        if backbone.adapter_depth() != 0:
+            raise ContractViolation("evaluation store needs the adapter-free backbone")
+        self.backbone = backbone
+        self.tokens = np.asarray(tokens)
+        self.chunk = chunk
+        self.embedding_builds = 0
+        self._acts: dict[int, list[np.ndarray]] = {}
+
+    def boundaries(self) -> list[int]:
+        return sorted(self._acts)
+
+    def retain(self, boundaries: set[int]) -> None:
+        """Drop every boundary not in ``boundaries``, then build the missing ones."""
+        for b in set(self._acts) - set(boundaries):
+            del self._acts[b]
+        for b in sorted(boundaries):
+            self.activations(b)
+
+    def activations(self, boundary: int) -> list[np.ndarray]:
+        """Per-chunk outputs of layer ``boundary``, built on first use."""
+        if boundary not in self._acts:
+            _check_boundary(self.backbone, boundary)
+            lower = max((b for b in self._acts if b < boundary), default=None)
+            if lower is None:
+                self.embedding_builds += 1
+                acts = [compute_boundary_activation(self.backbone, self.tokens[s:s + self.chunk],
+                                                    boundary)
+                        for s in range(0, self.tokens.shape[0], self.chunk)]
+            else:
+                acts = [_run_blocks(self.backbone, Tensor(act), lower + 1, boundary).data
+                        for act in self._acts[lower]]
+            for act in acts:
+                act.flags.writeable = False
+            self._acts[boundary] = acts
+        return self._acts[boundary]
+
+
+@contextmanager
+def _graph_free(model: ModelState):
+    """Record no backward closures: clear ``requires_grad`` on every parameter.
+
+    ``Parameter.trainable`` is left alone (``_check_boundary`` reads it);
+    the flags are restored on exit, whatever happens inside.
+    """
+    params = list(model.parameters())
+    saved = [p.tensor.requires_grad for p in params]
+    for p in params:
+        p.tensor.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in zip(params, saved):
+            p.tensor.requires_grad = flag
+
+
 def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
-             chunk: int = 256) -> float:
-    """Fraction of samples whose argmax logit matches the label."""
+             chunk: int = EVAL_CHUNK, *, store: EvalStore | None = None,
+             boundary: int | None = None) -> float:
+    """Fraction of samples whose argmax logit matches the label.
+
+    Runs without building a backward graph. With a ``store`` and a
+    ``boundary`` (the model's deepest frozen layer, see
+    ``TuningScheme.boundary_layer``), each chunk resumes from the stored
+    output of that layer instead of running the frozen prefix again; the
+    accuracy is identical to the plain forward's. ``boundary=None`` (full
+    fine-tuning has no frozen prefix) always runs the plain forward.
+    """
     tokens = np.asarray(tokens)
     labels = np.asarray(labels, dtype=np.int64)
     if tokens.shape[0] == 0:
         raise EvaluationError("cannot evaluate an empty shard")
+    acts = None
+    if store is not None and boundary is not None:
+        if chunk != store.chunk or not np.array_equal(tokens, store.tokens):
+            raise ContractViolation("evaluation store was built for other tokens or chunking")
+        acts = store.activations(boundary)
     correct = 0
-    for start in range(0, tokens.shape[0], chunk):
-        logits = forward(model, tokens[start:start + chunk]).data
-        correct += int((logits.argmax(axis=1) == labels[start:start + chunk]).sum())
+    with _graph_free(model):
+        for i, start in enumerate(range(0, tokens.shape[0], chunk)):
+            if acts is None:
+                logits = forward(model, tokens[start:start + chunk])
+            else:
+                logits = forward_from_boundary(model, boundary, acts[i])
+            correct += int((logits.data.argmax(axis=1) == labels[start:start + chunk]).sum())
     return correct / tokens.shape[0]
 
 

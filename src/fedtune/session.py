@@ -9,7 +9,7 @@ emitted trace is byte-identical across runs.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,17 +110,49 @@ def _require(condition: bool, fieldname: str, reason: str) -> None:
         raise ConfigurationError(f"field '{fieldname}': {reason}")
 
 
+def _section(doc: dict, name: str, allowed, required=(), prefix: str = "") -> dict:
+    """The mapping ``doc[name]`` (empty if absent), checked against its schema.
+
+    Unknown keys and missing ``required`` keys are ConfigurationErrors that
+    name the key's full path, ``prefix`` + ``name`` + "." + key.
+    """
+    path = f"{prefix}{name}"
+    section = doc.get(name, {})
+    _require(isinstance(section, dict), path, "mapping required")
+    _check_keys(section, allowed, f"{path}.")
+    missing = [k for k in required if k not in section]
+    _require(not missing, path, f"missing key(s) {', '.join(missing)}")
+    return section
+
+
+def _check_keys(doc: dict, allowed, prefix: str = "") -> None:
+    unknown = sorted(str(k) for k in set(doc) - set(allowed))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown config key '{prefix}{unknown[0]}' (allowed: {', '.join(sorted(allowed))})")
+
+
 def config_from_dict(doc: dict) -> SessionConfig:
-    """Build and validate a SessionConfig from a parsed YAML document."""
+    """Build and validate a SessionConfig from a parsed YAML document.
+
+    A key the schema does not know, at the top level or inside ``model``,
+    ``task``, ``network``, ``configurator`` or a custom device profile, is a
+    ConfigurationError: a typo must not silently fall back to the default.
+    """
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be a mapping")
+    _check_keys(doc, [f.name for f in fields(SessionConfig)])
     _require("mode" in doc, "mode", "is required")
     _require(doc["mode"] in MODES, "mode", f"must be one of {MODES}, got '{doc['mode']}'")
     _require("model" in doc and isinstance(doc["model"], dict), "model", "mapping required")
     _require("seed" in doc, "seed", "is required")
-    model_spec = ModelSpec.from_dict(doc["model"])
-    task_doc = dict(doc.get("task", {}))
+    model_keys = [f.name for f in fields(ModelSpec)]
+    model_spec = ModelSpec.from_dict(_section(doc, "model", model_keys, model_keys))
+    task_doc = _section(doc, "task", [f.name for f in fields(data_mod.SyntheticTaskSpec)])
     # the task inherits its shape from the model so the two cannot disagree
+    for key in ("vocab", "seqlen", "num_labels"):
+        _require(task_doc.get(key, getattr(model_spec, key)) == getattr(model_spec, key),
+                 f"task.{key}", f"must equal model.{key} ({getattr(model_spec, key)})")
     task_spec = data_mod.SyntheticTaskSpec(
         vocab=model_spec.vocab, seqlen=model_spec.seqlen, num_labels=model_spec.num_labels,
         teacher_seed=int(task_doc.get("teacher_seed", 7)),
@@ -134,15 +166,20 @@ def config_from_dict(doc: dict) -> SessionConfig:
         devices = {str(k): float(v) for k, v in devices_doc.items()}
     else:
         raise ConfigurationError("field 'devices': must be a name or a name->fraction mapping")
-    custom = {}
-    for name, spec in dict(doc.get("custom_devices", {})).items():
-        custom[name] = DeviceProfile(name=name, **spec)
-    net_doc = doc.get("network", {})
+    custom_doc = doc.get("custom_devices", {})
+    _require(isinstance(custom_doc, dict), "custom_devices", "mapping required")
+    device_keys = [f.name for f in fields(DeviceProfile) if f.name != "name"]
+    custom = {
+        name: DeviceProfile(name=name, **_section(custom_doc, name, device_keys, device_keys,
+                                                  prefix="custom_devices."))
+        for name in custom_doc
+    }
+    net_doc = _section(doc, "network", [f.name for f in fields(NetworkProfile)])
     network = NetworkProfile(
         uplink_bytes_per_s=float(net_doc.get("uplink_bytes_per_s", 1_000_000)),
         downlink_bytes_per_s=float(net_doc.get("downlink_bytes_per_s", 1_000_000)),
     )
-    conf_doc = dict(doc.get("configurator", {}))
+    conf_doc = _section(doc, "configurator", [f.name for f in fields(ConfiguratorParams)])
     params = ConfiguratorParams(
         start_depth=int(conf_doc.get("start_depth", 0)),
         start_width=int(conf_doc.get("start_width", 8)),
@@ -316,6 +353,7 @@ def _run_fixed_session(world: World, writer: trace_mod.TraceWriter) -> conf_mod.
                  "base_depth": depth, "base_width": width,
                  "tracks": [{"track": "current", "depth": depth, "width": width}]})
     cache_enabled = cfg.cache_enabled and scheme.kind != "full"
+    store = model_mod.EvalStore(world.backbone, world.test_tokens)
     best = 0.0
     reached = False
     time_to_target = None
@@ -336,8 +374,8 @@ def _run_fixed_session(world: World, writer: trace_mod.TraceWriter) -> conf_mod.
             "cache_hits": stat.cache_hits, "cache_recomputes": stat.cache_recomputes,
             "train_samples": stat.train_samples,
         })
-        eval_model = adapter_mod.materialize(world.backbone, scheme, track.payload)
-        acc = model_mod.evaluate(eval_model, world.test_tokens, world.test_labels)
+        [acc] = conf_mod.evaluate_tracks([track], world.backbone, store,
+                                         world.test_tokens, world.test_labels)
         track.acc_history.append((track.clock, acc))
         writer.emit({"evt": "eval", "round": report.round_index, "track": "current",
                      "clock": track.clock, "accuracy": acc})

@@ -1,0 +1,92 @@
+"""Session config schema and CLI error handling."""
+
+import pytest
+import yaml
+
+from fedtune import cli
+from fedtune import session as session_mod
+from fedtune.errors import ConfigurationError
+from fedtune.session import EXIT_CONFIG_ERROR
+
+from conftest import small_session_doc
+
+
+class TestUnknownKeys:
+    def test_valid_doc_parses(self):
+        cfg = session_mod.config_from_dict(small_session_doc(
+            task={"teacher_seed": 5, "samples_per_label": 40, "noise_rate": 0.0},
+            network={"uplink_bytes_per_s": 2e6, "downlink_bytes_per_s": 3e6},
+            configurator={"trial_intvl_s": 1.0, "start_depth": 1}))
+        assert cfg.network.uplink_bytes_per_s == 2e6
+        assert cfg.configurator.trial_intvl_s == 1.0
+
+    @pytest.mark.parametrize("doc, key", [
+        (small_session_doc(max_round=1), "max_round"),
+        (small_session_doc(model={**small_session_doc()["model"], "layers": 2}), "model.layers"),
+        (small_session_doc(task={"samples_per_labels": 3}), "task.samples_per_labels"),
+        (small_session_doc(network={"uplink": 1.0}), "network.uplink"),
+        (small_session_doc(mode="autofed", configurator={"trial_intvl": 1}),
+         "configurator.trial_intvl"),
+    ])
+    def test_unknown_key_named(self, doc, key):
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            session_mod.config_from_dict(doc)
+
+    def test_custom_device_keys_checked(self):
+        profile = {"per_batch_latency_full": 1.0, "compute_power_watts": 5.0,
+                   "radio_power_watts": 1.0, "cache_reload_latency": 0.01}
+        cfg = session_mod.config_from_dict(small_session_doc(
+            devices="slow", custom_devices={"slow": profile}))
+        assert cfg.custom_devices["slow"].per_batch_latency_full == 1.0
+        with pytest.raises(ConfigurationError, match="'custom_devices.slow.speed'"):
+            session_mod.config_from_dict(small_session_doc(
+                devices="slow", custom_devices={"slow": {**profile, "speed": 2}}))
+        del profile["radio_power_watts"]
+        with pytest.raises(ConfigurationError, match="missing key.*radio_power_watts"):
+            session_mod.config_from_dict(small_session_doc(
+                devices="slow", custom_devices={"slow": profile}))
+
+    def test_missing_model_key_is_configuration_error(self):
+        model = dict(small_session_doc()["model"])
+        del model["heads"]
+        with pytest.raises(ConfigurationError, match="missing key.*heads"):
+            session_mod.config_from_dict(small_session_doc(model=model))
+
+    def test_non_mapping_section(self):
+        with pytest.raises(ConfigurationError, match="configurator"):
+            session_mod.config_from_dict(small_session_doc(configurator=None))
+
+    def test_task_shape_must_match_model(self):
+        session_mod.config_from_dict(small_session_doc(task={"vocab": 24}))
+        with pytest.raises(ConfigurationError, match="task.vocab"):
+            session_mod.config_from_dict(small_session_doc(task={"vocab": 25}))
+
+    def test_round_trip_through_to_dict(self):
+        cfg = session_mod.config_from_dict(small_session_doc(mode="autofed"))
+        assert session_mod.config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+
+
+class TestCli:
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        path = tmp_path / "session.yaml"
+        path.write_text(yaml.safe_dump(small_session_doc(max_rounds=1)))
+        return str(path)
+
+    @pytest.mark.parametrize("grid", ["1-8", "1:8,2", "a:8", "1:8:2", ""])
+    def test_bad_sweep_grid_exits_2(self, grid, config_path, tmp_path, capsys):
+        code = cli.main(["sweep", "--config", config_path, "--grid", grid,
+                         "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_parse_grid(self):
+        assert cli.parse_grid("0:8,2:16") == [(0, 8), (2, 16)]
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "typo.yaml"
+        path.write_text(yaml.safe_dump(small_session_doc(max_round=1)))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "t.jsonl")])
+        assert code == EXIT_CONFIG_ERROR
+        assert "max_round" in capsys.readouterr().err

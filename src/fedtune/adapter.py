@@ -10,17 +10,14 @@ trained weights.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import model as model_mod
-from .errors import AggregationError, ConfigurationError, ProtocolError
-from .model import MetaAdapter, ModelSpec, ModelState, make_meta_adapter
+from .errors import ConfigurationError, ProtocolError
+from .model import ModelState, make_meta_adapter
 from .tensor_nn import Parameter, SeededRng, make_parameter
 
-PAYLOAD_VERSION = 1
 MIN_WIDTH = 8
 
 
@@ -49,28 +46,6 @@ class AdapterConfig:
     def stack_size(self) -> int:
         return self.width // self.step
 
-    def to_dict(self) -> dict:
-        return {"depth": self.depth, "width": self.width, "step": self.step}
-
-    @staticmethod
-    def from_dict(d: dict) -> "AdapterConfig":
-        return AdapterConfig(**d)
-
-
-def adapter_param_count(m: int, n: int) -> int:
-    """Trainable parameters of one bottleneck unit of width m on hidden n."""
-    if m < 1 or n < 1:
-        raise ConfigurationError(f"width and hidden must be >= 1, got ({m}, {n})")
-    return 2 * m * n + n + m
-
-
-def formula_trainable_count(depth: int, width: int, hidden: int, num_labels: int) -> int:
-    """Closed-form count for a monolithic config: d*(2mn+n+m) + n*labels.
-
-    This is the wire-cost arithmetic; it excludes the classifier bias,
-    which the actual buffers include.
-    """
-    return depth * adapter_param_count(width, hidden) + hidden * num_labels
 
 
 def trainable_param_count(model: ModelState) -> int:
@@ -86,14 +61,6 @@ def _shallow_clone(model: ModelState) -> ModelState:
     blocks = [replace(b, adapters=list(b.adapters)) for b in model.blocks]
     return ModelState(model.spec, model.tok_embed, model.pos_embed, blocks,
                       model.cls_w, model.cls_b)
-
-
-def current_config(model: ModelState, step: int) -> AdapterConfig:
-    depth = model.adapter_depth()
-    if depth == 0:
-        return AdapterConfig(0, step, step)
-    width = sum(meta.width for meta in model.blocks[-1].adapters)
-    return AdapterConfig(depth, width, step)
 
 
 def insert_adapters(model: ModelState, config: AdapterConfig, rng: SeededRng) -> ModelState:
@@ -122,7 +89,8 @@ def deepen(model: ModelState, depth_step: int, rng: SeededRng) -> ModelState:
             f"cannot deepen past the model: depth {depth} + step {depth_step} "
             f"> {spec.num_layers}")
     if depth == 0:
-        stack_size, step = 1, _implied_step(model)
+        # a depth-0 model carries no stack to copy the unit width from
+        stack_size, step = 1, MIN_WIDTH
     else:
         stack = model.blocks[adapted[0] - 1].adapters
         stack_size, step = len(stack), stack[0].width
@@ -134,12 +102,6 @@ def deepen(model: ModelState, depth_step: int, rng: SeededRng) -> ModelState:
             for idx in range(stack_size)
         ]
     return out
-
-
-def _implied_step(model: ModelState) -> int:
-    # depth-0 models carry no stacks; the step is supplied by the caller's
-    # config when it matters, default to the minimum width
-    return MIN_WIDTH
 
 
 def widen(model: ModelState, width_step: int, rng: SeededRng) -> ModelState:
@@ -194,16 +156,6 @@ class TuningScheme:
             return None
         return num_layers - self.tuning_depth(num_layers)
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "frozen_layers": self.frozen_layers}
-        d["adapter"] = self.adapter.to_dict() if self.adapter else None
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "TuningScheme":
-        adapter = AdapterConfig.from_dict(d["adapter"]) if d.get("adapter") else None
-        return TuningScheme(d["kind"], adapter, d.get("frozen_layers", 0))
-
 
 @dataclass
 class AdapterPayload:
@@ -214,10 +166,6 @@ class AdapterPayload:
 
     def total_scalars(self) -> int:
         return int(sum(b.size for b in self.buffers.values()))
-
-    def copy(self) -> "AdapterPayload":
-        return AdapterPayload(self.scheme, {k: v.copy() for k, v in self.buffers.items()})
-
 
 def extract_payload(model: ModelState, scheme: TuningScheme) -> AdapterPayload:
     buffers = {p.name: p.tensor.data.copy() for p in model.trainable_parameters()}
@@ -309,25 +257,3 @@ def _apply_buffers(model: ModelState, scheme: TuningScheme, payload: AdapterPayl
                 f"buffer '{name}' shape {buf.shape} != expected {param.tensor.data.shape}")
         param.tensor.data = buf.astype(np.float64, copy=True)
 
-
-# ---------------------------------------------------------------------------
-# adapter-only checkpoint (the wire format clients ship)
-# ---------------------------------------------------------------------------
-
-def save_payload(payload: AdapterPayload, path: str) -> None:
-    meta = {"version": PAYLOAD_VERSION, "scheme": payload.scheme.to_dict()}
-    arrays = dict(payload.buffers)
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_payload(path: str) -> AdapterPayload:
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["__meta__"]).decode())
-        if meta["version"] != PAYLOAD_VERSION:
-            raise ProtocolError(f"unsupported payload version {meta['version']}")
-        scheme = TuningScheme.from_dict(meta["scheme"])
-        buffers = {k: archive[k].astype(np.float64, copy=True)
-                   for k in archive.files if k != "__meta__"}
-    return AdapterPayload(scheme, buffers)

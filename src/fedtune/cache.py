@@ -30,7 +30,6 @@ from .model import ModelState
 class CacheEntry:
     batch_id: int
     boundary: int        # layer whose output is stored (0 = embeddings)
-    round_stored: int
     activations: np.ndarray  # [B, S, n]
 
 
@@ -41,10 +40,6 @@ class ActivationCache:
     entries: dict[int, CacheEntry] = field(default_factory=dict)
     depth_at_store: int | None = None
     integrity_failures: int = 0
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.depth_at_store = None
 
 
 @dataclass
@@ -98,7 +93,6 @@ def fetch_or_recompute(
     batch_id: int,
     tokens: np.ndarray,
     depth_watermark: int,
-    round_index: int,
 ) -> tuple[int, np.ndarray, bool]:
     """Serve a stored boundary activation or recompute at the watermark boundary.
 
@@ -122,7 +116,7 @@ def fetch_or_recompute(
         cache.integrity_failures += 1
     boundary = num_layers - depth_watermark
     activations = model_mod.compute_boundary_activation(model, tokens, boundary)
-    cache.entries[batch_id] = CacheEntry(batch_id, boundary, round_index, activations)
+    cache.entries[batch_id] = CacheEntry(batch_id, boundary, activations)
     return boundary, activations, True
 
 

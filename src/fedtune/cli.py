@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import session as session_mod
 from .errors import ConfigurationError, FedTuneError, TraceParseError
-from .session import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK
+from .session import EXIT_CONFIG_ERROR, EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -32,7 +32,6 @@ class TrialTrack:
     name: str
     payload: AdapterPayload
     clock: float = 0.0
-    rounds_done: int = 0
     acc_history: list[tuple[float, float]] = field(default_factory=list)
 
     @property

@@ -16,14 +16,6 @@ from .errors import ConfigurationError
 WIRE_BYTES_PER_SCALAR = 4
 PAYLOAD_HEADER_BYTES = 64
 
-# Reference constants for sanity ratios: a BERT-base-class encoder has
-# ~110.01e6 parameters; its per-sample forward cost is estimated with the
-# usual 2 * params * seqlen rule at seqlen 256.
-REFERENCE_FULL_MODEL_PARAMS = 110_010_000
-REFERENCE_SEQLEN = 256
-REFERENCE_FORWARD_FLOPS = 2 * REFERENCE_FULL_MODEL_PARAMS * REFERENCE_SEQLEN
-
-
 @dataclass(frozen=True)
 class DeviceProfile:
     """Measured device characteristics driving the emulated clock."""
@@ -65,11 +57,6 @@ DEFAULT_NETWORK = NetworkProfile(1_000_000.0, 1_000_000.0)  # 1 MB/s each way
 def layer_unit_cost(profile: DeviceProfile, num_layers: int) -> float:
     """Seconds for one forward pass of one transformer layer on one batch."""
     return profile.per_batch_latency_full / (3.0 * num_layers)
-
-
-def forward_time_fraction(num_layers: int, tuning_depth: int) -> float:
-    """Share of a no-cache training batch spent in the forward pass."""
-    return num_layers / (num_layers + 2.0 * tuning_depth)
 
 
 def compute_time_per_batch(profile: DeviceProfile, num_layers: int,
@@ -134,7 +121,3 @@ def energy_joules(compute_s: float, transfer_s: float, profile: DeviceProfile) -
     """Energy spent training plus energy spent on the radio."""
     return compute_s * profile.compute_power_watts + transfer_s * profile.radio_power_watts
 
-
-def adapter_forward_flops(m: int, n: int, seqlen: int) -> int:
-    """Forward FLOPs of one bottleneck unit per data sample."""
-    return 2 * m * n * seqlen

@@ -9,7 +9,6 @@ is reserved as the leading pooling token of every sequence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,14 +90,6 @@ def _teacher_matrix(spec: SyntheticTaskSpec) -> np.ndarray:
         members = [t for t in range(1, spec.vocab) if _topic_of(t, spec.num_labels) == y]
         cols[:, y] = emb[members].mean(axis=0)
     return cols
-
-
-def teacher_predict(spec: SyntheticTaskSpec, tokens: np.ndarray) -> np.ndarray:
-    """Labels the hidden teacher assigns to [N, seqlen] sequences."""
-    emb = _teacher_embeddings(spec)
-    content = np.asarray(tokens)[:, 1:]
-    features = emb[content].mean(axis=1)
-    return (features @ _teacher_matrix(spec)).argmax(axis=1).astype(np.int64)
 
 
 def generate_task(spec: SyntheticTaskSpec, rng: SeededRng) -> LabeledDataset:
@@ -217,23 +208,3 @@ def split_train_test(dataset: LabeledDataset, indices: np.ndarray, client_id: in
         test_labels=dataset.labels[test_idx].copy(),
     )
 
-
-def export_dataset(dataset: LabeledDataset, path: str) -> None:
-    """Debug-friendly JSON dump; import restores it exactly."""
-    doc = {
-        "spec": dataset.spec.to_dict(),
-        "tokens": dataset.tokens.tolist(),
-        "labels": dataset.labels.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-
-
-def import_dataset(path: str) -> LabeledDataset:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return LabeledDataset(
-        tokens=np.asarray(doc["tokens"], dtype=np.int64),
-        labels=np.asarray(doc["labels"], dtype=np.int64),
-        spec=SyntheticTaskSpec.from_dict(doc["spec"]),
-    )

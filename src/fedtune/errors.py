@@ -29,10 +29,6 @@ class RegistryError(FedTuneError):
     """Unknown client id in the server registry."""
 
 
-class CacheIntegrityError(FedTuneError):
-    """Stored activation does not match the model spec."""
-
-
 class ContractViolation(FedTuneError):
     """A caller violated an operation precondition (e.g. bad boundary)."""
 

@@ -17,10 +17,10 @@ from . import cache as cache_mod
 from . import costmodel
 from . import model as model_mod
 from . import tensor_nn as tn
-from .adapter import AdapterPayload, TuningScheme
+from .adapter import AdapterPayload
 from .cache import ActivationCache, DepthHistory
 from .costmodel import DeviceProfile, NetworkProfile
-from .errors import AggregationError, ProtocolError, SelectionError, TrainingError
+from .errors import AggregationError, SelectionError, TrainingError
 from .model import ModelState
 from .tensor_nn import SeededRng
 
@@ -109,7 +109,6 @@ def local_train(
     lr: float,
     cache_enabled: bool,
     depth_watermark: int,
-    round_index: int,
 ) -> tuple[AdapterPayload, int, LocalStats]:
     """Run E local passes of SGD over the client's fixed batches.
 
@@ -131,7 +130,7 @@ def local_train(
             if use_cache:
                 boundary, act, recomputed = cache_mod.fetch_or_recompute(
                     client.cache, model, batch.batch_id, batch.tokens,
-                    depth_watermark, round_index)
+                    depth_watermark)
                 logits = model_mod.forward_from_boundary(model, boundary, act)
                 if recomputed:
                     stats.cache_recomputes += 1
@@ -203,9 +202,10 @@ def run_round(
 ) -> RoundReport:
     """One synchronous round: select, dispatch, train, aggregate, advance clocks.
 
-    ``tracks`` is a list of objects with ``name``, ``payload``, ``clock``
-    and ``rounds_done`` attributes (see configurator.TrialTrack); all live
-    tracks advance together, each by its own emulated round time.
+    ``tracks`` are configurator.TrialTrack objects: one for a fixed
+    configuration, up to three while the configurator searches. Each reads
+    ``name``, ``payload`` and ``clock``; all live tracks advance together,
+    each by its own emulated round time, and get the aggregated payload.
     """
     if not tracks:
         raise SelectionError("run_round requires at least one track")
@@ -233,7 +233,7 @@ def run_round(
             new_payload, n_samples, stats = local_train(
                 client, backbone, track.payload,
                 epochs=epochs, lr=lr, cache_enabled=cache_enabled,
-                depth_watermark=watermark, round_index=round_index)
+                depth_watermark=watermark)
             updates.append(ClientUpdate(cid, new_payload, n_samples))
             down_s, up_s = costmodel.transfer_seconds(payload_size, client.net)
             client_time = down_s + stats.compute_seconds + up_s
@@ -247,7 +247,6 @@ def run_round(
             samples += n_samples
         track.payload = fedavg(updates)
         track.clock += round_seconds
-        track.rounds_done += 1
         report_tracks.append(TrackRoundStats(
             track=track.name,
             participants=group,

@@ -464,11 +464,6 @@ def time_to_accuracy(events: list[dict], relative_target: float,
     return min(times) if times else None
 
 
-def best_accuracy(events: list[dict]) -> float:
-    evals = trace_mod.events_of_kind(events, "eval")
-    return max((e["accuracy"] for e in evals), default=0.0)
-
-
 def sweep(cfg: SessionConfig, grid: list[tuple[int, int]], out_dir: str,
           reference_accuracy: float | None = None) -> list[dict]:
     """Run fixed-adapter sessions for every (depth, width) on shared seeds.

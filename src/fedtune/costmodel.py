@@ -1,10 +1,13 @@
-"""Analytic per-round time, traffic, and energy accounting.
+"""Analytic per-batch time, traffic, and energy accounting.
 
 Per-layer costs are uniform: one full-model training batch costs 3*D
 forward-layer units (forward D, backward 2D), so the unit cost is the
-measured full-batch latency divided by 3*D. Adapter compute overhead is
-treated as negligible next to a transformer block. Wire traffic is
-charged at 4 bytes per scalar regardless of the 8-byte internal math.
+measured full-batch latency divided by 3*D. One function,
+``batch_time_from_boundary``, prices every training batch, with or without
+the activation cache; a round's time and energy are summed from it in
+``fed.run_round``. Adapter compute overhead is treated as negligible next
+to a transformer block. Wire traffic is charged at 4 bytes per scalar
+regardless of the 8-byte internal math.
 """
 
 from __future__ import annotations
@@ -59,36 +62,24 @@ def layer_unit_cost(profile: DeviceProfile, num_layers: int) -> float:
     return profile.per_batch_latency_full / (3.0 * num_layers)
 
 
-def compute_time_per_batch(profile: DeviceProfile, num_layers: int,
-                           tuning_depth: int, cache_enabled: bool) -> float:
-    """Per-batch training seconds at tuning depth d.
+def batch_time_from_boundary(profile: DeviceProfile, num_layers: int, tuning_depth: int,
+                             boundary: int | None, recomputed: bool) -> float:
+    """Per-batch training seconds at tuning depth d; the only per-batch cost.
 
-    Without the cache: forward all D layers plus backward through the top
-    d (at twice forward cost). With the cache: forward and backward only
-    the top d, plus the per-batch reload charge. At d = 0 with cache the
-    classifier-only cost is folded into the reload term.
+    Every batch backwards through the top d layers at twice forward cost.
+    Without the cache (``boundary`` None) it forwards all L layers. With
+    it, a hit forwards the layers above the boundary and a recompute runs
+    the bottom path too, all L layers, to refresh the stored activation;
+    both pay the per-batch reload/store charge. ``recomputed`` is read
+    only with a boundary.
     """
     if not 0 <= tuning_depth <= num_layers:
         raise ConfigurationError(
             f"tuning depth {tuning_depth} outside [0, {num_layers}]")
     c = layer_unit_cost(profile, num_layers)
-    if cache_enabled:
-        return c * (3.0 * tuning_depth) + profile.cache_reload_latency
-    return c * (num_layers + 2.0 * tuning_depth)
-
-
-def batch_time_from_boundary(profile: DeviceProfile, num_layers: int, tuning_depth: int,
-                             boundary: int, recomputed: bool) -> float:
-    """Honest per-batch seconds when training resumes at ``boundary``.
-
-    A hit forwards the layers above the boundary and backwards through the
-    top d; a recompute additionally runs the bottom path once to refresh
-    the stored activation. Both paths pay the reload/store charge.
-    """
-    c = layer_unit_cost(profile, num_layers)
-    forward_layers = num_layers - boundary
-    if recomputed:
-        forward_layers = num_layers
+    if boundary is None:
+        return c * (num_layers + 2.0 * tuning_depth)
+    forward_layers = num_layers if recomputed else num_layers - boundary
     return c * (forward_layers + 2.0 * tuning_depth) + profile.cache_reload_latency
 
 
@@ -100,21 +91,6 @@ def payload_bytes(trainable_scalars: int) -> int:
 def transfer_seconds(num_bytes: int, net: NetworkProfile) -> tuple[float, float]:
     """(downlink, uplink) seconds for one payload each way."""
     return num_bytes / net.downlink_bytes_per_s, num_bytes / net.uplink_bytes_per_s
-
-
-def round_time(group: list[tuple[DeviceProfile, NetworkProfile]],
-               batches_per_client: int, payload_size: int, *,
-               num_layers: int, tuning_depth: int, cache_enabled: bool) -> float:
-    """Synchronous round latency: the slowest member's download + compute + upload."""
-    if not group:
-        raise ConfigurationError("round_time requires a non-empty group")
-    worst = 0.0
-    for device, net in group:
-        down, up = transfer_seconds(payload_size, net)
-        compute = batches_per_client * compute_time_per_batch(
-            device, num_layers, tuning_depth, cache_enabled)
-        worst = max(worst, down + compute + up)
-    return worst
 
 
 def energy_joules(compute_s: float, transfer_s: float, profile: DeviceProfile) -> float:

@@ -136,12 +136,11 @@ def local_train(
                     stats.cache_recomputes += 1
                 else:
                     stats.cache_hits += 1
-                stats.compute_seconds += costmodel.batch_time_from_boundary(
-                    client.device, num_layers, depth, boundary, recomputed)
             else:
+                boundary, recomputed = None, False
                 logits = model_mod.forward(model, batch.tokens)
-                stats.compute_seconds += costmodel.compute_time_per_batch(
-                    client.device, num_layers, depth, cache_enabled=False)
+            stats.compute_seconds += costmodel.batch_time_from_boundary(
+                client.device, num_layers, depth, boundary, recomputed)
             loss = tn.cross_entropy_loss(logits, batch.labels)
             loss.backward()
             tn.sgd_step(trainable, lr)

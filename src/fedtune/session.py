@@ -424,10 +424,14 @@ def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
     return SessionResult(outcome.reached, code, summary, writer.events)
 
 
+def _traffic_bytes(rounds: list[dict]) -> int:
+    """Wire bytes of ``round`` events: each participant downloads and uploads one payload."""
+    return sum(2 * e["payload_bytes"] * len(e["participants"]) for e in rounds)
+
+
 def _summarize(events: list[dict], cfg: SessionConfig,
                outcome: conf_mod.SessionOutcome) -> dict:
     rounds = trace_mod.events_of_kind(events, "round")
-    traffic = sum(2 * e["payload_bytes"] * len(e["participants"]) for e in rounds)
     energy = sum(e["energy_j"] for e in rounds)
     hits = sum(e["cache_hits"] for e in rounds)
     recomputes = sum(e["cache_recomputes"] for e in rounds)
@@ -440,7 +444,7 @@ def _summarize(events: list[dict], cfg: SessionConfig,
         "time_to_target": outcome.time_to_target,
         "rounds": outcome.rounds,
         "best_accuracy": outcome.best_accuracy,
-        "traffic_bytes": traffic,
+        "traffic_bytes": _traffic_bytes(rounds),
         "energy_j": energy,
         "cache_hits": hits,
         "cache_recomputes": recomputes,
@@ -513,7 +517,7 @@ def report(paths: list[str]) -> dict:
             raise TraceParseError(f"{path}: expected exactly one summary event")
         summary = summaries[0]
         rounds = trace_mod.events_of_kind(events, "round")
-        traffic = sum(2 * e["payload_bytes"] * len(e["participants"]) for e in rounds)
+        traffic = _traffic_bytes(rounds)
         if traffic != summary["traffic_bytes"]:
             raise TraceParseError(
                 f"{path}: traffic accounting mismatch "

@@ -7,6 +7,10 @@ become the base of the next three tracks (byte-identical in the shared
 prefix), and its configuration becomes the new floor. Configurations only
 ever grow, which is what keeps activation-cache expirations bounded by the
 model depth.
+
+``run_session`` is the one session loop of every mode. The fixed baselines
+(a fixed adapter, full fine-tuning, layer freezing) are this loop with one
+``current`` track and no configurator state, so they never decide.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ class TrialTrack:
     def config(self) -> AdapterConfig:
         return self.payload.scheme.adapter
 
+    def depth_width(self, num_layers: int) -> tuple[int, int]:
+        """Tuning depth and adapter width (0 without adapters) of the scheme."""
+        scheme = self.payload.scheme
+        return scheme.tuning_depth(num_layers), scheme.adapter.width if scheme.adapter else 0
+
     def latest_accuracy(self) -> float:
         if not self.acc_history:
             raise DecisionError(f"track '{self.name}' has no evaluations yet")
@@ -45,21 +54,31 @@ class TrialTrack:
 
 
 @dataclass
-class ConfiguratorState:
-    start_depth: int
-    start_width: int
-    depth_step: int
-    width_step: int
-    trial_intvl: float | None  # None: derived from the first round's time
+class ConfiguratorParams:
+    """The ``configurator`` section of a session config."""
+
+    start_depth: int = 0
+    start_width: int = 8
+    depth_step: int = 1
+    width_step: int = 8
+    trial_intvl_s: float | None = None  # None: derived from the first round's time
     intvl_growth: float = 1.0
-    iteration: int = 0
+
+
+@dataclass
+class ConfiguratorState:
+    """Search progress from ``params``: the current floor and trial interval."""
+
+    params: ConfiguratorParams
     t_trial: float = 0.0
-    base_depth: int = 0
-    base_width: int = 0
+    trial_intvl: float | None = field(init=False)
+    base_depth: int = field(init=False)
+    base_width: int = field(init=False)
 
     def __post_init__(self):
-        self.base_depth = self.start_depth
-        self.base_width = self.start_width
+        self.trial_intvl = self.params.trial_intvl_s
+        self.base_depth = self.params.start_depth
+        self.base_width = self.params.start_width
 
 
 def _adapter_scheme(depth: int, width: int, step: int) -> TuningScheme:
@@ -80,7 +99,7 @@ def dispatch(
     (deeper past the model, wider at depth 0) are omitted.
     """
     num_layers = backbone.spec.num_layers
-    d, w, step = state.base_depth, state.base_width, state.width_step
+    d, w, step = state.base_depth, state.base_width, state.params.width_step
     scheme = _adapter_scheme(d, w, step)
     if winner_payload is None:
         base_model = adapter_mod.materialize(backbone, scheme, payload=None, rng=rng)
@@ -89,15 +108,15 @@ def dispatch(
     current = adapter_mod.extract_payload(base_model, scheme)
 
     tracks = [TrialTrack(TRACK_CURRENT, current, clock=start_clock)]
-    if d + state.depth_step <= num_layers:
-        deeper_model = adapter_mod.deepen(base_model, state.depth_step, rng)
-        deeper_scheme = _adapter_scheme(d + state.depth_step, w, step)
+    if d + state.params.depth_step <= num_layers:
+        deeper_model = adapter_mod.deepen(base_model, state.params.depth_step, rng)
+        deeper_scheme = _adapter_scheme(d + state.params.depth_step, w, step)
         tracks.append(TrialTrack(
             TRACK_DEEPER, adapter_mod.extract_payload(deeper_model, deeper_scheme),
             clock=start_clock))
     if d >= 1:
-        wider_model = adapter_mod.widen(base_model, state.width_step, rng)
-        wider_scheme = _adapter_scheme(d, w + state.width_step, step)
+        wider_model = adapter_mod.widen(base_model, step, rng)
+        wider_scheme = _adapter_scheme(d, w + step, step)
         tracks.append(TrialTrack(
             TRACK_WIDER, adapter_mod.extract_payload(wider_model, wider_scheme),
             clock=start_clock))
@@ -152,8 +171,23 @@ class SessionOutcome:
     configs_visited: list[tuple[int, int]]
 
 
+def _emit_dispatch(writer, iteration: int, clock: float, tracks: list[TrialTrack],
+                   num_layers: int) -> None:
+    shapes = [t.depth_width(num_layers) for t in tracks]
+    writer.emit({
+        "evt": "dispatch",
+        "iteration": iteration,
+        "clock": clock,
+        "base_depth": shapes[0][0],
+        "base_width": shapes[0][1],
+        "tracks": [{"track": t.name, "depth": d, "width": w}
+                   for t, (d, w) in zip(tracks, shapes)],
+    })
+
+
 def run_session(
-    state: ConfiguratorState,
+    state: ConfiguratorState | None,
+    tracks: list[TrialTrack],
     server: ServerState,
     backbone: ModelState,
     *,
@@ -166,40 +200,25 @@ def run_session(
     target_accuracy: float | None,
     max_rounds: int,
     adapter_rng: SeededRng,
-    writer=None,
+    writer,
 ) -> SessionOutcome:
-    """Run the trial loop until the target accuracy or the round budget.
+    """Run ``tracks`` until the target accuracy or the round budget.
 
     Every round advances all live tracks once (each on its own emulated
     clock), then the server scores each track on the global test set with
-    ``evaluate_tracks``; decisions happen when the current track's clock
-    passes the trial interval. Two frozen-prefix stores are at work: each
-    client's ``ActivationCache`` serves its training batches, and one
-    server-side ``model.EvalStore`` per session serves evaluation, rebuilt
-    from the embedding at most D times because depths only grow.
+    ``evaluate_tracks``. With a configurator ``state``, ``tracks`` is its
+    first ``dispatch`` and decisions happen when the current track's clock
+    passes the trial interval; without one, the tracks are never replaced.
+    Two frozen-prefix stores are at work: each client's ``ActivationCache``
+    serves its training batches, and one server-side ``model.EvalStore``
+    per session serves evaluation, rebuilt from the embedding at most D
+    times because depths only grow.
     """
-    def emit(evt: dict) -> None:
-        if writer is not None:
-            writer.emit(evt)
-
-    def emit_dispatch(tracks: list[TrialTrack], clock: float) -> None:
-        emit({
-            "evt": "dispatch",
-            "iteration": state.iteration,
-            "clock": clock,
-            "base_depth": state.base_depth,
-            "base_width": state.base_width,
-            "tracks": [
-                {"track": t.name, "depth": t.config.depth, "width": t.config.width}
-                for t in tracks
-            ],
-        })
-
+    num_layers = backbone.spec.num_layers
     store = model_mod.EvalStore(backbone, test_tokens)
-    tracks = dispatch(state, None, backbone, adapter_rng, start_clock=0.0)
-    state.t_trial = 0.0
-    emit_dispatch(tracks, 0.0)
-    configs_visited = [(state.base_depth, state.base_width)]
+    iteration = 0
+    _emit_dispatch(writer, iteration, 0.0, tracks, num_layers)
+    configs_visited = [tracks[0].depth_width(num_layers)]
     best_acc = 0.0
     reached = False
     time_to_target: float | None = None
@@ -211,7 +230,7 @@ def run_session(
             backbone=backbone, epochs=epochs, lr=lr, cache_enabled=cache_enabled)
         rounds = report.round_index
         for track, stat in zip(tracks, report.tracks):
-            emit({
+            writer.emit({
                 "evt": "round", "round": report.round_index, "track": stat.track,
                 "max_depth": report.max_depth, "clock": track.clock,
                 "round_seconds": stat.round_seconds,
@@ -223,43 +242,43 @@ def run_session(
                 "cache_recomputes": stat.cache_recomputes,
                 "train_samples": stat.train_samples,
             })
-        if state.trial_intvl is None:
-            # derive the interval so the start-up track gets a few rounds
-            # between decisions at the bundled profiles
-            state.trial_intvl = 3.0 * report.tracks[0].round_seconds
 
         accuracies = evaluate_tracks(tracks, backbone, store, test_tokens, test_labels)
         for track, acc in zip(tracks, accuracies):
             track.acc_history.append((track.clock, acc))
-            emit({"evt": "eval", "round": report.round_index, "track": track.name,
-                  "clock": track.clock, "accuracy": acc})
+            writer.emit({"evt": "eval", "round": report.round_index, "track": track.name,
+                         "clock": track.clock, "accuracy": acc})
             if acc > best_acc:
                 best_acc = acc
             if target_accuracy is not None and acc >= target_accuracy and not reached:
                 reached = True
                 time_to_target = track.clock
-        if reached:
-            break
+        if reached or state is None:
+            continue
 
+        if state.trial_intvl is None:
+            # derive the interval so the start-up track gets a few rounds
+            # between decisions at the bundled profiles
+            state.trial_intvl = 3.0 * report.tracks[0].round_seconds
         current = tracks[0]
         if should_decide(state, current.clock):
             winner = decide_winner(tracks)
             decision_clock = max(t.clock for t in tracks)
-            emit({
+            writer.emit({
                 "evt": "decision", "round": rounds, "clock": decision_clock,
                 "winner": winner.name,
                 "accuracies": {t.name: t.latest_accuracy() for t in tracks},
                 "new_depth": winner.config.depth, "new_width": winner.config.width,
             })
-            state.iteration += 1
+            iteration += 1
             state.base_depth = winner.config.depth
             state.base_width = winner.config.width
             state.t_trial = decision_clock
-            state.trial_intvl *= state.intvl_growth
+            state.trial_intvl *= state.params.intvl_growth
             if configs_visited[-1] != (state.base_depth, state.base_width):
                 configs_visited.append((state.base_depth, state.base_width))
             tracks = dispatch(state, winner.payload, backbone, adapter_rng,
                               start_clock=decision_clock)
-            emit_dispatch(tracks, decision_clock)
+            _emit_dispatch(writer, iteration, decision_clock, tracks, num_layers)
 
     return SessionOutcome(reached, time_to_target, rounds, best_acc, configs_visited)

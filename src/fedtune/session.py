@@ -3,7 +3,9 @@
 A session is a pure function of (config, seed): the synthetic task, the
 non-IID partition, the frozen backbone, client selection, and every
 training step derive from named substreams of the session seed, so the
-emitted trace is byte-identical across runs.
+emitted trace is byte-identical across runs. Every mode runs the one loop
+in ``configurator.run_session``: ``autofed`` from the configurator's first
+dispatch, the fixed baselines from one track built by ``_fixed_scheme``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from . import cache as cache_mod
 from . import configurator as conf_mod
 from . import costmodel
 from . import data as data_mod
-from . import fed as fed_mod
 from . import model as model_mod
 from . import trace as trace_mod
 from .adapter import AdapterConfig, TuningScheme
-from .configurator import ConfiguratorState, TrialTrack
+from .configurator import ConfiguratorParams, ConfiguratorState, TrialTrack
 from .costmodel import BUILTIN_DEVICE_PROFILES, DeviceProfile, NetworkProfile
 from .errors import ConfigurationError, TraceParseError
 from .fed import Batch, ClientState, ServerState
@@ -36,16 +37,6 @@ MODES = ("autofed", "fixed_adapter", "full_ft", "layer_freeze")
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 2
 EXIT_NOT_CONVERGED = 3
-
-
-@dataclass
-class ConfiguratorParams:
-    start_depth: int = 0
-    start_width: int = 8
-    depth_step: int = 1
-    width_step: int = 8
-    trial_intvl_s: float | None = None
-    intvl_growth: float = 1.0
 
 
 @dataclass
@@ -341,50 +332,14 @@ class SessionResult:
     events: list[dict]
 
 
-def _run_fixed_session(world: World, writer: trace_mod.TraceWriter) -> conf_mod.SessionOutcome:
-    cfg = world.config
-    scheme = _fixed_scheme(cfg)
+def _initial_tracks(world: World, state: ConfiguratorState | None) -> list[TrialTrack]:
+    """The configurator's first dispatch, or the one track of a fixed mode."""
+    if state is not None:
+        return conf_mod.dispatch(state, None, world.backbone, world.adapter_rng)
+    scheme = _fixed_scheme(world.config)
     model = adapter_mod.materialize(world.backbone, scheme, payload=None,
                                     rng=world.adapter_rng)
-    track = TrialTrack("current", adapter_mod.extract_payload(model, scheme))
-    depth = scheme.tuning_depth(cfg.model.num_layers)
-    width = scheme.adapter.width if scheme.adapter else 0
-    writer.emit({"evt": "dispatch", "iteration": 0, "clock": 0.0,
-                 "base_depth": depth, "base_width": width,
-                 "tracks": [{"track": "current", "depth": depth, "width": width}]})
-    cache_enabled = cfg.cache_enabled and scheme.kind != "full"
-    store = model_mod.EvalStore(world.backbone, world.test_tokens)
-    best = 0.0
-    reached = False
-    time_to_target = None
-    rounds = 0
-    while rounds < cfg.max_rounds and not reached:
-        report = fed_mod.run_round(
-            world.server, [track], cfg.participants_total(),
-            backbone=world.backbone, epochs=cfg.local_epochs, lr=cfg.learning_rate,
-            cache_enabled=cache_enabled)
-        rounds = report.round_index
-        stat = report.tracks[0]
-        writer.emit({
-            "evt": "round", "round": report.round_index, "track": "current",
-            "max_depth": report.max_depth, "clock": track.clock,
-            "round_seconds": stat.round_seconds, "payload_bytes": stat.payload_bytes,
-            "participants": stat.participants, "energy_j": stat.energy_joules,
-            "client_energy": stat.client_energy,
-            "cache_hits": stat.cache_hits, "cache_recomputes": stat.cache_recomputes,
-            "train_samples": stat.train_samples,
-        })
-        [acc] = conf_mod.evaluate_tracks([track], world.backbone, store,
-                                         world.test_tokens, world.test_labels)
-        track.acc_history.append((track.clock, acc))
-        writer.emit({"evt": "eval", "round": report.round_index, "track": "current",
-                     "clock": track.clock, "accuracy": acc})
-        best = max(best, acc)
-        if cfg.target_accuracy is not None and acc >= cfg.target_accuracy:
-            reached = True
-            time_to_target = track.clock
-    return conf_mod.SessionOutcome(reached, time_to_target, rounds, best,
-                                   [(depth, width)])
+    return [TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme))]
 
 
 def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
@@ -393,28 +348,18 @@ def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
     with trace_mod.TraceWriter(trace_path) as writer:
         writer.emit({"evt": "session", "version": trace_mod.TRACE_VERSION,
                      "config": cfg.to_dict()})
-        if cfg.mode == "autofed":
-            state = ConfiguratorState(
-                start_depth=cfg.configurator.start_depth,
-                start_width=cfg.configurator.start_width,
-                depth_step=cfg.configurator.depth_step,
-                width_step=cfg.configurator.width_step,
-                trial_intvl=cfg.configurator.trial_intvl_s,
-                intvl_growth=cfg.configurator.intvl_growth,
-            )
-            outcome = conf_mod.run_session(
-                state, world.server, world.backbone,
-                test_tokens=world.test_tokens, test_labels=world.test_labels,
-                participants_total=cfg.participants_total(),
-                epochs=cfg.local_epochs, lr=cfg.learning_rate,
-                cache_enabled=cfg.cache_enabled,
-                target_accuracy=cfg.target_accuracy,
-                max_rounds=cfg.max_rounds,
-                adapter_rng=world.adapter_rng,
-                writer=writer,
-            )
-        else:
-            outcome = _run_fixed_session(world, writer)
+        state = ConfiguratorState(cfg.configurator) if cfg.mode == "autofed" else None
+        outcome = conf_mod.run_session(
+            state, _initial_tracks(world, state), world.server, world.backbone,
+            test_tokens=world.test_tokens, test_labels=world.test_labels,
+            participants_total=cfg.participants_total(),
+            epochs=cfg.local_epochs, lr=cfg.learning_rate,
+            cache_enabled=cfg.cache_enabled,
+            target_accuracy=cfg.target_accuracy,
+            max_rounds=cfg.max_rounds,
+            adapter_rng=world.adapter_rng,
+            writer=writer,
+        )
         summary = _summarize(writer.events, cfg, outcome)
         writer.emit(summary)
     if cfg.target_accuracy is None or outcome.reached:

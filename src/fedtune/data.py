@@ -26,8 +26,8 @@ class SyntheticTaskSpec:
     vocab: int
     seqlen: int
     num_labels: int
-    teacher_seed: int
-    samples_per_label: int
+    teacher_seed: int = 7
+    samples_per_label: int = 100
     noise_rate: float = 0.0
 
     def __post_init__(self):

@@ -10,8 +10,9 @@ dispatch, the fixed baselines from one track built by ``_fixed_scheme``.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ class SessionConfig:
     mode: str
     model: ModelSpec
     task: data_mod.SyntheticTaskSpec
-    num_clients: int
+    num_clients: int = 40
     participants_per_group: int = 5          # N; total budget is 3N
     noniid_concentration: float = 10.0
     batch_size: int = 4
@@ -101,21 +102,6 @@ def _require(condition: bool, fieldname: str, reason: str) -> None:
         raise ConfigurationError(f"field '{fieldname}': {reason}")
 
 
-def _section(doc: dict, name: str, allowed, required=(), prefix: str = "") -> dict:
-    """The mapping ``doc[name]`` (empty if absent), checked against its schema.
-
-    Unknown keys and missing ``required`` keys are ConfigurationErrors that
-    name the key's full path, ``prefix`` + ``name`` + "." + key.
-    """
-    path = f"{prefix}{name}"
-    section = doc.get(name, {})
-    _require(isinstance(section, dict), path, "mapping required")
-    _check_keys(section, allowed, f"{path}.")
-    missing = [k for k in required if k not in section]
-    _require(not missing, path, f"missing key(s) {', '.join(missing)}")
-    return section
-
-
 def _check_keys(doc: dict, allowed, prefix: str = "") -> None:
     unknown = sorted(str(k) for k in set(doc) - set(allowed))
     if unknown:
@@ -123,93 +109,85 @@ def _check_keys(doc: dict, allowed, prefix: str = "") -> None:
             f"unknown config key '{prefix}{unknown[0]}' (allowed: {', '.join(sorted(allowed))})")
 
 
+def _from_doc(cls, doc, path: str, base: dict):
+    """The dataclass ``cls`` built from the mapping ``doc`` at ``path``.
+
+    Each value is coerced to its field's type. A key absent from ``doc``
+    takes its value from ``base``, then from the field's default. Unknown
+    keys, and keys with no value from any of these, are ConfigurationErrors
+    that name the key's full path.
+    """
+    prefix = f"{path}." if path else ""
+    _require(isinstance(doc, dict), path, "mapping required")
+    _check_keys(doc, [f.name for f in fields(cls)], prefix)
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        fallback = base.get(f.name, f.default)
+        if fallback is MISSING and f.default_factory is not MISSING:
+            fallback = f.default_factory()
+        if f.name in doc:
+            values[f.name] = _coerce(hints[f.name], doc[f.name], prefix + f.name, fallback)
+        elif fallback is not MISSING:
+            values[f.name] = fallback
+    missing = [prefix + f.name for f in fields(cls) if f.name not in values]
+    if missing:
+        raise ConfigurationError(f"missing key(s) {', '.join(missing)}")
+    return cls(**values)
+
+
+def _coerce(hint, value, path: str, fallback):
+    """``value`` as type ``hint``; a nested section's absent keys come from ``fallback``."""
+    if is_dataclass(hint):
+        return _from_doc(hint, value, path, {} if fallback is MISSING else vars(fallback))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        [inner] = [a for a in args if a is not type(None)]
+        return None if value is None else _coerce(inner, value, path, MISSING)
+    if origin is tuple:
+        _require(isinstance(value, (list, tuple)), path, "list required")
+        return tuple(_coerce(args[0], v, path, MISSING) for v in value)
+    if origin is dict:
+        if isinstance(value, str) and args[1] is float:
+            value = {value: 1.0}  # one name takes the whole share
+        _require(isinstance(value, dict), path, "mapping required")
+        if not is_dataclass(args[1]):
+            return {str(k): _coerce(args[1], v, f"{path}.{k}", MISSING) for k, v in value.items()}
+        # an entry is named by its key
+        out = {str(k): _from_doc(args[1], v, f"{path}.{k}", {"name": str(k)})
+               for k, v in value.items()}
+        for key, entry in out.items():
+            _require(entry.name == key, f"{path}.{key}.name", f"must equal its key '{key}'")
+        return out
+    try:
+        return hint(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"field '{path}': expected {hint.__name__}, got {value!r}") from None
+
+
 def config_from_dict(doc: dict) -> SessionConfig:
     """Build and validate a SessionConfig from a parsed YAML document.
 
-    A key the schema does not know, at the top level or inside ``model``,
-    ``task``, ``network``, ``configurator`` or a custom device profile, is a
+    The schema is the dataclass fields of SessionConfig and its sections,
+    with their defaults. A key the schema does not know, at any level, is a
     ConfigurationError: a typo must not silently fall back to the default.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be a mapping")
-    _check_keys(doc, [f.name for f in fields(SessionConfig)])
-    _require("mode" in doc, "mode", "is required")
-    _require(doc["mode"] in MODES, "mode", f"must be one of {MODES}, got '{doc['mode']}'")
-    _require("model" in doc and isinstance(doc["model"], dict), "model", "mapping required")
-    _require("seed" in doc, "seed", "is required")
-    model_keys = [f.name for f in fields(ModelSpec)]
-    model_spec = ModelSpec.from_dict(_section(doc, "model", model_keys, model_keys))
-    task_doc = _section(doc, "task", [f.name for f in fields(data_mod.SyntheticTaskSpec)])
+    model = _from_doc(ModelSpec, doc.get("model"), "model", {})
     # the task inherits its shape from the model so the two cannot disagree
-    for key in ("vocab", "seqlen", "num_labels"):
-        _require(task_doc.get(key, getattr(model_spec, key)) == getattr(model_spec, key),
-                 f"task.{key}", f"must equal model.{key} ({getattr(model_spec, key)})")
-    task_spec = data_mod.SyntheticTaskSpec(
-        vocab=model_spec.vocab, seqlen=model_spec.seqlen, num_labels=model_spec.num_labels,
-        teacher_seed=int(task_doc.get("teacher_seed", 7)),
-        samples_per_label=int(task_doc.get("samples_per_label", 100)),
-        noise_rate=float(task_doc.get("noise_rate", 0.0)),
-    )
-    devices_doc = doc.get("devices", "tx2")
-    if isinstance(devices_doc, str):
-        devices = {devices_doc: 1.0}
-    elif isinstance(devices_doc, dict):
-        devices = {str(k): float(v) for k, v in devices_doc.items()}
-    else:
-        raise ConfigurationError("field 'devices': must be a name or a name->fraction mapping")
-    custom_doc = doc.get("custom_devices", {})
-    _require(isinstance(custom_doc, dict), "custom_devices", "mapping required")
-    device_keys = [f.name for f in fields(DeviceProfile) if f.name != "name"]
-    custom = {
-        name: DeviceProfile(name=name, **_section(custom_doc, name, device_keys, device_keys,
-                                                  prefix="custom_devices."))
-        for name in custom_doc
-    }
-    net_doc = _section(doc, "network", [f.name for f in fields(NetworkProfile)])
-    network = NetworkProfile(
-        uplink_bytes_per_s=float(net_doc.get("uplink_bytes_per_s", 1_000_000)),
-        downlink_bytes_per_s=float(net_doc.get("downlink_bytes_per_s", 1_000_000)),
-    )
-    conf_doc = _section(doc, "configurator", [f.name for f in fields(ConfiguratorParams)])
-    params = ConfiguratorParams(
-        start_depth=int(conf_doc.get("start_depth", 0)),
-        start_width=int(conf_doc.get("start_width", 8)),
-        depth_step=int(conf_doc.get("depth_step", 1)),
-        width_step=int(conf_doc.get("width_step", 8)),
-        trial_intvl_s=(None if conf_doc.get("trial_intvl_s") is None
-                       else float(conf_doc["trial_intvl_s"])),
-        intvl_growth=float(conf_doc.get("intvl_growth", 1.0)),
-    )
-    cfg = SessionConfig(
-        seed=int(doc["seed"]),
-        mode=doc["mode"],
-        model=model_spec,
-        task=task_spec,
-        num_clients=int(doc.get("num_clients", 40)),
-        participants_per_group=int(doc.get("participants_per_group", 5)),
-        noniid_concentration=float(doc.get("noniid_concentration", 10.0)),
-        batch_size=int(doc.get("batch_size", 4)),
-        local_epochs=int(doc.get("local_epochs", 1)),
-        learning_rate=float(doc.get("learning_rate", 0.1)),
-        cache_enabled=bool(doc.get("cache_enabled", True)),
-        fixed_depth=int(doc.get("fixed_depth", 0)),
-        fixed_width=int(doc.get("fixed_width", 8)),
-        monolithic_adapters=bool(doc.get("monolithic_adapters", True)),
-        freeze_layers=int(doc.get("freeze_layers", 0)),
-        devices=devices,
-        custom_devices=custom,
-        network=network,
-        target_accuracy=(None if doc.get("target_accuracy") is None
-                         else float(doc["target_accuracy"])),
-        relative_targets=tuple(float(t) for t in doc.get("relative_targets", (0.99, 0.95, 0.90))),
-        max_rounds=int(doc.get("max_rounds", 100)),
-        configurator=params,
-    )
+    shape = {key: getattr(model, key) for key in ("vocab", "seqlen", "num_labels")}
+    cfg = _from_doc(SessionConfig, doc, "", {"task": data_mod.SyntheticTaskSpec(**shape)})
+    for key, value in shape.items():
+        _require(getattr(cfg.task, key) == value, f"task.{key}",
+                 f"must equal model.{key} ({value})")
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: SessionConfig) -> None:
+    _require(cfg.mode in MODES, "mode", f"must be one of {MODES}, got '{cfg.mode}'")
     _require(cfg.num_clients >= 1, "num_clients", "must be >= 1")
     _require(cfg.participants_per_group >= 1, "participants_per_group", "must be >= 1")
     _require(cfg.participants_total() <= cfg.num_clients, "participants_per_group",
@@ -241,8 +219,11 @@ def _validate(cfg: SessionConfig) -> None:
 
 
 def load_config(path: str) -> SessionConfig:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as err:
+        raise ConfigurationError(f"cannot read config '{path}': {err}") from None
     return config_from_dict(doc)
 
 
@@ -418,25 +399,23 @@ def sweep(cfg: SessionConfig, grid: list[tuple[int, int]], out_dir: str,
     """Run fixed-adapter sessions for every (depth, width) on shared seeds.
 
     The reference accuracy for relative targets defaults to the converged
-    accuracy of a full fine-tuning run on the same seed.
+    accuracy of a full fine-tuning run on the same seed. Every grid point
+    is validated before any session runs.
     """
     if not grid:
         raise ConfigurationError("sweep grid must be non-empty")
+    runs = [replace(cfg, mode="fixed_adapter", fixed_depth=depth, fixed_width=width,
+                    target_accuracy=None) for depth, width in grid]
+    for run_cfg in runs:
+        _validate(run_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if reference_accuracy is None:
-        ref_cfg = copy.deepcopy(cfg)
-        ref_cfg.mode = "full_ft"
-        ref_cfg.target_accuracy = None
+        ref_cfg = replace(cfg, mode="full_ft", target_accuracy=None)
         ref_result = run_session_config(ref_cfg, str(out / "reference_full_ft.trace.jsonl"))
         reference_accuracy = ref_result.summary["best_accuracy"]
     rows = []
-    for depth, width in grid:
-        run_cfg = copy.deepcopy(cfg)
-        run_cfg.mode = "fixed_adapter"
-        run_cfg.fixed_depth = depth
-        run_cfg.fixed_width = width
-        run_cfg.target_accuracy = None
+    for (depth, width), run_cfg in zip(grid, runs):
         trace_path = out / f"fixed_d{depth}_w{width}.trace.jsonl"
         result = run_session_config(run_cfg, str(trace_path))
         row = {

@@ -61,6 +61,15 @@ class TestUnknownKeys:
         with pytest.raises(ConfigurationError, match="task.vocab"):
             session_mod.config_from_dict(small_session_doc(task={"vocab": 25}))
 
+    @pytest.mark.parametrize("doc, key", [
+        (small_session_doc(max_rounds="many"), "max_rounds"),
+        (small_session_doc(relative_targets=0.9), "relative_targets"),
+        (small_session_doc(network={"uplink_bytes_per_s": None}), "network.uplink_bytes_per_s"),
+    ])
+    def test_ill_typed_value_named(self, doc, key):
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            session_mod.config_from_dict(doc)
+
     def test_round_trip_through_to_dict(self):
         cfg = session_mod.config_from_dict(small_session_doc(mode="autofed"))
         assert session_mod.config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
@@ -90,3 +99,21 @@ class TestCli:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "t.jsonl")])
         assert code == EXIT_CONFIG_ERROR
         assert "max_round" in capsys.readouterr().err
+
+    def test_bad_grid_point_exits_2_before_any_session(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--config", config_path, "--grid", "0:8,9:8",
+                         "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error: field 'fixed_depth'")
+        assert list(tmp_path.rglob("*.jsonl")) == []
+        assert not (out / "sweep_table.json").exists()
+
+    @pytest.mark.parametrize("text", [None, "seed: [1\n"])
+    def test_unreadable_config_exits_2(self, text, tmp_path, capsys):
+        path = tmp_path / "session.yaml"
+        if text is not None:
+            path.write_text(text)
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "t.jsonl")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"error: cannot read config '{path}'")

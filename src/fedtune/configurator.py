@@ -45,7 +45,7 @@ class TrialTrack:
     def depth_width(self, num_layers: int) -> tuple[int, int]:
         """Tuning depth and adapter width (0 without adapters) of the scheme."""
         scheme = self.payload.scheme
-        return scheme.tuning_depth(num_layers), scheme.adapter.width if scheme.adapter else 0
+        return scheme.tuning_depth(num_layers), (scheme.adapter.width if scheme.adapter else 0)
 
     def latest_accuracy(self) -> float:
         if not self.acc_history:

@@ -10,6 +10,7 @@ dispatch, the fixed baselines from one track built by ``_fixed_scheme``.
 
 from __future__ import annotations
 
+import functools
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -109,6 +110,12 @@ def _check_keys(doc: dict, allowed, prefix: str = "") -> None:
             f"unknown config key '{prefix}{unknown[0]}' (allowed: {', '.join(sorted(allowed))})")
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """The resolved field annotations of ``cls``; resolving them is most of a parse."""
+    return typing.get_type_hints(cls)
+
+
 def _from_doc(cls, doc, path: str, base: dict):
     """The dataclass ``cls`` built from the mapping ``doc`` at ``path``.
 
@@ -120,7 +127,7 @@ def _from_doc(cls, doc, path: str, base: dict):
     prefix = f"{path}." if path else ""
     _require(isinstance(doc, dict), path, "mapping required")
     _check_keys(doc, [f.name for f in fields(cls)], prefix)
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     values = {}
     for f in fields(cls):
         fallback = base.get(f.name, f.default)

@@ -40,17 +40,6 @@ class SyntheticTaskSpec:
         if self.seqlen < 2 or self.samples_per_label < 1:
             raise ConfigurationError("seqlen must be >= 2 and samples_per_label >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab": self.vocab, "seqlen": self.seqlen, "num_labels": self.num_labels,
-            "teacher_seed": self.teacher_seed, "samples_per_label": self.samples_per_label,
-            "noise_rate": self.noise_rate,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SyntheticTaskSpec":
-        return SyntheticTaskSpec(**d)
-
 
 @dataclass
 class LabeledDataset:

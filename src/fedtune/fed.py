@@ -202,9 +202,9 @@ def run_round(
     """One synchronous round: select, dispatch, train, aggregate, advance clocks.
 
     ``tracks`` are configurator.TrialTrack objects: one for a fixed
-    configuration, up to three while the configurator searches. Each reads
-    ``name``, ``payload`` and ``clock``; all live tracks advance together,
-    each by its own emulated round time, and get the aggregated payload.
+    configuration, up to three while the configurator searches. All live
+    tracks advance together: each gets its group's aggregated payload and
+    moves its ``clock`` by its own emulated round time.
     """
     if not tracks:
         raise SelectionError("run_round requires at least one track")

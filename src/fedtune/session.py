@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,7 @@ class SessionConfig:
     custom_devices: dict[str, DeviceProfile] = field(default_factory=dict)
     network: NetworkProfile = costmodel.DEFAULT_NETWORK
     target_accuracy: float | None = None
-    relative_targets: tuple[float, ...] = (0.99, 0.95, 0.90)
+    relative_targets: list[float] = field(default_factory=lambda: [0.99, 0.95, 0.90])
     max_rounds: int = 100
     configurator: ConfiguratorParams = field(default_factory=ConfiguratorParams)
 
@@ -70,32 +70,8 @@ class SessionConfig:
         return 3 * self.participants_per_group
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed, "mode": self.mode,
-            "model": self.model.to_dict(), "task": self.task.to_dict(),
-            "num_clients": self.num_clients,
-            "participants_per_group": self.participants_per_group,
-            "noniid_concentration": self.noniid_concentration,
-            "batch_size": self.batch_size, "local_epochs": self.local_epochs,
-            "learning_rate": self.learning_rate, "cache_enabled": self.cache_enabled,
-            "fixed_depth": self.fixed_depth, "fixed_width": self.fixed_width,
-            "monolithic_adapters": self.monolithic_adapters,
-            "freeze_layers": self.freeze_layers,
-            "devices": dict(self.devices),
-            "network": {"uplink_bytes_per_s": self.network.uplink_bytes_per_s,
-                        "downlink_bytes_per_s": self.network.downlink_bytes_per_s},
-            "target_accuracy": self.target_accuracy,
-            "relative_targets": list(self.relative_targets),
-            "max_rounds": self.max_rounds,
-            "configurator": {
-                "start_depth": self.configurator.start_depth,
-                "start_width": self.configurator.start_width,
-                "depth_step": self.configurator.depth_step,
-                "width_step": self.configurator.width_step,
-                "trial_intvl_s": self.configurator.trial_intvl_s,
-                "intvl_growth": self.configurator.intvl_growth,
-            },
-        }
+        """Every field as plain data; ``config_from_dict`` reads it back."""
+        return asdict(self)
 
 
 def _require(condition: bool, fieldname: str, reason: str) -> None:
@@ -151,9 +127,9 @@ def _coerce(hint, value, path: str, fallback):
     if origin is types.UnionType:  # X | None
         [inner] = [a for a in args if a is not type(None)]
         return None if value is None else _coerce(inner, value, path, MISSING)
-    if origin is tuple:
-        _require(isinstance(value, (list, tuple)), path, "list required")
-        return tuple(_coerce(args[0], v, path, MISSING) for v in value)
+    if origin is list:
+        _require(isinstance(value, list), path, "list required")
+        return [_coerce(args[0], v, path, MISSING) for v in value]
     if origin is dict:
         if isinstance(value, str) and args[1] is float:
             value = {value: 1.0}  # one name takes the whole share

@@ -41,6 +41,9 @@ class TestUnknownKeys:
         with pytest.raises(ConfigurationError, match="'custom_devices.slow.speed'"):
             session_mod.config_from_dict(small_session_doc(
                 devices="slow", custom_devices={"slow": {**profile, "speed": 2}}))
+        with pytest.raises(ConfigurationError, match="'custom_devices.slow.name'"):
+            session_mod.config_from_dict(small_session_doc(
+                devices="slow", custom_devices={"slow": {**profile, "name": "fast"}}))
         del profile["radio_power_watts"]
         with pytest.raises(ConfigurationError, match="missing key.*radio_power_watts"):
             session_mod.config_from_dict(small_session_doc(
@@ -71,8 +74,13 @@ class TestUnknownKeys:
             session_mod.config_from_dict(doc)
 
     def test_round_trip_through_to_dict(self):
-        cfg = session_mod.config_from_dict(small_session_doc(mode="autofed"))
-        assert session_mod.config_from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
+        profile = {"per_batch_latency_full": 1, "compute_power_watts": 5.0,
+                   "radio_power_watts": 1.0, "cache_reload_latency": 0.01}
+        for doc in (small_session_doc(mode="autofed"),
+                    small_session_doc(devices={"slow": 1, "tx2": 2},
+                                      custom_devices={"slow": profile})):
+            cfg = session_mod.config_from_dict(doc)
+            assert session_mod.config_from_dict(cfg.to_dict()) == cfg
 
 
 class TestCli:

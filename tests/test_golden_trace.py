@@ -17,30 +17,30 @@ from conftest import small_session_doc
 GOLDEN = {
     "fixed_adapter": (
         small_session_doc(max_rounds=6),
-        "bfe6c4b6a846d1e750a842f8a36077a537546d1eb6af3e2cfd4c0a7c6cda25ff",
+        "a364ec8fd6a4b9d1e6d574ffad8cb12c8cc2fa0c7ed4d03e917ef3f7a17945f7",
     ),
     "full_ft": (
         small_session_doc(mode="full_ft", max_rounds=4),
-        "5363a4842f631ab146db55b9eec39944473690fc9236f6b71bea1bb8af34ed92",
+        "5c93a4438817633572b2dc1d2050788fd88449e45ed4ef7ec97e8f9d7ee1e414",
     ),
     "layer_freeze": (
         small_session_doc(mode="layer_freeze", freeze_layers=1, max_rounds=4),
-        "60b16b1b386b5bcb582d1ef73b928d5f4d123c1c85094b64e913e968137142b5",
+        "3c97d09b04cf42f0eecfef556ed3617f47dde920a6bf0e2a08307c5e7e901a5e",
     ),
     "autofed": (
         small_session_doc(mode="autofed", max_rounds=12,
                           configurator={"trial_intvl_s": 1.0}),
-        "b30f776a1bdc91c824eac6121eed715094fa69175b4a04e9bdb4f2a83d089159",
+        "29a766fe8c687ec9f3f1edc168a6149ac5acd018c5ee1cbfb00811e739fbf584",
     ),
     "autofed_climb": (
         small_session_doc(mode="autofed", max_rounds=20,
                           configurator={"start_depth": 1, "trial_intvl_s": 0.5}),
-        "ee254f27c66f35a252886775e9e90689574f295c97fab84dc9462c572b466448",
+        "8c9d49ea3899cc034183a3a243ebb82d10b82d1449c839b585047af0b5119c66",
     ),
     "autofed_no_cache": (
         small_session_doc(mode="autofed", max_rounds=12, cache_enabled=False,
                           configurator={"trial_intvl_s": 1.0}),
-        "8cf881630d742072b491c4687b3078274af1bd4ec3cb490f068f6a6aa9288f03",
+        "d091caf347607ad004b17cc6ba1c43283f3085a88210305c618d54521d218928",
     ),
 }
 

@@ -1,11 +1,23 @@
 """Per-client cross-round activation cache with depth-watermark expiration.
 
-A client stores the output of its deepest frozen layer (the boundary) for
-every local batch. The entry stays valid until the dispatched tuning depth
-grows past the depth at store time, at which point the boundary must move
-down and the activation is recomputed and recached. Because the tuning
-depth only ever grows, a session expires the cache at most once per depth
-increase, i.e. at most D times.
+For every local batch a client stores the frozen-prefix activation its
+training resumes from. The entry is keyed to the device boundary b, the
+deepest frozen layer at the depth watermark, and stays valid until the
+dispatched tuning depth grows past the depth at store time; then the
+boundary moves down and the activation is recomputed and recached. Because
+the tuning depth only ever grows, a session expires the cache at most once
+per depth increase, i.e. at most D times.
+
+The host keeps more than the device boundary's output. Adapters sit after
+a layer's second layer norm, so the whole backbone of layer b+1 is frozen
+too: the entry holds the backbone output through layer b+1, the lowest
+adapter's input (``model.resume_layer``; under layer freezing, where layer
+b+1 is trainable, it is the output of layer b). An entry records that
+resume point; one stored for another counts as an integrity failure and is
+recomputed. The emulated clock still charges layer b+1's body on every
+batch (``costmodel.batch_time_from_boundary`` is priced with b), as for the
+paper's adapters inside the layer; that is a stated departure of the host
+from the emulated device.
 
 This cache serves training only. Evaluation has its own server-side store
 of the global test set's frozen-prefix activations (``model.EvalStore``),
@@ -29,7 +41,7 @@ from .model import ModelState
 @dataclass
 class CacheEntry:
     batch_id: int
-    boundary: int        # layer whose output is stored (0 = embeddings)
+    resume: int          # layer whose backbone output is stored (0 = embeddings)
     activations: np.ndarray  # [B, S, n]
 
 
@@ -94,29 +106,34 @@ def fetch_or_recompute(
     tokens: np.ndarray,
     depth_watermark: int,
 ) -> tuple[int, np.ndarray, bool]:
-    """Serve a stored boundary activation or recompute at the watermark boundary.
+    """Serve a stored activation or recompute it at the watermark boundary.
 
-    Returns (boundary, activations, recomputed). A hit requires both that
-    an entry exists and that no deeper configuration was dispatched since
-    it was stored; a shape-corrupted entry counts as a miss.
+    Returns (boundary, activations, recomputed): the device boundary b the
+    batch is priced with, and the backbone output through
+    ``model.resume_layer(model, b)``, where training resumes. A hit requires
+    that an entry exists, that no deeper configuration was dispatched since
+    it was stored, and that it was stored for that resume point with the
+    batch's shape; an entry failing the last check counts as an integrity
+    failure and is recomputed.
     """
     num_layers = model.spec.num_layers
     d_prev = cache.depth_at_store
     entry = cache.entries.get(batch_id)
     if entry is not None and d_prev is not None and depth_watermark <= d_prev:
-        expected_boundary = num_layers - d_prev
+        boundary = num_layers - d_prev
         act = entry.activations
-        ok = (entry.boundary == expected_boundary
+        ok = (entry.resume == model_mod.resume_layer(model, boundary)
               and act.ndim == 3
               and act.shape[0] == tokens.shape[0]
               and act.shape[1] == tokens.shape[1]
               and act.shape[2] == model.spec.hidden)
         if ok:
-            return entry.boundary, entry.activations, False
+            return boundary, act, False
         cache.integrity_failures += 1
     boundary = num_layers - depth_watermark
-    activations = model_mod.compute_boundary_activation(model, tokens, boundary)
-    cache.entries[batch_id] = CacheEntry(batch_id, boundary, activations)
+    resume = model_mod.resume_layer(model, boundary)
+    activations = model_mod.compute_boundary_activation(model, tokens, resume)
+    cache.entries[batch_id] = CacheEntry(batch_id, resume, activations)
     return boundary, activations, True
 
 

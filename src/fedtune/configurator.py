@@ -148,18 +148,19 @@ def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
                     store: model_mod.EvalStore, test_tokens, test_labels) -> list[float]:
     """Accuracy of every live track on the global test set, in track order.
 
-    The store keeps exactly the boundaries these tracks resume from; a
-    track without a frozen prefix (full fine-tuning) runs the plain forward.
+    The store keeps exactly the resume points these tracks resume from (the
+    lowest adapter's input, see ``model.resume_layer``); a track without a
+    frozen prefix (full fine-tuning) runs the plain forward.
     """
     num_layers = backbone.spec.num_layers
-    boundaries = [t.payload.scheme.boundary_layer(num_layers) for t in tracks]
-    store.retain({b for b in boundaries if b is not None})
-    accuracies = []
-    for track, boundary in zip(tracks, boundaries):
-        model = adapter_mod.materialize(backbone, track.payload.scheme, track.payload)
-        accuracies.append(model_mod.evaluate(model, test_tokens, test_labels,
-                                             store=store, boundary=boundary))
-    return accuracies
+    models = [adapter_mod.materialize(backbone, t.payload.scheme, t.payload) for t in tracks]
+    resumes = []
+    for track, model in zip(tracks, models):
+        boundary = track.payload.scheme.boundary_layer(num_layers)
+        resumes.append(None if boundary is None else model_mod.resume_layer(model, boundary))
+    store.retain({r for r in resumes if r is not None})
+    return [model_mod.evaluate(model, test_tokens, test_labels, store=store, resume=resume)
+            for model, resume in zip(models, resumes)]
 
 
 @dataclass

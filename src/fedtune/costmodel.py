@@ -72,6 +72,14 @@ def batch_time_from_boundary(profile: DeviceProfile, num_layers: int, tuning_dep
     the bottom path too, all L layers, to refresh the stored activation;
     both pay the per-batch reload/store charge. ``recomputed`` is read
     only with a boundary.
+
+    ``boundary`` is the device boundary b, the deepest frozen layer. The
+    host resumes higher, at the lowest adapter's input: the backbone of
+    layer b+1 is frozen too and is kept in the cache with the activation
+    (``model.resume_layer``). The emulated device is still charged layer
+    b+1's body on every batch, as for the paper's adapters inside the
+    layer. That is a stated departure; pricing the resume point instead
+    would change every emulated time and energy.
     """
     if not 0 <= tuning_depth <= num_layers:
         raise ConfigurationError(

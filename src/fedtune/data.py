@@ -124,9 +124,10 @@ def partition_noniid(dataset: LabeledDataset, num_clients: int, a: float,
 
     Each client's label preference vector is drawn from a symmetric
     Dirichlet with concentration ``a``; each class's samples are then split
-    by largest-remainder rounding of the clients' preferences for it, so
-    the shards are an exact disjoint cover of the dataset. Redraws until
-    every client holds at least ``min_per_client`` samples.
+    by largest-remainder rounding of the clients' preferences for it (evenly
+    when they are all 0), so the shards are an exact disjoint cover of the
+    dataset. Redraws until every client holds at least ``min_per_client``
+    samples.
     """
     if num_clients < 1:
         raise ConfigurationError(f"num_clients must be >= 1, got {num_clients}")
@@ -146,6 +147,9 @@ def partition_noniid(dataset: LabeledDataset, num_clients: int, a: float,
             pool = np.flatnonzero(labels == y)
             pool = pool[rng.permutation(pool.size)]
             share = prefs[:, y]
+            if share.sum() == 0.0:
+                # at a small ``a`` every client's preference for y can underflow to 0
+                share = np.ones(num_clients)
             counts = largest_remainder(share / share.sum(), pool.size)
             start = 0
             for c in range(num_clients):

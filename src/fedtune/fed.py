@@ -114,7 +114,9 @@ def local_train(
 
     The payload is materialized onto the shared frozen backbone; with the
     cache enabled, the bottom frozen path runs at most once per batch per
-    watermark change and is otherwise served from the client's store.
+    watermark change and is otherwise served from the client's store, and
+    the forward pass resumes at the lowest adapter's input. Each batch is
+    priced at the device boundary, one layer below that.
     """
     if not client.train_batches:
         raise TrainingError(f"client {client.id} has no training data")
@@ -131,7 +133,8 @@ def local_train(
                 boundary, act, recomputed = cache_mod.fetch_or_recompute(
                     client.cache, model, batch.batch_id, batch.tokens,
                     depth_watermark)
-                logits = model_mod.forward_from_boundary(model, boundary, act)
+                logits = model_mod.forward_from_boundary(
+                    model, model_mod.resume_layer(model, boundary), act)
                 if recomputed:
                     stats.cache_recomputes += 1
                 else:

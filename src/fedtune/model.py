@@ -243,13 +243,18 @@ def _embed(model: ModelState, tokens: np.ndarray) -> Tensor:
     return tn.add(tok, pos)
 
 
-def _apply_block(block: BlockParams, h: Tensor, heads: int) -> Tensor:
+def _apply_body(block: BlockParams, h: Tensor, heads: int) -> Tensor:
+    """The frozen backbone of one layer: attention and FFN, each with add & norm."""
     attn_out = tn.multi_head_attention(h, block.attn, heads)
     h = tn.layer_norm(tn.add(h, attn_out), block.ln1_gain, block.ln1_shift, LN_EPS)
     ffn_out = tn.linear_forward(
         tn.relu(tn.linear_forward(h, block.ffn_w1, block.ffn_b1)),
         block.ffn_w2, block.ffn_b2)
-    h = tn.layer_norm(tn.add(h, ffn_out), block.ln2_gain, block.ln2_shift, LN_EPS)
+    return tn.layer_norm(tn.add(h, ffn_out), block.ln2_gain, block.ln2_shift, LN_EPS)
+
+
+def _apply_adapters(block: BlockParams, h: Tensor) -> Tensor:
+    """The layer's adapter stack, after its second layer norm."""
     for meta in block.adapters:
         bottleneck = tn.relu(tn.linear_forward(h, meta.w_down, meta.b_down))
         h = tn.add(h, tn.linear_forward(bottleneck, meta.w_up, meta.b_up))
@@ -260,7 +265,7 @@ def _run_blocks(model: ModelState, h: Tensor, start_layer: int,
                 stop_layer: int | None = None) -> Tensor:
     """Layers ``start_layer`` to ``stop_layer`` (inclusive; default the top)."""
     for block in model.blocks[start_layer - 1:stop_layer]:
-        h = _apply_block(block, h, model.spec.heads)
+        h = _apply_adapters(block, _apply_body(block, h, model.spec.heads))
     return h
 
 
@@ -273,51 +278,99 @@ def forward(model: ModelState, tokens: np.ndarray) -> Tensor:
     return _classify(model, _run_blocks(model, _embed(model, tokens), 1))
 
 
-def compute_boundary_activation(model: ModelState, tokens: np.ndarray, boundary: int) -> np.ndarray:
-    """Output of layer ``boundary`` (0 = embedding output) as a plain array."""
-    _check_boundary(model, boundary)
-    return _run_blocks(model, _embed(model, tokens), 1, boundary).data
+def resume_layer(model: ModelState, boundary: int) -> int:
+    """Where the host resumes the forward pass above the device boundary ``boundary``.
 
-
-def _check_boundary(model: ModelState, boundary: int) -> None:
-    if not 0 <= boundary <= model.spec.num_layers:
-        raise ContractViolation(
-            f"boundary {boundary} outside [0, {model.spec.num_layers}]")
-    lowest = model.lowest_trainable_layer()
-    if lowest is not None and boundary >= lowest:
-        raise ContractViolation(
-            f"boundary {boundary} is at or above the lowest trainable layer {lowest}; "
-            "caller must recompute from below")
-
-
-def forward_from_boundary(model: ModelState, boundary: int, cached_act: np.ndarray) -> Tensor:
-    """Resume the forward pass at layer ``boundary`` from stored activations.
-
-    Bit-identical to ``forward`` when ``cached_act`` equals the true layer
-    output, because the remaining computation is the same instruction
-    sequence either way.
+    The boundary is the deepest frozen layer of the scheme (see
+    ``TuningScheme.boundary_layer``). When the layer above it has a frozen
+    backbone, as under every adapter scheme, only its adapters are
+    trainable, so the resume point is that layer: the host keeps its
+    backbone output, the lowest adapter's input. Otherwise (layer freezing,
+    or a boundary at the top) the resume point is the boundary itself.
     """
-    _check_boundary(model, boundary)
+    above = model.blocks[boundary:boundary + 1]
+    if above and not any(p.trainable for p in above[0].backbone_params()):
+        return boundary + 1
+    return boundary
+
+
+def compute_boundary_activation(model: ModelState, tokens: np.ndarray, resume: int) -> np.ndarray:
+    """Backbone output through layer ``resume`` (0 = embedding output), as a plain array.
+
+    Layer ``resume``'s own adapters are not applied: ``forward_from_boundary``
+    starts with them.
+    """
+    _check_boundary(model, resume)
+    h = _embed(model, tokens)
+    if resume >= 1:
+        h = _apply_body(model.blocks[resume - 1],
+                        _run_blocks(model, h, 1, resume - 1), model.spec.heads)
+    return h.data
+
+
+def _check_boundary(model: ModelState, resume: int) -> None:
+    """A resume point needs nothing trainable below it and a frozen backbone at it."""
+    if not 0 <= resume <= model.spec.num_layers:
+        raise ContractViolation(
+            f"resume point {resume} outside [0, {model.spec.num_layers}]")
+    if model.tok_embed.trainable or model.pos_embed.trainable:
+        raise ContractViolation("the embedding is trainable; nothing can be resumed")
+    lowest = model.lowest_trainable_layer()
+    if lowest is None or lowest > resume:
+        return
+    if lowest < resume:
+        raise ContractViolation(
+            f"resume point {resume} is above the lowest trainable layer {lowest}; "
+            "caller must recompute from below")
+    if any(p.trainable for p in model.blocks[resume - 1].backbone_params()):
+        raise ContractViolation(
+            f"resume point {resume} has a trainable backbone; caller must recompute from below")
+
+
+def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray) -> Tensor:
+    """Resume the forward pass at the input of layer ``resume``'s adapters.
+
+    ``cached_act`` is the backbone output through layer ``resume`` (see
+    ``compute_boundary_activation``); this applies that layer's adapters,
+    then layers ``resume + 1`` to D and the classifier. Under an adapter
+    scheme the resume point is the lowest adapted layer, one above the
+    device boundary, so no frozen layer body runs again on the host (see
+    ``resume_layer``). The emulated clock still charges that layer's body
+    on every batch, as for the paper's adapters inside the layer
+    (``costmodel.batch_time_from_boundary`` is priced at the boundary).
+    Bit-identical to ``forward`` when ``cached_act`` equals the true
+    backbone output, because the remaining computation is the same
+    instruction sequence either way.
+    """
+    _check_boundary(model, resume)
     act = np.asarray(cached_act, dtype=np.float64)
     expected = (model.spec.hidden,)
     if act.ndim != 3 or act.shape[2:] != expected:
         raise ContractViolation(
             f"cached activation shape {act.shape} does not end in hidden size {expected[0]}")
-    return _classify(model, _run_blocks(model, Tensor(act), boundary + 1))
+    h = Tensor(act)
+    if resume >= 1:
+        h = _apply_adapters(model.blocks[resume - 1], h)
+    return _classify(model, _run_blocks(model, h, resume + 1))
 
 
 class EvalStore:
     """Server-side frozen-prefix activations of one fixed evaluation set.
 
-    Holds the output of layer ``b`` (0 = embedding output) for every
-    boundary ``b`` a live track resumes from, split into the same chunks
-    ``evaluate`` uses, so every resumed op sees the shapes of a full
-    ``forward`` and the logits are bit-identical. A new boundary is derived
-    from the nearest stored lower one by running only the frozen blocks in
-    between; the embedding is the starting point only when no lower
-    boundary is stored (counted in ``embedding_builds``). Tuning depths only
-    grow, so the lowest live boundary only falls, and a session rebuilds
-    from the embedding at most D times.
+    Holds the backbone output through layer ``r`` (0 = embedding output)
+    for every resume point ``r`` a live track resumes from (see
+    ``resume_layer``): under an adapter scheme that is the lowest adapter's
+    input, so evaluating a track runs no frozen layer body. The outputs are
+    split into the same chunks ``evaluate`` uses, so every resumed op sees
+    the shapes of a full ``forward`` and the logits are bit-identical. A new
+    resume point is derived from the nearest stored lower one by running
+    only the frozen layers in between; the embedding is the starting point
+    only when no lower one is stored (counted in ``embedding_builds``).
+    Tuning depths only grow, so the lowest live resume point only falls,
+    and a session rebuilds from the embedding at most D times. Evaluation
+    runs on the server and is not on the emulated clock; training, which
+    is, is still charged the body of the lowest adapted layer
+    (``costmodel.batch_time_from_boundary``).
     """
 
     def __init__(self, backbone: ModelState, tokens: np.ndarray, chunk: int = EVAL_CHUNK):
@@ -329,33 +382,33 @@ class EvalStore:
         self.embedding_builds = 0
         self._acts: dict[int, list[np.ndarray]] = {}
 
-    def boundaries(self) -> list[int]:
+    def resume_points(self) -> list[int]:
         return sorted(self._acts)
 
-    def retain(self, boundaries: set[int]) -> None:
-        """Drop every boundary not in ``boundaries``, then build the missing ones."""
-        for b in set(self._acts) - set(boundaries):
-            del self._acts[b]
-        for b in sorted(boundaries):
-            self.activations(b)
+    def retain(self, resume_points: set[int]) -> None:
+        """Drop every resume point not in ``resume_points``, then build the missing ones."""
+        for r in set(self._acts) - set(resume_points):
+            del self._acts[r]
+        for r in sorted(resume_points):
+            self.activations(r)
 
-    def activations(self, boundary: int) -> list[np.ndarray]:
-        """Per-chunk outputs of layer ``boundary``, built on first use."""
-        if boundary not in self._acts:
-            _check_boundary(self.backbone, boundary)
-            lower = max((b for b in self._acts if b < boundary), default=None)
+    def activations(self, resume: int) -> list[np.ndarray]:
+        """Per-chunk backbone outputs through layer ``resume``, built on first use."""
+        if resume not in self._acts:
+            _check_boundary(self.backbone, resume)
+            lower = max((r for r in self._acts if r < resume), default=None)
             if lower is None:
                 self.embedding_builds += 1
                 acts = [compute_boundary_activation(self.backbone, self.tokens[s:s + self.chunk],
-                                                    boundary)
+                                                    resume)
                         for s in range(0, self.tokens.shape[0], self.chunk)]
             else:
-                acts = [_run_blocks(self.backbone, Tensor(act), lower + 1, boundary).data
+                acts = [_run_blocks(self.backbone, Tensor(act), lower + 1, resume).data
                         for act in self._acts[lower]]
             for act in acts:
                 act.flags.writeable = False
-            self._acts[boundary] = acts
-        return self._acts[boundary]
+            self._acts[resume] = acts
+        return self._acts[resume]
 
 
 @contextmanager
@@ -378,32 +431,32 @@ def _graph_free(model: ModelState):
 
 def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
              chunk: int = EVAL_CHUNK, *, store: EvalStore | None = None,
-             boundary: int | None = None) -> float:
+             resume: int | None = None) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
     Runs without building a backward graph. With a ``store`` and a
-    ``boundary`` (the model's deepest frozen layer, see
-    ``TuningScheme.boundary_layer``), each chunk resumes from the stored
-    output of that layer instead of running the frozen prefix again; the
-    accuracy is identical to the plain forward's. ``boundary=None`` (full
-    fine-tuning has no frozen prefix) always runs the plain forward.
+    ``resume`` point (see ``resume_layer``), each chunk resumes from the
+    stored backbone output through that layer instead of running the frozen
+    prefix again; the accuracy is identical to the plain forward's.
+    ``resume=None`` (full fine-tuning has no frozen prefix) always runs the
+    plain forward.
     """
     tokens = np.asarray(tokens)
     labels = np.asarray(labels, dtype=np.int64)
     if tokens.shape[0] == 0:
         raise EvaluationError("cannot evaluate an empty shard")
     acts = None
-    if store is not None and boundary is not None:
+    if store is not None and resume is not None:
         if chunk != store.chunk or not np.array_equal(tokens, store.tokens):
             raise ContractViolation("evaluation store was built for other tokens or chunking")
-        acts = store.activations(boundary)
+        acts = store.activations(resume)
     correct = 0
     with _graph_free(model):
         for i, start in enumerate(range(0, tokens.shape[0], chunk)):
             if acts is None:
                 logits = forward(model, tokens[start:start + chunk])
             else:
-                logits = forward_from_boundary(model, boundary, acts[i])
+                logits = forward_from_boundary(model, resume, acts[i])
             correct += int((logits.data.argmax(axis=1) == labels[start:start + chunk]).sum())
     return correct / tokens.shape[0]
 

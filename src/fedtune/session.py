@@ -142,6 +142,13 @@ def _coerce(hint, value, path: str, fallback):
         for key, entry in out.items():
             _require(entry.name == key, f"{path}.{key}.name", f"must equal its key '{key}'")
         return out
+    # bool(value) and int(value) would take "false" as True and 2.9 as 2
+    if hint is bool or isinstance(value, bool):
+        _require(hint is bool and isinstance(value, bool), path,
+                 f"expected {hint.__name__}, got {value!r}")
+        return value
+    if hint is int and isinstance(value, float):
+        _require(value.is_integer(), path, f"expected int, got {value!r}")
     try:
         return hint(value)
     except (TypeError, ValueError):

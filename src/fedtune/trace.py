@@ -66,9 +66,14 @@ def read_trace(path: str) -> list[dict]:
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except json.JSONDecodeError as err:
                 raise TraceParseError(f"{path}: malformed trace at line {lineno}: {err}") from err
+            if not isinstance(event, dict):
+                raise TraceParseError(
+                    f"{path}: malformed trace at line {lineno}: "
+                    f"expected a JSON object, got {type(event).__name__}")
+            events.append(event)
     return events
 
 

@@ -73,6 +73,27 @@ class TestUnknownKeys:
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
             session_mod.config_from_dict(doc)
 
+    @pytest.mark.parametrize("doc, key", [
+        (small_session_doc(cache_enabled="false"), "cache_enabled"),
+        (small_session_doc(cache_enabled=0), "cache_enabled"),
+        (small_session_doc(max_rounds=2.9), "max_rounds"),
+        (small_session_doc(max_rounds=True), "max_rounds"),
+        (small_session_doc(model={**small_session_doc()["model"], "hidden": False}),
+         "model.hidden"),
+        (small_session_doc(mode="autofed", configurator={"start_depth": 1.5}),
+         "configurator.start_depth"),
+        (small_session_doc(learning_rate=True), "learning_rate"),
+    ])
+    def test_bool_and_int_fields_are_strict(self, doc, key):
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            session_mod.config_from_dict(doc)
+
+    def test_integral_float_and_yaml_bool_accepted(self):
+        cfg = session_mod.config_from_dict(small_session_doc(
+            max_rounds=3.0, cache_enabled=False, learning_rate=1))
+        assert cfg.max_rounds == 3 and type(cfg.max_rounds) is int
+        assert cfg.cache_enabled is False and cfg.learning_rate == 1.0
+
     def test_round_trip_through_to_dict(self):
         profile = {"per_batch_latency_full": 1, "compute_power_watts": 5.0,
                    "radio_power_watts": 1.0, "cache_reload_latency": 0.01}

@@ -19,7 +19,7 @@ CLIMBING_DOC = small_session_doc(mode="autofed", max_rounds=12,
 
 
 class RecordingStore(EvalStore):
-    """Store that remembers the most boundaries it ever held at once."""
+    """Store that remembers the most resume points it ever held at once."""
 
     instances = []
 
@@ -28,9 +28,9 @@ class RecordingStore(EvalStore):
         self.max_held = 0
         RecordingStore.instances.append(self)
 
-    def activations(self, boundary):
-        acts = super().activations(boundary)
-        self.max_held = max(self.max_held, len(self.boundaries()))
+    def activations(self, resume):
+        acts = super().activations(resume)
+        self.max_held = max(self.max_held, len(self.resume_points()))
         return acts
 
 
@@ -54,7 +54,7 @@ def climbing_run(monkeypatch, tmp_path):
         acc = plain_evaluate(model, tokens, labels, **kwargs)
         from_store = list(logits)
         logits.clear()
-        checked.append((kwargs["boundary"], acc, from_store,
+        checked.append((kwargs["resume"], acc, from_store,
                         plain_evaluate(model, tokens, labels), list(logits)))
         return acc
 
@@ -68,11 +68,12 @@ class TestSessionStore:
     def test_store_logits_equal_plain_forward(self, climbing_run):
         cfg, result, checked = climbing_run
         assert result.summary["configs_visited"][-1][0] == cfg.model.num_layers
-        assert {c[0] for c in checked} == set(range(cfg.model.num_layers + 1))
-        for boundary, acc, store_logits, plain_acc, plain_logits in checked:
-            assert acc == plain_acc, boundary
+        # depth 0 and depth 1 both resume at layer D, depth d >= 1 at D - d + 1
+        assert {c[0] for c in checked} == set(range(1, cfg.model.num_layers + 1))
+        for resume, acc, store_logits, plain_acc, plain_logits in checked:
+            assert acc == plain_acc, resume
             assert len(store_logits) == len(plain_logits) == 1
-            assert np.array_equal(store_logits[0], plain_logits[0]), boundary
+            assert np.array_equal(store_logits[0], plain_logits[0]), resume
 
     def test_embedding_builds_bounded_by_depth(self, climbing_run):
         cfg, _, _ = climbing_run
@@ -80,6 +81,7 @@ class TestSessionStore:
         assert 1 <= store.embedding_builds <= cfg.model.num_layers
 
     def test_at_most_two_boundaries_held(self, climbing_run):
+        """At most two resume points are held at once."""
         [store] = RecordingStore.instances
         assert store.max_held == 2
 
@@ -89,7 +91,7 @@ class TestSessionStore:
         cfg = session_mod.config_from_dict(small_session_doc(mode="full_ft", max_rounds=1))
         session_mod.run_session_config(cfg, str(tmp_path / "ft.trace.jsonl"))
         [store] = RecordingStore.instances
-        assert store.boundaries() == [] and store.embedding_builds == 0
+        assert store.resume_points() == [] and store.embedding_builds == 0
 
 
 class TestStoreUnit:
@@ -107,22 +109,23 @@ class TestStoreUnit:
         tokens, labels = data
         backbone = build_model(spec, 1)
         store = EvalStore(backbone, tokens, chunk=3)
-        store.retain({1})
-        store.retain({1, 3})
-        assert store.boundaries() == [1, 3] and store.embedding_builds == 1
+        store.retain({2})
+        store.retain({2, 4})
+        assert store.resume_points() == [2, 4] and store.embedding_builds == 1
         for depth in (1, 3):
             scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
             model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(depth))
-            boundary = scheme.boundary_layer(spec.num_layers)
-            assert evaluate(model, tokens, labels, 3, store=store, boundary=boundary) == \
+            resume = model_mod.resume_layer(model, scheme.boundary_layer(spec.num_layers))
+            assert resume == spec.num_layers - depth + 1
+            assert evaluate(model, tokens, labels, 3, store=store, resume=resume) == \
                 evaluate(model, tokens, labels, 3)
             logits = [model_mod.forward(model, tokens[s:s + 3]).data for s in (0, 3, 6)]
-            resumed = [model_mod.forward_from_boundary(model, boundary, act).data
-                       for act in store.activations(boundary)]
+            resumed = [model_mod.forward_from_boundary(model, resume, act).data
+                       for act in store.activations(resume)]
             for a, b in zip(logits, resumed):
                 assert np.array_equal(a, b)
-        store.retain({3})
-        assert store.boundaries() == [3]
+        store.retain({4})
+        assert store.resume_points() == [4]
 
     def test_stored_activations_are_read_only(self, spec, data):
         store = EvalStore(build_model(spec, 1), data[0])
@@ -134,9 +137,9 @@ class TestStoreUnit:
         backbone = build_model(spec, 1)
         store = EvalStore(backbone, tokens)
         with pytest.raises(ContractViolation):
-            evaluate(backbone, tokens[::-1], labels, store=store, boundary=4)
+            evaluate(backbone, tokens[::-1], labels, store=store, resume=4)
         with pytest.raises(ContractViolation):
-            evaluate(backbone, tokens, labels, 2, store=store, boundary=4)
+            evaluate(backbone, tokens, labels, 2, store=store, resume=4)
 
     def test_adapted_model_rejected_as_backbone(self, spec, data):
         adapted = adapter_mod.insert_adapters(build_model(spec, 1), AdapterConfig(1, 8, 8),
@@ -179,4 +182,4 @@ class TestGraphFree:
         empty = np.zeros((0, 5), dtype=np.int64)
         store = EvalStore(tiny_model, empty)
         with pytest.raises(EvaluationError):
-            evaluate(tiny_model, empty, np.zeros(0, dtype=np.int64), store=store, boundary=2)
+            evaluate(tiny_model, empty, np.zeros(0, dtype=np.int64), store=store, resume=2)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fedtune import adapter as adapter_mod
+from fedtune import cache as cache_mod
 from fedtune import model as model_mod
 from fedtune import tensor_nn as tn
-from fedtune.adapter import AdapterConfig
+from fedtune.adapter import AdapterConfig, TuningScheme
 from fedtune.errors import (
     ConfigurationError,
     ContractViolation,
@@ -121,10 +122,77 @@ class TestBoundary:
         for p in params:
             assert np.array_equal(grads_full[p.name], p.tensor.grad), p.name
 
-    def test_boundary_above_lowest_adapter_rejected(self, adapted, tiny_tokens):
+    def test_boundary_above_lowest_adapter_rejected(self, tiny_model, tiny_tokens):
+        # adapters on both layers: resuming at layer 2 would skip layer 1's
+        adapted = adapter_mod.insert_adapters(tiny_model, AdapterConfig(2, 8, 8), SeededRng(7))
         act = model_mod.compute_boundary_activation(adapted, tiny_tokens, 1)
         with pytest.raises(ContractViolation):
             forward_from_boundary(adapted, 2, act)
+        with pytest.raises(ContractViolation):
+            model_mod.compute_boundary_activation(adapted, tiny_tokens, 2)
+
+
+class TestResumePoint:
+    """The host resumes at the lowest adapter's input, one layer above the boundary."""
+
+    @pytest.fixture
+    def small_spec(self):
+        return ModelSpec(num_layers=3, hidden=16, heads=2, ffn_dim=32,
+                         vocab=24, seqlen=8, num_labels=3)
+
+    @pytest.fixture
+    def tokens(self):
+        return SeededRng(5).integers(0, 24, size=(6, 8))
+
+    @pytest.mark.parametrize("depth", range(4))
+    def test_adapter_resume_bit_identical_at_every_depth(self, small_spec, tokens, depth):
+        scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
+        model = adapter_mod.materialize(build_model(small_spec, 2), scheme, rng=SeededRng(depth))
+        boundary = scheme.boundary_layer(small_spec.num_layers)
+        resume = model_mod.resume_layer(model, boundary)
+        assert resume == min(boundary + 1, small_spec.num_layers)
+        act = model_mod.compute_boundary_activation(model, tokens, resume)
+        assert np.array_equal(forward_from_boundary(model, resume, act).data,
+                              forward(model, tokens).data)
+
+    def test_layer_freeze_resumes_at_boundary(self, small_spec, tokens):
+        scheme = TuningScheme("freeze", frozen_layers=1)
+        model = adapter_mod.materialize(build_model(small_spec, 2), scheme)
+        boundary = scheme.boundary_layer(small_spec.num_layers)
+        assert boundary == 1 and model_mod.resume_layer(model, boundary) == 1
+        act = model_mod.compute_boundary_activation(model, tokens, 1)
+        assert np.array_equal(forward_from_boundary(model, 1, act).data,
+                              forward(model, tokens).data)
+
+    def test_trainable_backbone_at_resume_point_rejected(self, small_spec, tokens):
+        model = adapter_mod.materialize(build_model(small_spec, 2),
+                                        TuningScheme("freeze", frozen_layers=1))
+        act = model_mod.compute_boundary_activation(model, tokens, 1)
+        for resume in (2, 3):
+            with pytest.raises(ContractViolation, match="trainable"):
+                forward_from_boundary(model, resume, act)
+            with pytest.raises(ContractViolation, match="trainable"):
+                model_mod.compute_boundary_activation(model, tokens, resume)
+
+    def test_trainable_embedding_rejected(self, small_spec, tokens):
+        model = adapter_mod.materialize(build_model(small_spec, 2), TuningScheme("full"))
+        with pytest.raises(ContractViolation, match="embedding"):
+            model_mod.compute_boundary_activation(model, tokens, 0)
+
+    def test_cache_entry_for_other_resume_point_recomputed(self, small_spec, tokens):
+        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
+        model = adapter_mod.materialize(build_model(small_spec, 2), scheme, rng=SeededRng(1))
+        cache = cache_mod.ActivationCache()
+        boundary, act, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+        assert (boundary, recomputed, cache.entries[0].resume) == (2, True, 3)
+        cache.depth_at_store = 1
+        _, hit, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+        assert hit is act and not recomputed
+        stale = model_mod.compute_boundary_activation(model, tokens, 2)
+        cache.entries[0] = cache_mod.CacheEntry(0, 2, stale)
+        boundary, again, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+        assert (boundary, recomputed, cache.integrity_failures) == (2, True, 1)
+        assert cache.entries[0].resume == 3 and np.array_equal(again, act)
 
 
 class TestEvaluate:

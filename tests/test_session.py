@@ -68,3 +68,16 @@ def test_truncated_trace_names_the_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceParseError, match="line 3"):
         trace_mod.read_trace(str(path))
+
+
+@pytest.mark.parametrize("line", ["123", "[1, 2]", '"round"', "null"])
+def test_non_object_trace_line_names_the_line(line, tmp_path):
+    path = tmp_path / "t.jsonl"
+    _run(MODE_DOCS["fixed_adapter"], path)
+    lines = path.read_text().splitlines()
+    lines[1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError, match="line 2: expected a JSON object"):
+        trace_mod.read_trace(str(path))
+    with pytest.raises(TraceParseError, match="line 2"):
+        session_mod.report([str(path)])

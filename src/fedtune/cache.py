@@ -114,7 +114,9 @@ def fetch_or_recompute(
     that an entry exists, that no deeper configuration was dispatched since
     it was stored, and that it was stored for that resume point with the
     batch's shape; an entry failing the last check counts as an integrity
-    failure and is recomputed.
+    failure and is recomputed. A stored activation is read-only, as in
+    ``model.EvalStore``: a kernel that wrote into its input would otherwise
+    corrupt the client's cache for every later round.
     """
     num_layers = model.spec.num_layers
     d_prev = cache.depth_at_store
@@ -133,6 +135,7 @@ def fetch_or_recompute(
     boundary = num_layers - depth_watermark
     resume = model_mod.resume_layer(model, boundary)
     activations = model_mod.compute_boundary_activation(model, tokens, resume)
+    activations.flags.writeable = False
     cache.entries[batch_id] = CacheEntry(batch_id, resume, activations)
     return boundary, activations, True
 

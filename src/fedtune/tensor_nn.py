@@ -5,6 +5,14 @@ with bottleneck adapters needs. All math runs in double precision with a
 fixed reduction order, so repeated runs on the same inputs are
 bit-identical. A forward pass records backward closures only above the
 deepest value that requires a gradient; everything below is plain numpy.
+
+A recorded graph is consumed once, as in the usual autograd rule: as
+``Tensor.backward`` walks it, each node with parents gives up its gradient,
+its closure (and with it the activations the closure saved) and its parent
+links once its closure has run. Peak memory during backward is thus close
+to one step's working set. Only leaves (parameters, and inputs created with
+``requires_grad``) keep their gradients; a second ``backward()`` through a
+consumed graph raises ``TrainingError``.
 """
 
 from __future__ import annotations
@@ -77,7 +85,8 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = parents
+        # None once backward() has consumed this node (leaves keep ``()``)
+        self._parents: tuple[Tensor, ...] | None = parents
         self._bwd: Callable[[Array], None] | None = None
 
     @property
@@ -92,6 +101,13 @@ class Tensor:
 
         The traversal order is fully determined by graph construction
         order, so gradient accumulation is reproducible bit for bit.
+
+        The graph is consumed: once a node's closure has run, the node
+        drops its gradient, its closure and its parent links, so only
+        leaves (parameters, and inputs created with ``requires_grad``)
+        hold gradients afterwards. Calling ``backward()`` again through a
+        consumed node raises ``TrainingError``; rebuild the graph with a
+        fresh forward pass instead.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.data.shape}")
@@ -105,6 +121,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise TrainingError(
+                    "backward() through a graph an earlier backward() already consumed")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -112,8 +131,11 @@ class Tensor:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._bwd is not None and node.grad is not None:
+            if not node._parents:
+                continue
+            if node.grad is not None:
                 node._bwd(node.grad)
+            node.grad = node._bwd = node._parents = None
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """Session config schema and CLI error handling."""
 
+import json
+
 import pytest
 import yaml
 
 from fedtune import cli
 from fedtune import session as session_mod
 from fedtune.errors import ConfigurationError
-from fedtune.session import EXIT_CONFIG_ERROR
+from fedtune.session import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK
 
 from conftest import small_session_doc
 
@@ -146,3 +148,36 @@ class TestCli:
         code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "t.jsonl")])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith(f"error: cannot read config '{path}'")
+
+
+class TestExitCodes:
+    """``run`` exits 0 without a target or once it is met, 3 when the budget ends first."""
+
+    def run_cli(self, tmp_path, capsys, **overrides):
+        path = tmp_path / "session.yaml"
+        path.write_text(yaml.safe_dump(small_session_doc(max_rounds=2, **overrides)))
+        trace = tmp_path / "t.jsonl"
+        code = cli.main(["run", "--config", str(path), "--out", str(trace)])
+        return code, json.loads(capsys.readouterr().out), trace
+
+    def test_no_target_exits_0(self, tmp_path, capsys):
+        code, summary, _ = self.run_cli(tmp_path, capsys)
+        assert code == EXIT_OK
+        assert summary["target_accuracy"] is None and summary["rounds"] == 2
+
+    def test_met_target_exits_0(self, tmp_path, capsys):
+        code, summary, _ = self.run_cli(tmp_path, capsys, target_accuracy=0.0)
+        assert code == EXIT_OK
+        assert summary["reached"] and summary["time_to_target"] is not None
+
+    def test_unreachable_target_exits_3(self, tmp_path, capsys):
+        code, summary, _ = self.run_cli(tmp_path, capsys, target_accuracy=1.0)
+        assert code == EXIT_NOT_CONVERGED
+        assert summary["best_accuracy"] < 1.0 and summary["rounds"] == 2
+        assert not summary["reached"] and summary["time_to_target"] is None
+
+    def test_report_exits_0(self, tmp_path, capsys):
+        _, summary, trace = self.run_cli(tmp_path, capsys)
+        assert cli.main(["report", str(trace)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["sessions"][0]["rounds"] == summary["rounds"]

@@ -194,8 +194,50 @@ class TestResumePoint:
         assert (boundary, recomputed, cache.integrity_failures) == (2, True, 1)
         assert cache.entries[0].resume == 3 and np.array_equal(again, act)
 
+    def test_cached_activation_is_read_only(self, small_spec, tokens):
+        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
+        model = adapter_mod.materialize(build_model(small_spec, 2), scheme, rng=SeededRng(1))
+        cache = cache_mod.ActivationCache()
+        boundary, act, _ = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+        cache.depth_at_store = 1
+        _, served, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+        assert served is act and not recomputed
+        with pytest.raises(ValueError, match="read-only"):
+            served[0, 0, 0] = 0.0
+        stored = served.copy()
+        # a training step from the served activation writes only parameters
+        trainable = model.trainable_parameters()
+        before = [p.data.copy() for p in trainable]
+        logits = forward_from_boundary(model, model_mod.resume_layer(model, boundary), served)
+        tn.cross_entropy_loss(logits, np.arange(tokens.shape[0]) % 3).backward()
+        tn.sgd_step(trainable, 0.1)
+        assert any(not np.array_equal(p.data, b) for p, b in zip(trainable, before))
+        assert np.array_equal(served, stored)
+
 
 class TestEvaluate:
+    @pytest.fixture
+    def small(self):
+        spec = ModelSpec(num_layers=3, hidden=16, heads=2, ffn_dim=32,
+                         vocab=24, seqlen=8, num_labels=3)
+        rng = SeededRng(8)
+        return build_model(spec, 2), rng.integers(0, 24, size=(165, 8)), rng.integers(0, 3, 165)
+
+    @pytest.mark.parametrize("count", [64, 70, 165])
+    def test_eval_chunks_give_whole_set_logits(self, small, count):
+        model, tokens, _ = small
+        tokens = tokens[:count]
+        chunk = model_mod.EVAL_CHUNK
+        assert chunk == 32 and count % chunk != 1
+        chunked = np.concatenate([forward(model, tokens[s:s + chunk]).data
+                                  for s in range(0, count, chunk)])
+        assert np.array_equal(chunked, forward(model, tokens).data)
+
+    def test_accuracy_independent_of_chunk(self, small):
+        model, tokens, labels = small
+        accs = {evaluate(model, tokens, labels, chunk=c) for c in (2, 3, 32, 256)}
+        assert len(accs) == 1
+
     def test_biased_classifier_scores_one(self, tiny_model, tiny_tokens):
         tiny_model.cls_w.tensor.data[:] = 0.0
         tiny_model.cls_b.tensor.data[:] = np.array([0.0, 10.0, 0.0])

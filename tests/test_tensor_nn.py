@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fedtune import adapter as adapter_mod
 from fedtune import tensor_nn as tn
+from fedtune.adapter import TuningScheme
 from fedtune.errors import (
     ConfigurationError,
     DataError,
     ShapeError,
     TrainingError,
 )
+from fedtune.model import ModelSpec, build_model, forward
 from fedtune.tensor_nn import (
     AttentionParams,
     SeededRng,
@@ -302,3 +306,56 @@ class TestDeterminism:
             return loss.item(), w.tensor.grad.tobytes(), params.wq.tensor.grad.tobytes()
 
         assert run() == run()
+
+
+class TestGraphRelease:
+    """A graph is consumed by one backward(); only leaves keep gradients."""
+
+    def build(self, rng):
+        x = Tensor(rng.normal(0, 1, (4, 5)), requires_grad=True)
+        w = rand_param(rng, (5, 3), "w")
+        b = rand_param(rng, (3,), "b")
+        hidden = linear_forward(x, w, b)
+        act = tn.relu(hidden)
+        loss = cross_entropy_loss(act, np.array([0, 1, 2, 0]))
+        return x, w, b, hidden, act, loss
+
+    def test_intermediates_released_leaves_keep_grads(self):
+        x, w, b, hidden, act, loss = self.build(SeededRng(21))
+        loss.backward()
+        assert hidden.grad is None and act.grad is None and loss.grad is None
+        assert all(t.grad is not None for t in (x, w.tensor, b.tensor))
+        assert loss.item() > 0.0 and act.data.shape == (4, 3)
+
+    def test_second_backward_raises_and_keeps_first_grads(self):
+        x, w, b, _, act, loss = self.build(SeededRng(21))
+        loss.backward()
+        grads = [t.grad.copy() for t in (x, w.tensor, b.tensor)]
+        with pytest.raises(TrainingError, match="consumed"):
+            loss.backward()
+        # a new graph on top of a consumed intermediate is refused too
+        with pytest.raises(TrainingError, match="consumed"):
+            cross_entropy_loss(tn.scale(act, 2.0), np.array([0, 1, 2, 0])).backward()
+        for t, g in zip((x, w.tensor, b.tensor), grads):
+            assert np.array_equal(t.grad, g)
+
+    def test_backward_peak_is_one_working_set(self):
+        # full fine-tuning of a small encoder: every layer keeps a graph
+        spec = ModelSpec(num_layers=3, hidden=16, heads=2, ffn_dim=32,
+                         vocab=24, seqlen=8, num_labels=3)
+        model = adapter_mod.materialize(build_model(spec, 2), TuningScheme("full"))
+        tokens = SeededRng(5).integers(0, 24, size=(8, 8))
+        grad_bytes = sum(p.data.nbytes for p in model.trainable_parameters())
+        tracemalloc.start()
+        try:
+            loss = cross_entropy_loss(forward(model, tokens), np.arange(8) % 3)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # without the release: peak 1.9x and 1.25 MB held after, 22x the gradients
+        assert peak <= 1.25 * before
+        assert after <= 2 * grad_bytes
+        assert all(p.tensor.grad is not None for p in model.trainable_parameters())

@@ -48,11 +48,6 @@ class AdapterConfig:
 
 
 
-def trainable_param_count(model: ModelState) -> int:
-    """Exact trainable scalar count by enumerating parameter buffers."""
-    return sum(p.size() for p in model.trainable_parameters())
-
-
 # ---------------------------------------------------------------------------
 # structural transforms (pure: frozen buffers shared, new stacks created)
 # ---------------------------------------------------------------------------

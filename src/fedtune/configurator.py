@@ -15,7 +15,7 @@ model depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import adapter as adapter_mod
 from . import fed as fed_mod
@@ -231,18 +231,9 @@ def run_session(
             backbone=backbone, epochs=epochs, lr=lr, cache_enabled=cache_enabled)
         rounds = report.round_index
         for track, stat in zip(tracks, report.tracks):
-            writer.emit({
-                "evt": "round", "round": report.round_index, "track": stat.track,
-                "max_depth": report.max_depth, "clock": track.clock,
-                "round_seconds": stat.round_seconds,
-                "payload_bytes": stat.payload_bytes,
-                "participants": stat.participants,
-                "energy_j": stat.energy_joules,
-                "client_energy": stat.client_energy,
-                "cache_hits": stat.cache_hits,
-                "cache_recomputes": stat.cache_recomputes,
-                "train_samples": stat.train_samples,
-            })
+            writer.emit({"evt": "round", "round": report.round_index,
+                         "max_depth": report.max_depth, "clock": track.clock,
+                         **asdict(stat)})
 
         accuracies = evaluate_tracks(tracks, backbone, store, test_tokens, test_labels)
         for track, acc in zip(tracks, accuracies):

@@ -25,10 +25,6 @@ class TrainingError(FedTuneError):
     """Training-loop contract broken (e.g. missing gradient)."""
 
 
-class RegistryError(FedTuneError):
-    """Unknown client id in the server registry."""
-
-
 class ContractViolation(FedTuneError):
     """A caller violated an operation precondition (e.g. bad boundary)."""
 

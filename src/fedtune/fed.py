@@ -1,7 +1,12 @@
 """Synchronous parameter-server federation over simulated clients.
 
-Clients are stateful across rounds only through their activation cache and
-watermark; the frozen backbone is globally identical and never shipped.
+Clients are stateful across rounds only through their activation cache;
+the frozen backbone is globally identical and never shipped. Every
+participant of a round trains with the same cache watermark, the session's
+running max depth: the round's deepest dispatched tuning depth.
+Configurations only grow, so no deeper one was dispatched in any earlier
+round, and the watermark never falls.
+
 Every reduction (aggregation, selection, batch order) has a fixed order so
 concurrent execution could never change the results.
 """
@@ -18,7 +23,7 @@ from . import costmodel
 from . import model as model_mod
 from . import tensor_nn as tn
 from .adapter import AdapterPayload
-from .cache import ActivationCache, DepthHistory
+from .cache import ActivationCache
 from .costmodel import DeviceProfile, NetworkProfile
 from .errors import AggregationError, SelectionError, TrainingError
 from .model import ModelState
@@ -36,12 +41,9 @@ class Batch:
 class ClientState:
     id: int
     train_batches: list[Batch]
-    test_tokens: np.ndarray
-    test_labels: np.ndarray
     device: DeviceProfile
     net: NetworkProfile
     cache: ActivationCache = field(default_factory=ActivationCache)
-    last_participation_round: int | None = None
 
     def num_train_samples(self) -> int:
         return sum(int(b.tokens.shape[0]) for b in self.train_batches)
@@ -52,7 +54,6 @@ class ServerState:
     registry: dict[int, ClientState]
     rng_select: SeededRng
     round_index: int = 0
-    depth_history: DepthHistory = field(default_factory=DepthHistory)
 
 
 @dataclass
@@ -77,7 +78,7 @@ class TrackRoundStats:
     participants: list[int]
     payload_bytes: int
     round_seconds: float
-    energy_joules: float
+    energy_j: float
     cache_hits: int
     cache_recomputes: int
     train_samples: int
@@ -214,7 +215,6 @@ def run_round(
     round_index = server.round_index + 1
     num_layers = backbone.spec.num_layers
     max_depth = max(t.payload.scheme.tuning_depth(num_layers) for t in tracks)
-    server.depth_history.record(round_index, max_depth)
 
     selected = select_clients(server.registry, total_participants, server.rng_select)
     budgets = split_budget(total_participants, len(tracks))
@@ -231,11 +231,10 @@ def run_round(
         hits = recomputes = samples = 0
         for cid in group:
             client = server.registry[cid]
-            watermark = cache_mod.query_watermark(server, cid)
             new_payload, n_samples, stats = local_train(
                 client, backbone, track.payload,
                 epochs=epochs, lr=lr, cache_enabled=cache_enabled,
-                depth_watermark=watermark)
+                depth_watermark=max_depth)
             updates.append(ClientUpdate(cid, new_payload, n_samples))
             down_s, up_s = costmodel.transfer_seconds(payload_size, client.net)
             client_time = down_s + stats.compute_seconds + up_s
@@ -254,13 +253,11 @@ def run_round(
             participants=group,
             payload_bytes=payload_size,
             round_seconds=round_seconds,
-            energy_joules=energy,
+            energy_j=energy,
             cache_hits=hits,
             cache_recomputes=recomputes,
             train_samples=samples,
             client_energy=client_energy,
         ))
-    for cid in selected:
-        server.registry[cid].last_participation_round = round_index
     server.round_index = round_index
     return RoundReport(round_index, max_depth, report_tracks)

@@ -9,7 +9,6 @@ any inserted adapter stacks are the only trainable parts. Layers are
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .tensor_nn import AttentionParams, Parameter, SeededRng, Tensor
 
-CHECKPOINT_VERSION = 1
 LN_EPS = 1e-5
 EMBED_INIT_STD = 1.0
 ADAPTER_INIT_STD = 0.02  # also used for the classifier head
@@ -59,21 +57,6 @@ class ModelSpec:
             raise ConfigurationError(f"seqlen must be >= 1, got {self.seqlen}")
         if self.vocab < 2 or self.ffn_dim < 1 or self.num_labels < 2:
             raise ConfigurationError("vocab and num_labels must be >= 2, ffn_dim >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "ffn_dim": self.ffn_dim,
-            "vocab": self.vocab,
-            "seqlen": self.seqlen,
-            "num_labels": self.num_labels,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(**d)
 
 
 @dataclass
@@ -221,13 +204,6 @@ def build_model(spec: ModelSpec, seed: int) -> ModelState:
     cls_w = tn.make_parameter(rc.normal(0.0, ADAPTER_INIT_STD, (n, spec.num_labels)), True, "cls_w")
     cls_b = tn.make_parameter(np.zeros(spec.num_labels), True, "cls_b")
     return ModelState(spec, tok, pos, blocks, cls_w, cls_b)
-
-
-def backbone_param_count(spec: ModelSpec) -> int:
-    """Closed-form parameter count of the frozen encoder (no adapters)."""
-    n, f = spec.hidden, spec.ffn_dim
-    per_block = 4 * n * n + 4 * n + 4 * n + 2 * n * f + f + n
-    return spec.vocab * n + spec.seqlen * n + spec.num_layers * per_block
 
 
 # ---------------------------------------------------------------------------
@@ -470,51 +446,3 @@ def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
             correct += int((logits.data.argmax(axis=1) == labels[start:start + chunk]).sum())
     return correct / tokens.shape[0]
 
-
-# ---------------------------------------------------------------------------
-# checkpoint serialization (bit-exact round trip)
-# ---------------------------------------------------------------------------
-
-def save_model(model: ModelState, path: str) -> None:
-    """Write spec plus every parameter buffer to a versioned .npz file."""
-    arrays: dict[str, np.ndarray] = {}
-    trainable: dict[str, bool] = {}
-    stacks: dict[str, int] = {}
-    for p in model.parameters():
-        arrays[p.name] = p.tensor.data
-        trainable[p.name] = p.trainable
-    for i, block in enumerate(model.blocks):
-        stacks[str(i + 1)] = len(block.adapters)
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "spec": model.spec.to_dict(),
-        "trainable": trainable,
-        "adapter_stacks": stacks,
-    }
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_model(path: str) -> ModelState:
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["__meta__"]).decode())
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ConfigurationError(f"unsupported checkpoint version {meta['version']}")
-        spec = ModelSpec.from_dict(meta["spec"])
-        trainable = meta["trainable"]
-        model = build_model(spec, seed=0)
-        for i, block in enumerate(model.blocks):
-            layer = i + 1
-            count = meta["adapter_stacks"].get(str(layer), 0)
-            for idx in range(count):
-                width = archive[_adapter_name(layer, idx, "w_down")].shape[1]
-                block.adapters.append(
-                    make_meta_adapter(spec.hidden, width, layer, idx, SeededRng(0)))
-        for p in model.parameters():
-            if p.name not in archive:
-                raise ConfigurationError(f"checkpoint missing buffer '{p.name}'")
-            p.tensor.data = archive[p.name].astype(np.float64, copy=True)
-            p.trainable = bool(trainable[p.name])
-            p.tensor.requires_grad = p.trainable
-    return model

@@ -20,7 +20,6 @@ import numpy as np
 import yaml
 
 from . import adapter as adapter_mod
-from . import cache as cache_mod
 from . import configurator as conf_mod
 from . import costmodel
 from . import data as data_mod
@@ -266,9 +265,7 @@ def build_world(cfg: SessionConfig) -> World:
             for i, s in enumerate(range(0, tokens.shape[0], cfg.batch_size))
         ]
         registry[cid] = ClientState(
-            id=cid, train_batches=batches,
-            test_tokens=shard.test_tokens, test_labels=shard.test_labels,
-            device=device_of[cid], net=cfg.network)
+            id=cid, train_batches=batches, device=device_of[cid], net=cfg.network)
         test_tokens_parts.append(shard.test_tokens)
         test_labels_parts.append(shard.test_labels)
     server = ServerState(registry=registry, rng_select=root.spawn("select"))
@@ -364,7 +361,8 @@ def _summarize(events: list[dict], cfg: SessionConfig,
         "energy_j": energy,
         "cache_hits": hits,
         "cache_recomputes": recomputes,
-        "depth_increases": cache_mod.expirations_this_session(events),
+        "depth_increases": sum(b["max_depth"] > a["max_depth"]
+                               for a, b in zip(rounds, rounds[1:])),
         "configs_visited": [list(c) for c in outcome.configs_visited],
     }
 

@@ -31,10 +31,6 @@ def _jsonable(value):
     return value
 
 
-def encode_event(event: dict) -> str:
-    return json.dumps(_jsonable(event), sort_keys=True, separators=(",", ":"))
-
-
 class TraceWriter:
     """Streams events to a file as they happen."""
 
@@ -45,7 +41,7 @@ class TraceWriter:
 
     def emit(self, event: dict) -> None:
         event = _jsonable(event)
-        self._fh.write(encode_event(event) + "\n")
+        self._fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n")
         self.events.append(event)
 
     def close(self) -> None:

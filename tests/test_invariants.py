@@ -85,3 +85,10 @@ def test_depth_increases_bounded_by_model_depth(tmp_path):
     cfg = session_mod.config_from_dict(doc)
     result = session_mod.run_session_config(cfg, str(tmp_path / "climb.trace.jsonl"))
     assert 1 <= result.summary["depth_increases"] <= cfg.model.num_layers
+    # counted apart from the round events' max_depth: from the deepest track
+    # of each dispatch that some round trained
+    last_round = max(i for i, e in enumerate(result.events) if e["evt"] == "round")
+    deepest = [max(t["depth"] for t in e["tracks"])
+               for e in result.events[:last_round] if e["evt"] == "dispatch"]
+    rises = sum(b > a for a, b in zip(deepest, deepest[1:]))
+    assert result.summary["depth_increases"] == rises

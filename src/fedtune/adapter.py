@@ -250,5 +250,8 @@ def _apply_buffers(model: ModelState, scheme: TuningScheme, payload: AdapterPayl
         if buf.shape != param.tensor.data.shape:
             raise ProtocolError(
                 f"buffer '{name}' shape {buf.shape} != expected {param.tensor.data.shape}")
-        param.tensor.data = buf.astype(np.float64, copy=True)
+        if buf.dtype != param.tensor.data.dtype:
+            raise ProtocolError(
+                f"buffer '{name}' dtype {buf.dtype} != expected {param.tensor.data.dtype}")
+        param.tensor.data = buf.copy()
 

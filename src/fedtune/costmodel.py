@@ -6,8 +6,8 @@ measured full-batch latency divided by 3*D. One function,
 ``batch_time_from_boundary``, prices every training batch, with or without
 the activation cache; a round's time and energy are summed from it in
 ``fed.run_round``. Adapter compute overhead is treated as negligible next
-to a transformer block. Wire traffic is charged at 4 bytes per scalar
-regardless of the 8-byte internal math.
+to a transformer block. Wire traffic is charged at 4 bytes per scalar,
+the float32 the model computes in.
 """
 
 from __future__ import annotations

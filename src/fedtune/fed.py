@@ -148,8 +148,9 @@ def local_train(
             loss = tn.cross_entropy_loss(logits, batch.labels)
             loss.backward()
             tn.sgd_step(trainable, lr)
-    if use_cache:
-        client.cache.depth_at_store = depth_watermark
+        if use_cache:
+            # every batch is stored at this watermark now: later epochs hit
+            client.cache.depth_at_store = depth_watermark
     updated = adapter_mod.extract_payload(model, scheme)
     return updated, client.num_train_samples(), stats
 

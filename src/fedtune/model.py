@@ -4,7 +4,9 @@ The backbone is a randomly initialized frozen encoder standing in for a
 downloaded pre-trained model: embeddings and projection weights act as a
 fixed feature extractor (reservoir style), while the classifier head and
 any inserted adapter stacks are the only trainable parts. Layers are
-1-indexed from the input side.
+1-indexed from the input side. Every buffer is float32, the precision the
+wire charges (``costmodel.WIRE_BYTES_PER_SCALAR``); ``tensor_nn`` follows
+it, so activations, gradients and payloads are float32 too.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .tensor_nn import AttentionParams, Parameter, SeededRng, Tensor
 LN_EPS = 1e-5
 EMBED_INIT_STD = 1.0
 ADAPTER_INIT_STD = 0.02  # also used for the classifier head
+DTYPE = np.float32  # of every model buffer
 # Samples per evaluation chunk, shared by ``evaluate`` and ``EvalStore``. At
 # the mid shape (6 layers, hidden 64, seqlen 32) time per sample is lowest at
 # 16-32 samples; a 32-sample chunk's transient activations are 1/8 of a
-# 256-sample chunk's. Logits are the same bits as at 256 (see ``evaluate``).
+# 256-sample chunk's. Logits are the same bits as at 256 (see ``evaluate``),
+# re-checked in float32, which runs other BLAS kernels.
 EVAL_CHUNK = 32
 
 
@@ -144,19 +148,26 @@ def _adapter_name(layer: int, index: int, part: str) -> str:
     return f"block{layer:02d}.adapter{index:02d}.{part}"
 
 
+def _draw(rng: SeededRng, std: float, shape: tuple[int, ...]) -> np.ndarray:
+    """N(0, std) drawn in double precision, as the stream defines it, rounded to ``DTYPE``."""
+    return rng.normal(0.0, std, shape).astype(DTYPE)
+
+
 def make_meta_adapter(
     hidden: int, width: int, layer: int, index: int, rng: SeededRng, trainable: bool = True
 ) -> MetaAdapter:
     """Fresh bottleneck unit: projection weights N(0, 0.02), zero biases."""
     return MetaAdapter(
         w_down=tn.make_parameter(
-            rng.normal(0.0, ADAPTER_INIT_STD, (hidden, width)), trainable,
+            _draw(rng, ADAPTER_INIT_STD, (hidden, width)), trainable,
             _adapter_name(layer, index, "w_down")),
-        b_down=tn.make_parameter(np.zeros(width), trainable, _adapter_name(layer, index, "b_down")),
+        b_down=tn.make_parameter(np.zeros(width, DTYPE), trainable,
+                                 _adapter_name(layer, index, "b_down")),
         w_up=tn.make_parameter(
-            rng.normal(0.0, ADAPTER_INIT_STD, (width, hidden)), trainable,
+            _draw(rng, ADAPTER_INIT_STD, (width, hidden)), trainable,
             _adapter_name(layer, index, "w_up")),
-        b_up=tn.make_parameter(np.zeros(hidden), trainable, _adapter_name(layer, index, "b_up")),
+        b_up=tn.make_parameter(np.zeros(hidden, DTYPE), trainable,
+                               _adapter_name(layer, index, "b_up")),
     )
 
 
@@ -174,35 +185,35 @@ def build_model(spec: ModelSpec, seed: int) -> ModelState:
     def frozen(data, name: str) -> Parameter:
         return tn.make_parameter(data, False, name)
 
-    tok = frozen(rb.normal(0.0, EMBED_INIT_STD, (spec.vocab, n)), "tok_embed")
-    pos = frozen(rb.normal(0.0, EMBED_INIT_STD, (spec.seqlen, n)), "pos_embed")
+    tok = frozen(_draw(rb, EMBED_INIT_STD, (spec.vocab, n)), "tok_embed")
+    pos = frozen(_draw(rb, EMBED_INIT_STD, (spec.seqlen, n)), "pos_embed")
     blocks = []
     for layer in range(1, spec.num_layers + 1):
         pref = f"block{layer:02d}"
         std_n = n ** -0.5
         attn = AttentionParams(
-            wq=frozen(rb.normal(0.0, std_n, (n, n)), f"{pref}.wq"),
-            bq=frozen(np.zeros(n), f"{pref}.bq"),
-            wk=frozen(rb.normal(0.0, std_n, (n, n)), f"{pref}.wk"),
-            bk=frozen(np.zeros(n), f"{pref}.bk"),
-            wv=frozen(rb.normal(0.0, std_n, (n, n)), f"{pref}.wv"),
-            bv=frozen(np.zeros(n), f"{pref}.bv"),
-            wo=frozen(rb.normal(0.0, std_n, (n, n)), f"{pref}.wo"),
-            bo=frozen(np.zeros(n), f"{pref}.bo"),
+            wq=frozen(_draw(rb, std_n, (n, n)), f"{pref}.wq"),
+            bq=frozen(np.zeros(n, DTYPE), f"{pref}.bq"),
+            wk=frozen(_draw(rb, std_n, (n, n)), f"{pref}.wk"),
+            bk=frozen(np.zeros(n, DTYPE), f"{pref}.bk"),
+            wv=frozen(_draw(rb, std_n, (n, n)), f"{pref}.wv"),
+            bv=frozen(np.zeros(n, DTYPE), f"{pref}.bv"),
+            wo=frozen(_draw(rb, std_n, (n, n)), f"{pref}.wo"),
+            bo=frozen(np.zeros(n, DTYPE), f"{pref}.bo"),
         )
         blocks.append(BlockParams(
             attn=attn,
-            ln1_gain=frozen(np.ones(n), f"{pref}.ln1_gain"),
-            ln1_shift=frozen(np.zeros(n), f"{pref}.ln1_shift"),
-            ffn_w1=frozen(rb.normal(0.0, std_n, (n, f)), f"{pref}.ffn_w1"),
-            ffn_b1=frozen(np.zeros(f), f"{pref}.ffn_b1"),
-            ffn_w2=frozen(rb.normal(0.0, f ** -0.5, (f, n)), f"{pref}.ffn_w2"),
-            ffn_b2=frozen(np.zeros(n), f"{pref}.ffn_b2"),
-            ln2_gain=frozen(np.ones(n), f"{pref}.ln2_gain"),
-            ln2_shift=frozen(np.zeros(n), f"{pref}.ln2_shift"),
+            ln1_gain=frozen(np.ones(n, DTYPE), f"{pref}.ln1_gain"),
+            ln1_shift=frozen(np.zeros(n, DTYPE), f"{pref}.ln1_shift"),
+            ffn_w1=frozen(_draw(rb, std_n, (n, f)), f"{pref}.ffn_w1"),
+            ffn_b1=frozen(np.zeros(f, DTYPE), f"{pref}.ffn_b1"),
+            ffn_w2=frozen(_draw(rb, f ** -0.5, (f, n)), f"{pref}.ffn_w2"),
+            ffn_b2=frozen(np.zeros(n, DTYPE), f"{pref}.ffn_b2"),
+            ln2_gain=frozen(np.ones(n, DTYPE), f"{pref}.ln2_gain"),
+            ln2_shift=frozen(np.zeros(n, DTYPE), f"{pref}.ln2_shift"),
         ))
-    cls_w = tn.make_parameter(rc.normal(0.0, ADAPTER_INIT_STD, (n, spec.num_labels)), True, "cls_w")
-    cls_b = tn.make_parameter(np.zeros(spec.num_labels), True, "cls_b")
+    cls_w = tn.make_parameter(_draw(rc, ADAPTER_INIT_STD, (n, spec.num_labels)), True, "cls_w")
+    cls_b = tn.make_parameter(np.zeros(spec.num_labels, DTYPE), True, "cls_b")
     return ModelState(spec, tok, pos, blocks, cls_w, cls_b)
 
 
@@ -323,11 +334,16 @@ def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray
     instruction sequence either way.
     """
     _check_boundary(model, resume)
-    act = np.asarray(cached_act, dtype=np.float64)
+    act = np.asarray(cached_act)
     expected = (model.spec.hidden,)
     if act.ndim != 3 or act.shape[2:] != expected:
         raise ContractViolation(
             f"cached activation shape {act.shape} does not end in hidden size {expected[0]}")
+    if act.dtype != model.tok_embed.data.dtype:
+        # a stray double-precision activation would promote the whole step to it
+        raise ContractViolation(
+            f"cached activation dtype {act.dtype} differs from the model's "
+            f"{model.tok_embed.data.dtype}")
     h = Tensor(act)
     if resume >= 1:
         h = _apply_adapters(model.blocks[resume - 1], h)
@@ -420,7 +436,9 @@ def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
     A sample's logits equal those of one whole-set forward bit for bit when
     ``chunk`` is a multiple of the BLAS kernel's row block (32 is a multiple
     of 4, 8 and 16) and no chunk holds a single sample; other chunkings take
-    other kernel paths and may move a logit's last bits. With a ``store`` and a
+    other kernel paths and may move a logit's last bits. This was checked
+    again when the model moved to float32, which runs other BLAS kernels
+    (``test_eval_chunks_give_whole_set_logits``). With a ``store`` and a
     ``resume`` point (see ``resume_layer``), each chunk resumes from the
     stored backbone output through that layer instead of running the frozen
     prefix again; the accuracy is identical to the plain forward's.

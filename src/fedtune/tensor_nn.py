@@ -1,10 +1,14 @@
-"""Dense float64 kernel with reverse-mode differentiation.
+"""Dense numpy kernel with reverse-mode differentiation.
 
 Deliberately small: exactly the operations a compact transformer encoder
-with bottleneck adapters needs. All math runs in double precision with a
-fixed reduction order, so repeated runs on the same inputs are
-bit-identical. A forward pass records backward closures only above the
-deepest value that requires a gradient; everything below is plain numpy.
+with bottleneck adapters needs. The kernel has no precision of its own: it
+follows the dtype of its inputs, so a float32 model computes in float32
+(as ``model.build_model`` builds it, the precision the wire charges) and a
+double-precision graph, as the gradient checks build, stays in double
+precision through ``backward``. Reductions run in a fixed order, so
+repeated runs on the same inputs are bit-identical. A forward pass records
+backward closures only above the deepest value that requires a gradient;
+everything below is plain numpy.
 
 A recorded graph is consumed once, as in the usual autograd rule: as
 ``Tensor.backward`` walks it, each node with parents gives up its gradient,
@@ -77,12 +81,19 @@ class SeededRng:
 
 
 class Tensor:
-    """Value node in the backward graph (float64, row-major)."""
+    """Value node in the backward graph (row-major).
+
+    A floating array keeps its dtype, and every op's output and gradient
+    follow it: the model is float32 (``model.build_model``). Anything else
+    (integers, bools, Python numbers and lists) is stored in double
+    precision.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
 
     def __init__(self, data, requires_grad: bool = False, parents: tuple = ()):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         # None once backward() has consumed this node (leaves keep ``()``)
@@ -167,7 +178,7 @@ class Parameter:
 
 
 def make_parameter(data, trainable: bool, name: str) -> Parameter:
-    return Parameter(Tensor(np.asarray(data, dtype=np.float64)), trainable, name)
+    return Parameter(Tensor(data), trainable, name)
 
 
 def _tensor_of(value) -> Tensor:

@@ -90,12 +90,19 @@ class TestForward:
                          vocab=12, seqlen=5, num_labels=3)
         model = build_model(spec, seed=2024)
         logits = forward(model, tiny_tokens[:2]).data
-        # frozen golden values from the first verified run of this configuration
+        # frozen golden values of the float32 model, compared bit for bit
         golden = np.array([
+            [0.07142171, -0.0346533, -0.022805283],
+            [0.0822984, -0.009517075, -0.07798218],
+        ], dtype=np.float32)
+        assert logits.dtype == np.float32
+        assert logits.tobytes() == golden.tobytes()
+        # the same configuration's logits when the model was float64
+        golden_float64 = np.array([
             [0.0714217120065039, -0.03465329193142037, -0.022805332312550903],
             [0.08229840649731744, -0.009517061480671302, -0.07798217541428816],
         ])
-        assert np.allclose(logits, golden, rtol=0, atol=1e-15)
+        assert np.allclose(logits, golden_float64, rtol=0, atol=1e-6)
 
 
 class TestBoundary:

@@ -1,0 +1,138 @@
+"""The model computes in float32; the kernel follows its inputs' dtype."""
+
+import numpy as np
+import pytest
+
+from fedtune import adapter as adapter_mod
+from fedtune import configurator as conf_mod
+from fedtune import fed as fed_mod
+from fedtune import model as model_mod
+from fedtune import tensor_nn as tn
+from fedtune.adapter import AdapterConfig, TuningScheme
+from fedtune.errors import ContractViolation, ProtocolError
+from fedtune.model import EvalStore, ModelSpec, build_model, forward
+from fedtune.tensor_nn import SeededRng
+
+F32 = np.dtype(np.float32)
+
+
+def _as_float64(model):
+    """Cast every parameter of ``model`` to float64 in place."""
+    for p in model.parameters():
+        p.tensor.data = p.tensor.data.astype(np.float64)
+    return model
+
+
+def _track(world, scheme):
+    model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
+    return conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme))
+
+
+class TestSessionDtypes:
+    @pytest.fixture
+    def recorded(self, monkeypatch, small_world):
+        """One round of a fixed adapter track, one of a full fine-tuning track, one evaluation."""
+        world = small_world
+        models, grads, updates, merged = [], [], [], []
+
+        def recording_materialize(*args, _inner=adapter_mod.materialize, **kwargs):
+            models.append(_inner(*args, **kwargs))
+            return models[-1]
+
+        def recording_sgd_step(params, lr, _inner=tn.sgd_step):
+            params = list(params)
+            grads.extend(p.grad for p in params if p.trainable)
+            _inner(params, lr)
+
+        def recording_fedavg(batch, _inner=fed_mod.fedavg):
+            updates.extend(batch)
+            merged.append(_inner(batch))
+            return merged[-1]
+
+        monkeypatch.setattr(adapter_mod, "materialize", recording_materialize)
+        monkeypatch.setattr(tn, "sgd_step", recording_sgd_step)
+        monkeypatch.setattr(fed_mod, "fedavg", recording_fedavg)
+        cfg = world.config
+        tracks = []
+        for scheme in (TuningScheme("adapter", AdapterConfig(2, 8, 8)), TuningScheme("full")):
+            track = _track(world, scheme)
+            fed_mod.run_round(world.server, [track], cfg.participants_per_group,
+                              backbone=world.backbone, epochs=1, lr=cfg.learning_rate,
+                              cache_enabled=True)
+            tracks.append(track)
+        store = EvalStore(world.backbone, world.test_tokens)
+        conf_mod.evaluate_tracks(tracks, world.backbone, store,
+                                 world.test_tokens, world.test_labels)
+        return world, models, grads, updates, merged, store
+
+    def test_parameters_and_gradients_are_float32(self, recorded):
+        world, models, grads, *_ = recorded
+        assert {m.adapter_depth() for m in models} == {0, 2} and grads
+        for model in [world.backbone, *models]:
+            for p in model.parameters():
+                assert p.data.dtype == F32, p.name
+        assert all(g.dtype == F32 for g in grads)
+
+    def test_payloads_and_fedavg_are_float32(self, recorded):
+        _, _, _, updates, merged, _ = recorded
+        assert len(merged) == 2 and len(updates) == 2 * 2
+        for payload in [u.payload for u in updates] + merged:
+            for name, buf in payload.buffers.items():
+                assert buf.dtype == F32, name
+
+    def test_cache_entries_and_store_chunks_are_float32(self, recorded):
+        world, *_, store = recorded
+        entries = [e for c in world.server.registry.values() for e in c.cache.entries.values()]
+        assert entries
+        assert all(e.activations.dtype == F32 for e in entries)
+        assert store.resume_points() == [2]
+        for r in store.resume_points():
+            assert all(chunk.dtype == F32 for chunk in store.activations(r))
+
+    def test_float64_graph_stays_float64_through_backward(self, tiny_model, tiny_tokens):
+        model = _as_float64(adapter_mod.insert_adapters(
+            tiny_model, AdapterConfig(1, 8, 8), SeededRng(7)))
+        logits = forward(model, tiny_tokens)
+        loss = tn.cross_entropy_loss(logits, np.array([0, 1, 2]))
+        assert logits.data.dtype == loss.data.dtype == np.float64
+        loss.backward()
+        grads = [p.grad for p in model.trainable_parameters()]
+        assert grads and all(g.dtype == np.float64 for g in grads)
+
+    def test_non_floating_input_becomes_float64(self):
+        assert tn.Tensor(np.arange(3)).data.dtype == np.float64
+        assert tn.Tensor(np.arange(3, dtype=np.float32)).data.dtype == F32
+
+
+class TestNoSilentCast:
+    def test_float64_cached_activation_rejected(self, tiny_model, tiny_tokens):
+        act = model_mod.compute_boundary_activation(tiny_model, tiny_tokens, 1)
+        assert act.dtype == F32
+        model_mod.forward_from_boundary(tiny_model, 1, act)
+        with pytest.raises(ContractViolation, match="dtype"):
+            model_mod.forward_from_boundary(tiny_model, 1, act.astype(np.float64))
+
+    def test_float64_payload_buffer_rejected(self, tiny_model):
+        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
+        payload = adapter_mod.extract_payload(
+            adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1)), scheme)
+        adapter_mod.materialize(tiny_model, scheme, payload)
+        name = "block02.adapter00.w_up"
+        payload.buffers[name] = payload.buffers[name].astype(np.float64)
+        with pytest.raises(ProtocolError, match=name):
+            adapter_mod.materialize(tiny_model, scheme, payload)
+
+
+class TestPrecision:
+    def test_float64_copy_agrees_to_float32_precision(self):
+        # the 165-sample set of test_model.TestEvaluate
+        spec = ModelSpec(num_layers=3, hidden=16, heads=2, ffn_dim=32,
+                         vocab=24, seqlen=8, num_labels=3)
+        model = build_model(spec, 2)
+        tokens = SeededRng(8).integers(0, 24, size=(165, 8))
+        logits32 = forward(model, tokens).data
+        logits64 = forward(_as_float64(model), tokens).data
+        assert logits32.dtype == F32 and logits64.dtype == np.float64
+        # logits are O(0.1) here; the largest gap seen was 1e-7, about one eps
+        assert np.abs(logits32 - logits64).max() <= 16 * np.finfo(np.float32).eps
+        assert np.array_equal(logits32.argmax(axis=1), logits64.argmax(axis=1))

@@ -35,6 +35,19 @@ def test_cache_does_not_change_accuracies(tmp_path):
     assert evals[0] == evals[1]
 
 
+@pytest.mark.parametrize("epochs, hits, recomputes, round_seconds", [
+    (1, 0, 18, 2.0733493333333337),
+    (2, 18, 18, 3.848349333333334),
+    (3, 36, 18, 5.6233493333333335),
+])
+def test_later_local_epochs_hit_the_cache(epochs, hits, recomputes, round_seconds, tmp_path):
+    """A new watermark recomputes each batch once per round, not once per epoch."""
+    result = _run(small_session_doc(local_epochs=epochs, max_rounds=1), tmp_path / "t.jsonl")
+    [round_event] = trace_mod.events_of_kind(result.events, "round")
+    assert (round_event["cache_hits"], round_event["cache_recomputes"]) == (hits, recomputes)
+    assert round_event["round_seconds"] == round_seconds
+
+
 @pytest.mark.parametrize("mode", ["fixed_adapter", "full_ft", "layer_freeze"])
 def test_fixed_modes_dispatch_once_and_never_decide(mode, tmp_path):
     result = _run(MODE_DOCS[mode], tmp_path / "t.jsonl")

@@ -1,20 +1,27 @@
-"""Per-client cross-round activation cache with depth-watermark expiration.
+"""Per-client cross-round activation cache: the emulated ledger.
 
-For every local batch a client stores the frozen-prefix activation its
-training resumes from. The entry is keyed to the device boundary b, the
-deepest frozen layer at the depth watermark. The watermark is the session's
-running max depth: the deepest tuning depth of any track dispatched in the
-current round. Configurations only grow, so that is also the deepest depth
-dispatched since the client last took part, and it never falls. An entry
-stays valid while the watermark equals the depth at store time; once the
-watermark rises, the boundary moves down and the activation is recomputed
-and recached. A session therefore expires the cache at most once per depth
+For every local batch a client caches the frozen-prefix activation its
+training resumes from. In the emulation the cache matters only through its
+ledger: the depth watermark it was stored at, the resume point of each
+batch's entry, and the hit and recompute counts that price each batch on
+the emulated clock. The arrays themselves live in the session's one host
+store (``model.PrefixStore``); a ledger entry refers to the store's array
+for its batch, so nothing is held twice.
+
+An entry is keyed to the device boundary b, the deepest frozen layer at
+the depth watermark. The watermark is the session's running max depth: the
+deepest tuning depth of any track dispatched in the current round.
+Configurations only grow, so that is also the deepest depth dispatched
+since the client last took part, and it never falls. An entry stays valid
+while the watermark equals the depth at store time; once the watermark
+rises, the boundary moves down and the activation is recomputed and
+recached. A session therefore expires the cache at most once per depth
 increase, i.e. at most D times. A falling watermark breaks that bound and
 is a ContractViolation.
 
 The host keeps more than the device boundary's output. Adapters sit after
 a layer's second layer norm, so the whole backbone of layer b+1 is frozen
-too: the entry holds the backbone output through layer b+1, the lowest
+too: the entry refers to the backbone output through layer b+1, the lowest
 adapter's input (``model.resume_layer``; under layer freezing, where layer
 b+1 is trainable, it is the output of layer b). An entry records that
 resume point; one stored for another counts as an integrity failure and is
@@ -23,60 +30,62 @@ batch (``costmodel.batch_time_from_boundary`` is priced with b), as for the
 paper's adapters inside the layer; that is a stated departure of the host
 from the emulated device.
 
-This cache serves training only. Evaluation has its own server-side store
-of the global test set's frozen-prefix activations (``model.EvalStore``),
-bounded by the same argument: it rebuilds from the embedding at most D
-times per session. It does not go through ``fetch_or_recompute``, so the
-hit and recompute counts here and in the trace stay client-side counts.
+The ledger counts client-side lookups only. Evaluation reads the same
+store for the global test set, but not through ``fetch_or_recompute``, so
+the hit and recompute counts here and in the trace stay client-side counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Hashable
 
 import numpy as np
 
 from . import model as model_mod
 from .errors import ContractViolation
-from .model import ModelState
+from .model import ModelState, PrefixStore
 
 
 @dataclass
 class CacheEntry:
-    batch_id: int
-    resume: int          # layer whose backbone output is stored (0 = embeddings)
-    activations: np.ndarray  # [B, S, n]
+    resume: int          # layer whose backbone output is referred to (0 = embeddings)
+    activations: np.ndarray  # [B, S, n], the store's read-only array
 
 
 @dataclass
 class ActivationCache:
-    """One client's store; ``depth_at_store`` is the watermark it was stored at."""
+    """One client's ledger; ``depth_at_store`` is the watermark it was stored at."""
 
-    entries: dict[int, CacheEntry] = field(default_factory=dict)
+    entries: dict[Hashable, CacheEntry] = field(default_factory=dict)
     depth_at_store: int | None = None
     integrity_failures: int = 0
 
 
 def fetch_or_recompute(
     cache: ActivationCache,
+    store: PrefixStore,
     model: ModelState,
-    batch_id: int,
+    key: Hashable,
     tokens: np.ndarray,
     depth_watermark: int,
 ) -> tuple[int, np.ndarray, bool]:
-    """Serve a stored activation or recompute it at the watermark boundary.
+    """Serve a cached activation or recompute it at the watermark boundary.
 
-    Returns (boundary, activations, recomputed): the device boundary b the
-    batch is priced with, and the backbone output through
-    ``model.resume_layer(model, b)``, where training resumes. A hit requires
-    that an entry exists, that the watermark equals the depth the cache was
-    stored at, and that the entry was stored for this resume point with the
-    batch's shape; an entry failing the last check counts as an integrity
-    failure and is recomputed. A watermark below the stored depth is a
-    ContractViolation, raised before the cache is touched: tuning depths
-    only grow, and that is what bounds the recomputes. A stored activation
-    is read-only, as in ``model.EvalStore``: a kernel that wrote into its
-    input would otherwise corrupt the client's cache for every later round.
+    ``key`` names the batch in the ledger and in ``store``
+    (``(client_id, batch_id)``). Returns (boundary, activations,
+    recomputed): the device boundary b the batch is priced with, and the
+    backbone output through ``model.resume_layer(model, b)``, where
+    training resumes. A hit requires that an entry exists, that the
+    watermark equals the depth the cache was stored at, and that the entry
+    was stored for this resume point with the batch's shape; an entry
+    failing the last check counts as an integrity failure and is
+    recomputed. A watermark below the stored depth is a ContractViolation,
+    raised before the cache is touched: tuning depths only grow, and that
+    is what bounds the recomputes. A recompute takes its array from
+    ``store``, which drops the entry's chunk at its old resume point. A key
+    asked for with tokens other than its first is a ContractViolation
+    there.
     """
     d_prev = cache.depth_at_store
     if d_prev is not None and depth_watermark < d_prev:
@@ -84,13 +93,15 @@ def fetch_or_recompute(
             f"depth watermark {depth_watermark} fell below the stored depth {d_prev}")
     boundary = model.spec.num_layers - depth_watermark
     resume = model_mod.resume_layer(model, boundary)
-    entry = cache.entries.get(batch_id)
-    if entry is not None and depth_watermark == d_prev:
-        act = entry.activations
-        if entry.resume == resume and act.shape == (*tokens.shape, model.spec.hidden):
-            return boundary, act, False
-        cache.integrity_failures += 1
-    activations = model_mod.compute_boundary_activation(model, tokens, resume)
-    activations.flags.writeable = False
-    cache.entries[batch_id] = CacheEntry(batch_id, resume, activations)
+    entry = cache.entries.get(key)
+    if entry is not None:
+        if depth_watermark == d_prev:
+            act = entry.activations
+            if entry.resume == resume and act.shape == (*tokens.shape, model.spec.hidden):
+                return boundary, act, False
+            cache.integrity_failures += 1
+        if entry.resume != resume:
+            store.release(entry.resume, key)
+    activations = store.activation(resume, key, tokens)
+    cache.entries[key] = CacheEntry(resume, activations)
     return boundary, activations, True

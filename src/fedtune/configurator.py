@@ -145,12 +145,14 @@ def decide_winner(tracks: list[TrialTrack]) -> TrialTrack:
 
 
 def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
-                    store: model_mod.EvalStore, test_tokens, test_labels) -> list[float]:
+                    store: model_mod.PrefixStore, test_tokens, test_labels) -> list[float]:
     """Accuracy of every live track on the global test set, in track order.
 
-    The store keeps exactly the resume points these tracks resume from (the
-    lowest adapter's input, see ``model.resume_layer``); a track without a
-    frozen prefix (full fine-tuning) runs the plain forward.
+    The store first drops every resume point none of these tracks resumes
+    from (each resumes at the lowest adapter's input, see
+    ``model.resume_layer``); evaluation then builds the test chunks it
+    lacks. A track without a frozen prefix (full fine-tuning) runs the
+    plain forward.
     """
     num_layers = backbone.spec.num_layers
     models = [adapter_mod.materialize(backbone, t.payload.scheme, t.payload) for t in tracks]
@@ -210,13 +212,15 @@ def run_session(
     ``evaluate_tracks``. With a configurator ``state``, ``tracks`` is its
     first ``dispatch`` and decisions happen when the current track's clock
     passes the trial interval; without one, the tracks are never replaced.
-    Two frozen-prefix stores are at work: each client's ``ActivationCache``
-    serves its training batches, and one server-side ``model.EvalStore``
-    per session serves evaluation, rebuilt from the embedding at most D
-    times because depths only grow.
+    One ``model.PrefixStore`` per session holds every frozen-prefix
+    activation on the host: the clients' training batches and the test
+    set's chunks. Each client's ``ActivationCache`` is a ledger that refers
+    into it and decides, as the emulated device would, which batches hit
+    and which are recomputed. Each chunk is built from the embedding at
+    most D times because depths only grow.
     """
     num_layers = backbone.spec.num_layers
-    store = model_mod.EvalStore(backbone, test_tokens)
+    store = model_mod.PrefixStore(backbone)
     iteration = 0
     _emit_dispatch(writer, iteration, 0.0, tracks, num_layers)
     configs_visited = [tracks[0].depth_width(num_layers)]
@@ -228,7 +232,8 @@ def run_session(
     while rounds < max_rounds and not reached:
         report = fed_mod.run_round(
             server, tracks, participants_total,
-            backbone=backbone, epochs=epochs, lr=lr, cache_enabled=cache_enabled)
+            backbone=backbone, epochs=epochs, lr=lr, cache_enabled=cache_enabled,
+            store=store)
         rounds = report.round_index
         for track, stat in zip(tracks, report.tracks):
             writer.emit({"evt": "round", "round": report.round_index,

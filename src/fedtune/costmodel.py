@@ -75,8 +75,8 @@ def batch_time_from_boundary(profile: DeviceProfile, num_layers: int, tuning_dep
 
     ``boundary`` is the device boundary b, the deepest frozen layer. The
     host resumes higher, at the lowest adapter's input: the backbone of
-    layer b+1 is frozen too and is kept in the cache with the activation
-    (``model.resume_layer``). The emulated device is still charged layer
+    layer b+1 is frozen too, so the host store keeps its output in place
+    of the boundary's (``model.resume_layer``, ``model.PrefixStore``). The emulated device is still charged layer
     b+1's body on every batch, as for the paper's adapters inside the
     layer. That is a stated departure; pricing the resume point instead
     would change every emulated time and energy.

@@ -26,7 +26,7 @@ from .adapter import AdapterPayload
 from .cache import ActivationCache
 from .costmodel import DeviceProfile, NetworkProfile
 from .errors import AggregationError, SelectionError, TrainingError
-from .model import ModelState
+from .model import ModelState, PrefixStore
 from .tensor_nn import SeededRng
 
 
@@ -110,14 +110,17 @@ def local_train(
     lr: float,
     cache_enabled: bool,
     depth_watermark: int,
+    store: PrefixStore,
 ) -> tuple[AdapterPayload, int, LocalStats]:
     """Run E local passes of SGD over the client's fixed batches.
 
-    The payload is materialized onto the shared frozen backbone; with the
-    cache enabled, the bottom frozen path runs at most once per batch per
-    watermark change and is otherwise served from the client's store, and
-    the forward pass resumes at the lowest adapter's input. Each batch is
-    priced at the device boundary, one layer below that.
+    The payload is materialized onto the shared frozen backbone. With the
+    cache enabled, the client's ledger decides per batch whether the bottom
+    frozen path is recomputed (at most once per batch per watermark
+    change); the session's ``store`` holds its output under ``(client.id,
+    batch.batch_id)``, and the forward pass resumes at the lowest adapter's
+    input. Each batch is priced at the device boundary, one layer below
+    that.
     """
     if not client.train_batches:
         raise TrainingError(f"client {client.id} has no training data")
@@ -132,8 +135,8 @@ def local_train(
         for batch in client.train_batches:
             if use_cache:
                 boundary, act, recomputed = cache_mod.fetch_or_recompute(
-                    client.cache, model, batch.batch_id, batch.tokens,
-                    depth_watermark)
+                    client.cache, store, model, (client.id, batch.batch_id),
+                    batch.tokens, depth_watermark)
                 logits = model_mod.forward_from_boundary(
                     model, model_mod.resume_layer(model, boundary), act)
                 if recomputed:
@@ -203,13 +206,15 @@ def run_round(
     epochs: int,
     lr: float,
     cache_enabled: bool,
+    store: PrefixStore,
 ) -> RoundReport:
     """One synchronous round: select, dispatch, train, aggregate, advance clocks.
 
     ``tracks`` are configurator.TrialTrack objects: one for a fixed
     configuration, up to three while the configurator searches. All live
     tracks advance together: each gets its group's aggregated payload and
-    moves its ``clock`` by its own emulated round time.
+    moves its ``clock`` by its own emulated round time. ``store`` is the
+    session's frozen-prefix store, which the clients' caches refer into.
     """
     if not tracks:
         raise SelectionError("run_round requires at least one track")
@@ -235,7 +240,7 @@ def run_round(
             new_payload, n_samples, stats = local_train(
                 client, backbone, track.payload,
                 epochs=epochs, lr=lr, cache_enabled=cache_enabled,
-                depth_watermark=max_depth)
+                depth_watermark=max_depth, store=store)
             updates.append(ClientUpdate(cid, new_payload, n_samples))
             down_s, up_s = costmodel.transfer_seconds(payload_size, client.net)
             client_time = down_s + stats.compute_seconds + up_s

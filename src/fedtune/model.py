@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Hashable, Iterator
 
 import numpy as np
 
@@ -30,11 +30,12 @@ LN_EPS = 1e-5
 EMBED_INIT_STD = 1.0
 ADAPTER_INIT_STD = 0.02  # also used for the classifier head
 DTYPE = np.float32  # of every model buffer
-# Samples per evaluation chunk, shared by ``evaluate`` and ``EvalStore``. At
-# the mid shape (6 layers, hidden 64, seqlen 32) time per sample is lowest at
-# 16-32 samples; a 32-sample chunk's transient activations are 1/8 of a
-# 256-sample chunk's. Logits are the same bits as at 256 (see ``evaluate``),
-# re-checked in float32, which runs other BLAS kernels.
+# Samples per evaluation chunk: ``evaluate`` runs, and ``PrefixStore`` keeps
+# the test set's frozen prefix, in chunks of this size. At the mid shape (6
+# layers, hidden 64, seqlen 32) time per sample is lowest at 16-32 samples; a
+# 32-sample chunk's transient activations are 1/8 of a 256-sample chunk's.
+# Logits are the same bits as at 256 (see ``evaluate``), re-checked in
+# float32, which runs other BLAS kernels.
 EVAL_CHUNK = 32
 
 
@@ -322,7 +323,8 @@ def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray
     """Resume the forward pass at the input of layer ``resume``'s adapters.
 
     ``cached_act`` is the backbone output through layer ``resume`` (see
-    ``compute_boundary_activation``); this applies that layer's adapters,
+    ``compute_boundary_activation``), as ``PrefixStore`` holds it for a
+    training batch or a test chunk; this applies that layer's adapters,
     then layers ``resume + 1`` to D and the classifier. Under an adapter
     scheme the resume point is the lowest adapted layer, one above the
     device boundary, so no frozen layer body runs again on the host (see
@@ -330,8 +332,8 @@ def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray
     on every batch, as for the paper's adapters inside the layer
     (``costmodel.batch_time_from_boundary`` is priced at the boundary).
     Bit-identical to ``forward`` when ``cached_act`` equals the true
-    backbone output, because the remaining computation is the same
-    instruction sequence either way.
+    backbone output of the same chunk, because the remaining computation
+    is the same instruction sequence either way.
     """
     _check_boundary(model, resume)
     act = np.asarray(cached_act)
@@ -350,63 +352,54 @@ def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray
     return _classify(model, _run_blocks(model, h, resume + 1))
 
 
-class EvalStore:
-    """Server-side frozen-prefix activations of one fixed evaluation set.
+class PrefixStore:
+    """The session's one host store of frozen-prefix activations.
 
-    Holds the backbone output through layer ``r`` (0 = embedding output)
-    for every resume point ``r`` a live track resumes from (see
-    ``resume_layer``): under an adapter scheme that is the lowest adapter's
-    input, so evaluating a track runs no frozen layer body. The outputs are
-    split into the same chunks ``evaluate`` uses (``EVAL_CHUNK``, 32
-    samples: the fastest size per sample at the mid shape, and 1/8 of the
-    transient of 256), so every resumed op sees the shapes of a full
-    ``forward`` and the logits are bit-identical. A new
-    resume point is derived from the nearest stored lower one by running
-    only the frozen layers in between; the embedding is the starting point
-    only when no lower one is stored (counted in ``embedding_builds``).
-    Tuning depths only grow, so the lowest live resume point only falls,
-    and a session rebuilds from the embedding at most D times. Evaluation
-    runs on the server and is not on the emulated clock; training, which
-    is, is still charged the body of the lowest adapted layer
-    (``costmodel.batch_time_from_boundary``).
+    Holds the read-only backbone output through a resume point ``r`` (0 =
+    embedding output; see ``resume_layer``) for caller-keyed chunks: one
+    client's training batch, keyed ``(client_id, batch_id)`` by
+    ``cache.fetch_or_recompute``, or ``EVAL_CHUNK`` test samples, keyed
+    ``("test", start)`` by ``evaluate``. A chunk keeps the shape it is
+    trained or evaluated with, so resuming from it is bit-identical to a
+    full ``forward``. It is built from the embedding on first use; tuning
+    depths only grow, so the live resume points only fall and each chunk is
+    built at most D times per session. Asking for a key with other tokens
+    than its first (other data, or another chunking) is a ContractViolation.
     """
 
-    def __init__(self, backbone: ModelState, tokens: np.ndarray, chunk: int = EVAL_CHUNK):
+    def __init__(self, backbone: ModelState):
         if backbone.adapter_depth() != 0:
-            raise ContractViolation("evaluation store needs the adapter-free backbone")
+            raise ContractViolation("the prefix store needs the adapter-free backbone")
         self.backbone = backbone
-        self.tokens = np.asarray(tokens)
-        self.chunk = chunk
-        self.embedding_builds = 0
-        self._acts: dict[int, list[np.ndarray]] = {}
+        self._tokens: dict[Hashable, np.ndarray] = {}
+        self._acts: dict[int, dict[Hashable, np.ndarray]] = {}
 
     def resume_points(self) -> list[int]:
         return sorted(self._acts)
 
+    def activation(self, resume: int, key: Hashable, tokens: np.ndarray) -> np.ndarray:
+        """Backbone output through layer ``resume`` for the chunk ``key``, built on first use."""
+        known = self._tokens.setdefault(key, tokens)
+        if known is not tokens and not np.array_equal(known, tokens):
+            raise ContractViolation(f"prefix store chunk {key!r} was built for other tokens")
+        act = self._acts.get(resume, {}).get(key)
+        if act is None:
+            act = compute_boundary_activation(self.backbone, tokens, resume)
+            act.flags.writeable = False
+            self._acts.setdefault(resume, {})[key] = act
+        return act
+
     def retain(self, resume_points: set[int]) -> None:
-        """Drop every resume point not in ``resume_points``, then build the missing ones."""
+        """Drop every resume point not in ``resume_points``; builds nothing."""
         for r in set(self._acts) - set(resume_points):
             del self._acts[r]
-        for r in sorted(resume_points):
-            self.activations(r)
 
-    def activations(self, resume: int) -> list[np.ndarray]:
-        """Per-chunk backbone outputs through layer ``resume``, built on first use."""
-        if resume not in self._acts:
-            _check_boundary(self.backbone, resume)
-            lower = max((r for r in self._acts if r < resume), default=None)
-            if lower is None:
-                self.embedding_builds += 1
-                acts = [compute_boundary_activation(self.backbone, self.tokens[s:s + self.chunk],
-                                                    resume)
-                        for s in range(0, self.tokens.shape[0], self.chunk)]
-            else:
-                acts = [_run_blocks(self.backbone, Tensor(act), lower + 1, resume).data
-                        for act in self._acts[lower]]
-            for act in acts:
-                act.flags.writeable = False
-            self._acts[resume] = acts
-        return self._acts[resume]
+    def release(self, resume: int, key: Hashable) -> None:
+        """Drop the chunk ``key`` at ``resume``, if held: its ledger entry moved off it."""
+        chunks = self._acts.get(resume, {})
+        chunks.pop(key, None)
+        if not chunks:
+            self._acts.pop(resume, None)
 
 
 @contextmanager
@@ -428,7 +421,7 @@ def _graph_free(model: ModelState):
 
 
 def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
-             chunk: int = EVAL_CHUNK, *, store: EvalStore | None = None,
+             chunk: int = EVAL_CHUNK, *, store: PrefixStore | None = None,
              resume: int | None = None) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
@@ -440,27 +433,24 @@ def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
     again when the model moved to float32, which runs other BLAS kernels
     (``test_eval_chunks_give_whole_set_logits``). With a ``store`` and a
     ``resume`` point (see ``resume_layer``), each chunk resumes from the
-    stored backbone output through that layer instead of running the frozen
-    prefix again; the accuracy is identical to the plain forward's.
-    ``resume=None`` (full fine-tuning has no frozen prefix) always runs the
-    plain forward.
+    store's backbone output through that layer, keyed ``("test", start)``,
+    instead of running the frozen prefix again; the accuracy is identical
+    to the plain forward's. ``resume=None`` (full fine-tuning has no frozen
+    prefix) always runs the plain forward.
     """
     tokens = np.asarray(tokens)
     labels = np.asarray(labels, dtype=np.int64)
     if tokens.shape[0] == 0:
         raise EvaluationError("cannot evaluate an empty shard")
-    acts = None
-    if store is not None and resume is not None:
-        if chunk != store.chunk or not np.array_equal(tokens, store.tokens):
-            raise ContractViolation("evaluation store was built for other tokens or chunking")
-        acts = store.activations(resume)
+    resumed = store is not None and resume is not None
     correct = 0
     with _graph_free(model):
-        for i, start in enumerate(range(0, tokens.shape[0], chunk)):
-            if acts is None:
-                logits = forward(model, tokens[start:start + chunk])
+        for start in range(0, tokens.shape[0], chunk):
+            part = tokens[start:start + chunk]
+            if resumed:
+                logits = forward_from_boundary(
+                    model, resume, store.activation(resume, ("test", start), part))
             else:
-                logits = forward_from_boundary(model, resume, acts[i])
+                logits = forward(model, part)
             correct += int((logits.data.argmax(axis=1) == labels[start:start + chunk]).sum())
     return correct / tokens.shape[0]
-

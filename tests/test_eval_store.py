@@ -1,14 +1,21 @@
-"""Server-side evaluation store and graph-free evaluation."""
+"""The session's frozen-prefix store, the client ledger, and graph-free evaluation."""
+
+import gc
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fedtune import adapter as adapter_mod
+from fedtune import cache as cache_mod
+from fedtune import configurator as conf_mod
+from fedtune import fed as fed_mod
 from fedtune import model as model_mod
 from fedtune import session as session_mod
 from fedtune.adapter import AdapterConfig, TuningScheme
 from fedtune.errors import ContractViolation, DataError, EvaluationError
-from fedtune.model import EvalStore, ModelSpec, build_model, evaluate
+from fedtune.model import ModelSpec, PrefixStore, build_model, evaluate
 from fedtune.tensor_nn import SeededRng
 
 from conftest import small_session_doc
@@ -18,27 +25,44 @@ CLIMBING_DOC = small_session_doc(mode="autofed", max_rounds=12,
                                  configurator={"trial_intvl_s": 1.0})
 
 
-class RecordingStore(EvalStore):
-    """Store that remembers the most resume points it ever held at once."""
+class RecordingStore(PrefixStore):
+    """Store that records every key asked for and the resume points held after each ask."""
 
     instances = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.max_held = 0
+        self.asked = []  # (resume, key, resume points held afterwards)
         RecordingStore.instances.append(self)
 
-    def activations(self, resume):
-        acts = super().activations(resume)
-        self.max_held = max(self.max_held, len(self.resume_points()))
-        return acts
+    def activation(self, resume, key, tokens):
+        act = super().activation(resume, key, tokens)
+        self.asked.append((resume, key, self.resume_points()))
+        return act
 
 
 @pytest.fixture
-def climbing_run(monkeypatch, tmp_path):
-    """Run the climbing session; evaluate every track a second time without the store."""
+def builds(monkeypatch):
+    """Calls of ``compute_boundary_activation``, as (tokens, resume)."""
+    calls = []
+
+    def spy(backbone, tokens, resume, _inner=model_mod.compute_boundary_activation):
+        calls.append((tokens, resume))
+        return _inner(backbone, tokens, resume)
+
+    monkeypatch.setattr(model_mod, "compute_boundary_activation", spy)
+    return calls
+
+
+@pytest.fixture
+def climbing_run(monkeypatch, tmp_path, builds):
+    """Run the climbing session; evaluate every track a second time without the store.
+
+    Also records, per store key, how often its chunk was built, and the
+    resume points held after each ``evaluate_tracks``.
+    """
     RecordingStore.instances = []
-    monkeypatch.setattr(model_mod, "EvalStore", RecordingStore)
+    monkeypatch.setattr(model_mod, "PrefixStore", RecordingStore)
     logits = []
     for name in ("forward", "forward_from_boundary"):
         def recording(*args, _inner=getattr(model_mod, name)):
@@ -59,14 +83,33 @@ def climbing_run(monkeypatch, tmp_path):
         return acc
 
     monkeypatch.setattr(model_mod, "evaluate", checking_evaluate)
+    per_key = Counter()
+    store_activation = RecordingStore.activation
+
+    def counting_activation(self, resume, key, tokens):
+        before = len(builds)
+        act = store_activation(self, resume, key, tokens)
+        per_key[key] += len(builds) - before
+        return act
+
+    monkeypatch.setattr(RecordingStore, "activation", counting_activation)
+    after_eval = []
+
+    def recording_evaluate_tracks(tracks, backbone, store, *args,
+                                  _inner=conf_mod.evaluate_tracks):
+        accs = _inner(tracks, backbone, store, *args)
+        after_eval.append(store.resume_points())
+        return accs
+
+    monkeypatch.setattr(conf_mod, "evaluate_tracks", recording_evaluate_tracks)
     cfg = session_mod.config_from_dict(CLIMBING_DOC)
     result = session_mod.run_session_config(cfg, str(tmp_path / "climb.trace.jsonl"))
-    return cfg, result, checked
+    return cfg, result, checked, per_key, after_eval
 
 
 class TestSessionStore:
     def test_store_logits_equal_plain_forward(self, climbing_run):
-        cfg, result, checked = climbing_run
+        cfg, result, checked, _, _ = climbing_run
         assert result.summary["configs_visited"][-1][0] == cfg.model.num_layers
         # depth 0 and depth 1 both resume at layer D, depth d >= 1 at D - d + 1
         assert {c[0] for c in checked} == set(range(1, cfg.model.num_layers + 1))
@@ -75,23 +118,110 @@ class TestSessionStore:
             assert len(store_logits) == len(plain_logits) == 1
             assert np.array_equal(store_logits[0], plain_logits[0]), resume
 
-    def test_embedding_builds_bounded_by_depth(self, climbing_run):
-        cfg, _, _ = climbing_run
-        [store] = RecordingStore.instances
-        assert 1 <= store.embedding_builds <= cfg.model.num_layers
+    def test_embedding_builds_bounded_by_depth(self, climbing_run, builds):
+        """Every chunk, training batch or test chunk, is built at most D times."""
+        cfg, _, _, per_key, _ = climbing_run
+        assert sum(per_key.values()) == len(builds)
+        assert {k[0] for k in per_key} > {"test"}  # client keys are (client id, batch id)
+        assert 1 <= max(per_key.values()) <= cfg.model.num_layers
+        assert per_key[("test", 0)] == cfg.model.num_layers
 
     def test_at_most_two_boundaries_held(self, climbing_run):
-        """At most two resume points are held at once."""
-        [store] = RecordingStore.instances
-        assert store.max_held == 2
+        """At most two resume points are held after each evaluation."""
+        *_, after_eval = climbing_run
+        held = [len(points) for points in after_eval]
+        assert max(held) == 2 and min(held) >= 1
 
-    def test_full_ft_keeps_plain_forward(self, monkeypatch, tmp_path):
+    def test_at_most_three_points_held_within_a_round(self, climbing_run):
+        """A third point is only the watermark's new one, before its first evaluation."""
+        [store] = RecordingStore.instances
+        assert max(len(points) for _, _, points in store.asked) == 3
+        evaluated = set()
+        for resume, key, points in store.asked:
+            if len(points) == 3:
+                assert key[0] != "test" and resume == min(points), (resume, key)
+                assert resume not in evaluated
+            if key[0] == "test":
+                evaluated.add(resume)
+
+    def test_full_ft_keeps_plain_forward(self, monkeypatch, tmp_path, builds):
         RecordingStore.instances = []
-        monkeypatch.setattr(model_mod, "EvalStore", RecordingStore)
+        monkeypatch.setattr(model_mod, "PrefixStore", RecordingStore)
         cfg = session_mod.config_from_dict(small_session_doc(mode="full_ft", max_rounds=1))
         session_mod.run_session_config(cfg, str(tmp_path / "ft.trace.jsonl"))
         [store] = RecordingStore.instances
-        assert store.resume_points() == [] and store.embedding_builds == 0
+        assert store.resume_points() == [] and store.asked == [] and builds == []
+
+
+class TestLedger:
+    def test_entries_are_the_store_arrays(self, small_world, builds):
+        world, cfg = small_world, small_world.config
+        scheme = TuningScheme("adapter", AdapterConfig(2, 8, 8))
+        model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
+        track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT,
+                                    adapter_mod.extract_payload(model, scheme))
+        store = PrefixStore(world.backbone)
+        report = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
+                                   backbone=world.backbone, epochs=1, lr=cfg.learning_rate,
+                                   cache_enabled=True, store=store)
+        built = len(builds)
+        clients = [world.server.registry[cid] for cid in report.tracks[0].participants]
+        assert built == sum(len(c.train_batches) for c in clients)
+        for client in clients:
+            assert sorted(client.cache.entries) == sorted(
+                (client.id, b.batch_id) for b in client.train_batches)
+            for batch in client.train_batches:
+                entry = client.cache.entries[(client.id, batch.batch_id)]
+                assert entry.resume == 2
+                assert entry.activations is store.activation(
+                    2, (client.id, batch.batch_id), batch.tokens)
+        assert len(builds) == built and store.resume_points() == [2]
+
+    def test_release_frees_old_point_on_move(self, small_world):
+        backbone = small_world.backbone
+        tokens = SeededRng(5).integers(0, 24, size=(4, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
+        model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(1))
+        store, cache = PrefixStore(backbone), cache_mod.ActivationCache()
+        store.activation(3, ("test", 0), tokens)  # the resume point stays live
+        _, act, _ = cache_mod.fetch_or_recompute(cache, store, model, (7, 0), tokens, 1)
+        cache.depth_at_store = 1
+        old = weakref.ref(act)
+        del act
+        boundary, fresh, recomputed = cache_mod.fetch_or_recompute(
+            cache, store, model, (7, 0), tokens, 2)
+        gc.collect()
+        assert (boundary, recomputed, cache.entries[(7, 0)].resume) == (1, True, 2)
+        assert old() is None and fresh is cache.entries[(7, 0)].activations
+        assert store.resume_points() == [2, 3]
+        store.release(3, ("test", 0))
+        assert store.resume_points() == [2]
+
+    def test_cache_disabled_session_keeps_only_test_chunks(self, monkeypatch, tmp_path):
+        RecordingStore.instances = []
+        monkeypatch.setattr(model_mod, "PrefixStore", RecordingStore)
+        # the autofed_no_cache golden config
+        cfg = session_mod.config_from_dict({**CLIMBING_DOC, "cache_enabled": False})
+        session_mod.run_session_config(cfg, str(tmp_path / "nc.trace.jsonl"))
+        [store] = RecordingStore.instances
+        assert store.asked and {key[0] for _, key, _ in store.asked} == {"test"}
+
+    def test_other_tokens_raise(self, small_world):
+        backbone = small_world.backbone
+        tokens = SeededRng(5).integers(0, 24, size=(4, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
+        model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(1))
+        store, cache = PrefixStore(backbone), cache_mod.ActivationCache()
+        cache_mod.fetch_or_recompute(cache, store, model, (7, 0), tokens, 1)
+        with pytest.raises(ContractViolation, match="other tokens"):
+            store.activation(3, (7, 0), tokens[::-1])
+        with pytest.raises(ContractViolation, match="other tokens"):
+            store.activation(2, (7, 0), tokens[:3])
+        # a second client's cache asking for the first client's key
+        with pytest.raises(ContractViolation, match="other tokens"):
+            cache_mod.fetch_or_recompute(cache_mod.ActivationCache(), store, model, (7, 0),
+                                         tokens + 1, 1)
+        assert store.activation(3, (7, 0), tokens.copy()) is cache.entries[(7, 0)].activations
 
 
 class TestStoreUnit:
@@ -105,13 +235,10 @@ class TestStoreUnit:
         rng = SeededRng(3)
         return rng.integers(0, 12, size=(7, 5)), rng.integers(0, 3, size=7)
 
-    def test_chunks_and_derived_boundaries_match_plain(self, spec, data):
+    def test_chunks_at_two_resume_points_match_plain(self, spec, data, builds):
         tokens, labels = data
         backbone = build_model(spec, 1)
-        store = EvalStore(backbone, tokens, chunk=3)
-        store.retain({2})
-        store.retain({2, 4})
-        assert store.resume_points() == [2, 4] and store.embedding_builds == 1
+        store = PrefixStore(backbone)
         for depth in (1, 3):
             scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
             model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(depth))
@@ -120,32 +247,38 @@ class TestStoreUnit:
             assert evaluate(model, tokens, labels, 3, store=store, resume=resume) == \
                 evaluate(model, tokens, labels, 3)
             logits = [model_mod.forward(model, tokens[s:s + 3]).data for s in (0, 3, 6)]
-            resumed = [model_mod.forward_from_boundary(model, resume, act).data
-                       for act in store.activations(resume)]
+            resumed = [model_mod.forward_from_boundary(
+                model, resume, store.activation(resume, ("test", s), tokens[s:s + 3])).data
+                for s in (0, 3, 6)]
             for a, b in zip(logits, resumed):
                 assert np.array_equal(a, b)
-        store.retain({4})
-        assert store.resume_points() == [4]
+        assert store.resume_points() == [2, 4]
+        # three chunks at each point, every one built from the embedding, once
+        assert [(t.shape[0], r) for t, r in builds] == [(3, 4), (3, 4), (1, 4),
+                                                        (3, 2), (3, 2), (1, 2)]
+        store.retain({2})
+        assert store.resume_points() == [2] and len(builds) == 6
 
     def test_stored_activations_are_read_only(self, spec, data):
-        store = EvalStore(build_model(spec, 1), data[0])
+        store = PrefixStore(build_model(spec, 1))
         with pytest.raises(ValueError):
-            store.activations(2)[0][0, 0, 0] = 1.0
+            store.activation(2, ("test", 0), data[0])[0, 0, 0] = 1.0
 
     def test_mismatched_tokens_rejected(self, spec, data):
         tokens, labels = data
         backbone = build_model(spec, 1)
-        store = EvalStore(backbone, tokens)
+        store = PrefixStore(backbone)
+        evaluate(backbone, tokens, labels, store=store, resume=4)
         with pytest.raises(ContractViolation):
             evaluate(backbone, tokens[::-1], labels, store=store, resume=4)
         with pytest.raises(ContractViolation):
             evaluate(backbone, tokens, labels, 2, store=store, resume=4)
 
-    def test_adapted_model_rejected_as_backbone(self, spec, data):
+    def test_adapted_model_rejected_as_backbone(self, spec):
         adapted = adapter_mod.insert_adapters(build_model(spec, 1), AdapterConfig(1, 8, 8),
                                               SeededRng(0))
         with pytest.raises(ContractViolation):
-            EvalStore(adapted, data[0])
+            PrefixStore(adapted)
 
 
 class TestGraphFree:
@@ -180,6 +313,6 @@ class TestGraphFree:
 
     def test_empty_set_raises_with_store(self, tiny_model):
         empty = np.zeros((0, 5), dtype=np.int64)
-        store = EvalStore(tiny_model, empty)
+        store = PrefixStore(tiny_model)
         with pytest.raises(EvaluationError):
             evaluate(tiny_model, empty, np.zeros(0, dtype=np.int64), store=store, resume=2)

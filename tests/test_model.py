@@ -16,6 +16,9 @@ from fedtune.model import ModelSpec, build_model, evaluate, forward, forward_fro
 from fedtune.tensor_nn import SeededRng
 
 
+KEY = (0, 0)  # (client id, batch id): a ledger entry's key in the cache and the store
+
+
 def model_bytes(model):
     return b"".join(p.tensor.data.tobytes() for p in model.parameters())
 
@@ -44,9 +47,9 @@ class TestBuildModel:
     def test_backbone_count_at_reference_shape(self, monkeypatch):
         spec = ModelSpec(num_layers=12, hidden=768, heads=12, ffn_dim=3072,
                          vocab=100, seqlen=16, num_labels=20)
-        # zero-stride draws: the 85M-scalar backbone is laid out without its 680 MB
-        monkeypatch.setattr(SeededRng, "normal",
-                            lambda self, mean, std, shape: np.broadcast_to(mean, shape))
+        # zero-stride draws: the 85M-scalar backbone is laid out without its 340 MB
+        monkeypatch.setattr(model_mod, "_draw",
+                            lambda rng, std, shape: np.broadcast_to(model_mod.DTYPE(0), shape))
         model = build_model(spec, 1)
         frozen = sum(p.size() for p in model.parameters() if not p.trainable)
         assert frozen == closed_form_backbone_count(spec) == 85_143_552
@@ -198,64 +201,70 @@ class TestResumePoint:
         with pytest.raises(ContractViolation, match="embedding"):
             model_mod.compute_boundary_activation(model, tokens, 0)
 
-    def test_cache_entry_for_other_resume_point_recomputed(self, small_spec, tokens):
+    @pytest.fixture
+    def depth1(self, small_spec):
+        """A depth-1 adapter model on the backbone, and an empty ledger and store."""
+        backbone = build_model(small_spec, 2)
         scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
-        model = adapter_mod.materialize(build_model(small_spec, 2), scheme, rng=SeededRng(1))
-        cache = cache_mod.ActivationCache()
-        boundary, act, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
-        assert (boundary, recomputed, cache.entries[0].resume) == (2, True, 3)
+        model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(1))
+        return model, cache_mod.ActivationCache(), model_mod.PrefixStore(backbone)
+
+    def test_cache_entry_for_other_resume_point_recomputed(self, depth1, tokens):
+        model, cache, store = depth1
+        boundary, act, recomputed = cache_mod.fetch_or_recompute(
+            cache, store, model, KEY, tokens, 1)
+        assert (boundary, recomputed, cache.entries[KEY].resume) == (2, True, 3)
         cache.depth_at_store = 1
-        _, hit, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+        _, hit, recomputed = cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1)
         assert hit is act and not recomputed
         stale = model_mod.compute_boundary_activation(model, tokens, 2)
-        cache.entries[0] = cache_mod.CacheEntry(0, 2, stale)
-        boundary, again, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+        cache.entries[KEY] = cache_mod.CacheEntry(2, stale)
+        boundary, again, recomputed = cache_mod.fetch_or_recompute(
+            cache, store, model, KEY, tokens, 1)
         assert (boundary, recomputed, cache.integrity_failures) == (2, True, 1)
-        assert cache.entries[0].resume == 3 and np.array_equal(again, act)
+        assert cache.entries[KEY].resume == 3 and np.array_equal(again, act)
 
     @pytest.fixture
-    def stored(self, small_spec, tokens):
-        """A depth-1 model and a cache stored at watermark 1 (boundary 2, resume 3)."""
-        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
-        model = adapter_mod.materialize(build_model(small_spec, 2), scheme, rng=SeededRng(1))
-        cache = cache_mod.ActivationCache()
-        _, act, _ = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+    def stored(self, depth1, tokens):
+        """The depth-1 model with a ledger stored at watermark 1 (boundary 2, resume 3)."""
+        model, cache, store = depth1
+        _, act, _ = cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1)
         cache.depth_at_store = 1
-        return model, cache, act
+        return model, cache, store, act
 
     def test_equal_watermark_hits(self, stored, tokens):
-        model, cache, act = stored
-        boundary, served, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+        model, cache, store, act = stored
+        boundary, served, recomputed = cache_mod.fetch_or_recompute(
+            cache, store, model, KEY, tokens, 1)
         assert (boundary, recomputed, served is act) == (2, False, True)
 
     def test_higher_watermark_recomputes_at_new_resume_point(self, stored, tokens):
-        model, cache, act = stored
-        boundary, fresh, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 2)
-        assert (boundary, recomputed, cache.entries[0].resume) == (1, True, 2)
-        assert cache.entries[0].activations is fresh and cache.integrity_failures == 0
+        model, cache, store, act = stored
+        boundary, fresh, recomputed = cache_mod.fetch_or_recompute(
+            cache, store, model, KEY, tokens, 2)
+        assert (boundary, recomputed, cache.entries[KEY].resume) == (1, True, 2)
+        assert cache.entries[KEY].activations is fresh and cache.integrity_failures == 0
         assert np.array_equal(fresh, model_mod.compute_boundary_activation(model, tokens, 2))
         assert np.array_equal(forward_from_boundary(model, 2, fresh).data,
                               forward(model, tokens).data)
 
     def test_falling_watermark_raises_and_keeps_entries(self, stored, tokens):
-        model, cache, act = stored
+        model, cache, store, act = stored
         cache.depth_at_store = 2
-        entry = cache.entries[0]
+        entry = cache.entries[KEY]
         with pytest.raises(ContractViolation, match="watermark"):
-            cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+            cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1)
         with pytest.raises(ContractViolation, match="watermark"):
-            cache_mod.fetch_or_recompute(cache, model, 1, tokens, 1)
-        assert list(cache.entries) == [0] and cache.entries[0] is entry
+            cache_mod.fetch_or_recompute(cache, store, model, (0, 1), tokens, 1)
+        assert list(cache.entries) == [KEY] and cache.entries[KEY] is entry
         assert entry.resume == 3 and entry.activations is act
         assert (cache.depth_at_store, cache.integrity_failures) == (2, 0)
+        assert store.resume_points() == [3]
 
-    def test_cached_activation_is_read_only(self, small_spec, tokens):
-        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
-        model = adapter_mod.materialize(build_model(small_spec, 2), scheme, rng=SeededRng(1))
-        cache = cache_mod.ActivationCache()
-        boundary, act, _ = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
-        cache.depth_at_store = 1
-        _, served, recomputed = cache_mod.fetch_or_recompute(cache, model, 0, tokens, 1)
+    def test_cached_activation_is_read_only(self, stored, tokens):
+        model, cache, store, act = stored
+        boundary, served, recomputed = cache_mod.fetch_or_recompute(
+            cache, store, model, KEY, tokens, 1)
         assert served is act and not recomputed
         with pytest.raises(ValueError, match="read-only"):
             served[0, 0, 0] = 0.0

@@ -10,7 +10,7 @@ from fedtune import model as model_mod
 from fedtune import tensor_nn as tn
 from fedtune.adapter import AdapterConfig, TuningScheme
 from fedtune.errors import ContractViolation, ProtocolError
-from fedtune.model import EvalStore, ModelSpec, build_model, forward
+from fedtune.model import EVAL_CHUNK, ModelSpec, PrefixStore, build_model, forward
 from fedtune.tensor_nn import SeededRng
 
 F32 = np.dtype(np.float32)
@@ -54,13 +54,13 @@ class TestSessionDtypes:
         monkeypatch.setattr(fed_mod, "fedavg", recording_fedavg)
         cfg = world.config
         tracks = []
+        store = PrefixStore(world.backbone)
         for scheme in (TuningScheme("adapter", AdapterConfig(2, 8, 8)), TuningScheme("full")):
             track = _track(world, scheme)
             fed_mod.run_round(world.server, [track], cfg.participants_per_group,
                               backbone=world.backbone, epochs=1, lr=cfg.learning_rate,
-                              cache_enabled=True)
+                              cache_enabled=True, store=store)
             tracks.append(track)
-        store = EvalStore(world.backbone, world.test_tokens)
         conf_mod.evaluate_tracks(tracks, world.backbone, store,
                                  world.test_tokens, world.test_labels)
         return world, models, grads, updates, merged, store
@@ -86,8 +86,10 @@ class TestSessionDtypes:
         assert entries
         assert all(e.activations.dtype == F32 for e in entries)
         assert store.resume_points() == [2]
-        for r in store.resume_points():
-            assert all(chunk.dtype == F32 for chunk in store.activations(r))
+        tokens = world.test_tokens
+        chunks = [store.activation(2, ("test", s), tokens[s:s + EVAL_CHUNK])
+                  for s in range(0, tokens.shape[0], EVAL_CHUNK)]
+        assert all(chunk.dtype == F32 for chunk in chunks)
 
     def test_float64_graph_stays_float64_through_backward(self, tiny_model, tiny_tokens):
         model = _as_float64(adapter_mod.insert_adapters(

@@ -223,17 +223,21 @@ def _set_block_trainable(block) -> None:
 
 def _build_stacks_from_payload(model: ModelState, config: AdapterConfig,
                                payload: AdapterPayload) -> None:
+    """Adapter stacks with the payload's units and widths, as placeholders.
+
+    Nothing is drawn: ``_apply_buffers`` checks every buffer against the
+    placeholder's name, shape and dtype, then loads it.
+    """
     spec = model.spec
     if config.depth > spec.num_layers:
         raise ProtocolError(
             f"payload depth {config.depth} exceeds model depth {spec.num_layers}")
-    zero_rng = SeededRng(0)
     for layer in range(spec.num_layers - config.depth + 1, spec.num_layers + 1):
         stack = []
         idx = 0
         while f"block{layer:02d}.adapter{idx:02d}.w_down" in payload.buffers:
             width = payload.buffers[f"block{layer:02d}.adapter{idx:02d}.w_down"].shape[1]
-            stack.append(make_meta_adapter(spec.hidden, width, layer, idx, zero_rng))
+            stack.append(make_meta_adapter(spec.hidden, width, layer, idx, rng=None))
             idx += 1
         if not stack:
             raise ProtocolError(f"payload missing adapter stack for layer {layer}")

@@ -28,7 +28,15 @@ resume point; one stored for another counts as an integrity failure and is
 recomputed. The emulated clock still charges layer b+1's body on every
 batch (``costmodel.batch_time_from_boundary`` is priced with b), as for the
 paper's adapters inside the layer; that is a stated departure of the host
-from the emulated device.
+from the emulated device. A second one: the host runs the top layer D only
+for the pooled first token, so an entry at resume point D holds [B, 1, n],
+1/S of the bytes of one below it (``model.activation_shape``), while the
+device is charged that layer for the whole sequence.
+
+When a round's watermark rises, every client whose ledger was stored below
+it has its entries cleared and their chunks released from the store before
+anyone trains (``expire``), selected or not: those entries could never hit
+again.
 
 The ledger counts client-side lookups only. Evaluation reads the same
 store for the global test set, but not through ``fetch_or_recompute``, so
@@ -50,7 +58,7 @@ from .model import ModelState, PrefixStore
 @dataclass
 class CacheEntry:
     resume: int          # layer whose backbone output is referred to (0 = embeddings)
-    activations: np.ndarray  # [B, S, n], the store's read-only array
+    activations: np.ndarray  # the store's read-only array, ``model.activation_shape``
 
 
 @dataclass
@@ -60,6 +68,28 @@ class ActivationCache:
     entries: dict[Hashable, CacheEntry] = field(default_factory=dict)
     depth_at_store: int | None = None
     integrity_failures: int = 0
+
+
+def expire(cache: ActivationCache, store: PrefixStore, depth_watermark: int) -> None:
+    """Clear a ledger stored below ``depth_watermark`` and release its chunks from ``store``.
+
+    Its entries can never hit again, since the watermark never falls, so
+    nothing that was held for them is kept. ``fed.run_round`` calls this for
+    every client before any of them trains, selected or not (within a
+    round, ``fetch_or_recompute`` replaces a selected client's entries one
+    batch at a time); a ledger stored at the watermark, or never stored, is
+    left alone. A watermark below the stored depth is a ContractViolation,
+    raised before anything is touched.
+    """
+    d_prev = cache.depth_at_store
+    if d_prev is None or depth_watermark == d_prev:
+        return
+    if depth_watermark < d_prev:
+        raise ContractViolation(
+            f"depth watermark {depth_watermark} fell below the stored depth {d_prev}")
+    for key, entry in cache.entries.items():
+        store.release(entry.resume, key)
+    cache.entries.clear()
 
 
 def fetch_or_recompute(
@@ -78,14 +108,14 @@ def fetch_or_recompute(
     backbone output through ``model.resume_layer(model, b)``, where
     training resumes. A hit requires that an entry exists, that the
     watermark equals the depth the cache was stored at, and that the entry
-    was stored for this resume point with the batch's shape; an entry
-    failing the last check counts as an integrity failure and is
-    recomputed. A watermark below the stored depth is a ContractViolation,
-    raised before the cache is touched: tuning depths only grow, and that
-    is what bounds the recomputes. A recompute takes its array from
-    ``store``, which drops the entry's chunk at its old resume point. A key
-    asked for with tokens other than its first is a ContractViolation
-    there.
+    was stored for this resume point with the shape
+    ``model.activation_shape`` gives it; an entry failing the last check
+    counts as an integrity failure and is recomputed. A watermark below
+    the stored depth is a ContractViolation, raised before the cache is
+    touched: tuning depths only grow, and that is what bounds the
+    recomputes. A recompute takes its array from ``store``, which drops
+    the entry's chunk at its old resume point. A key asked for with tokens
+    other than its first is a ContractViolation there.
     """
     d_prev = cache.depth_at_store
     if d_prev is not None and depth_watermark < d_prev:
@@ -97,7 +127,8 @@ def fetch_or_recompute(
     if entry is not None:
         if depth_watermark == d_prev:
             act = entry.activations
-            if entry.resume == resume and act.shape == (*tokens.shape, model.spec.hidden):
+            if entry.resume == resume and act.shape == model_mod.activation_shape(
+                    model, resume, *tokens.shape):
                 return boundary, act, False
             cache.integrity_failures += 1
         if entry.resume != resume:

@@ -222,6 +222,9 @@ def run_round(
     num_layers = backbone.spec.num_layers
     max_depth = max(t.payload.scheme.tuning_depth(num_layers) for t in tracks)
 
+    for client in server.registry.values():
+        # a ledger stored below the watermark can never hit again
+        cache_mod.expire(client.cache, store, max_depth)
     selected = select_clients(server.registry, total_participants, server.rng_select)
     budgets = split_budget(total_participants, len(tracks))
     report_tracks: list[TrackRoundStats] = []

@@ -155,20 +155,30 @@ def _draw(rng: SeededRng, std: float, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def make_meta_adapter(
-    hidden: int, width: int, layer: int, index: int, rng: SeededRng, trainable: bool = True
+    hidden: int, width: int, layer: int, index: int, rng: SeededRng | None,
+    trainable: bool = True
 ) -> MetaAdapter:
-    """Fresh bottleneck unit: projection weights N(0, 0.02), zero biases."""
+    """Fresh bottleneck unit: projection weights N(0, 0.02), zero biases.
+
+    With ``rng`` None nothing is drawn or allocated: every buffer is a
+    read-only zero-stride placeholder of its shape and dtype, for a caller
+    that loads the unit from a payload (``adapter.materialize``).
+    """
+    def weight(shape: tuple[int, ...]) -> np.ndarray:
+        if rng is None:
+            return np.broadcast_to(DTYPE(0), shape)
+        return _draw(rng, ADAPTER_INIT_STD, shape)
+
+    def bias(size: int) -> np.ndarray:
+        return np.broadcast_to(DTYPE(0), (size,)) if rng is None else np.zeros(size, DTYPE)
+
     return MetaAdapter(
-        w_down=tn.make_parameter(
-            _draw(rng, ADAPTER_INIT_STD, (hidden, width)), trainable,
-            _adapter_name(layer, index, "w_down")),
-        b_down=tn.make_parameter(np.zeros(width, DTYPE), trainable,
-                                 _adapter_name(layer, index, "b_down")),
-        w_up=tn.make_parameter(
-            _draw(rng, ADAPTER_INIT_STD, (width, hidden)), trainable,
-            _adapter_name(layer, index, "w_up")),
-        b_up=tn.make_parameter(np.zeros(hidden, DTYPE), trainable,
-                               _adapter_name(layer, index, "b_up")),
+        w_down=tn.make_parameter(weight((hidden, width)), trainable,
+                                 _adapter_name(layer, index, "w_down")),
+        b_down=tn.make_parameter(bias(width), trainable, _adapter_name(layer, index, "b_down")),
+        w_up=tn.make_parameter(weight((width, hidden)), trainable,
+                               _adapter_name(layer, index, "w_up")),
+        b_up=tn.make_parameter(bias(hidden), trainable, _adapter_name(layer, index, "b_up")),
     )
 
 
@@ -235,10 +245,19 @@ def _embed(model: ModelState, tokens: np.ndarray) -> Tensor:
     return tn.add(tok, pos)
 
 
-def _apply_body(block: BlockParams, h: Tensor, heads: int) -> Tensor:
-    """The frozen backbone of one layer: attention and FFN, each with add & norm."""
-    attn_out = tn.multi_head_attention(h, block.attn, heads)
-    h = tn.layer_norm(tn.add(h, attn_out), block.ln1_gain, block.ln1_shift, LN_EPS)
+def _apply_body(model: ModelState, layer: int, h: Tensor) -> Tensor:
+    """The frozen backbone of layer ``layer``: attention and FFN, each with add & norm.
+
+    The top layer runs only for the position the classifier reads
+    (``_classify``): its queries and residual are the first token, [B, 1, n],
+    while its keys and values still come from every position of ``h``.
+    """
+    block = model.blocks[layer - 1]
+    query = h
+    if layer == model.spec.num_layers:
+        query = tn.reshape(tn.first_token(h), (h.shape[0], 1, model.spec.hidden))
+    attn_out = tn.multi_head_attention(h, block.attn, model.spec.heads, query)
+    h = tn.layer_norm(tn.add(query, attn_out), block.ln1_gain, block.ln1_shift, LN_EPS)
     ffn_out = tn.linear_forward(
         tn.relu(tn.linear_forward(h, block.ffn_w1, block.ffn_b1)),
         block.ffn_w2, block.ffn_b2)
@@ -256,8 +275,9 @@ def _apply_adapters(block: BlockParams, h: Tensor) -> Tensor:
 def _run_blocks(model: ModelState, h: Tensor, start_layer: int,
                 stop_layer: int | None = None) -> Tensor:
     """Layers ``start_layer`` to ``stop_layer`` (inclusive; default the top)."""
-    for block in model.blocks[start_layer - 1:stop_layer]:
-        h = _apply_adapters(block, _apply_body(block, h, model.spec.heads))
+    stop_layer = model.spec.num_layers if stop_layer is None else stop_layer
+    for layer in range(start_layer, stop_layer + 1):
+        h = _apply_adapters(model.blocks[layer - 1], _apply_body(model, layer, h))
     return h
 
 
@@ -266,7 +286,11 @@ def _classify(model: ModelState, h: Tensor) -> Tensor:
 
 
 def forward(model: ModelState, tokens: np.ndarray) -> Tensor:
-    """Embedding, all transformer blocks, first-token pooling, classifier."""
+    """Embedding, all transformer blocks, first-token pooling, classifier.
+
+    The top block runs only for the first token (``_apply_body``), the one
+    position the classifier reads.
+    """
     return _classify(model, _run_blocks(model, _embed(model, tokens), 1))
 
 
@@ -286,17 +310,27 @@ def resume_layer(model: ModelState, boundary: int) -> int:
     return boundary
 
 
+def activation_shape(model: ModelState, resume: int, batch: int,
+                     seqlen: int) -> tuple[int, int, int]:
+    """Shape of the backbone output through layer ``resume`` for a [batch, seqlen] chunk.
+
+    Every position up to layer D - 1; layer D keeps only the pooled first
+    token (see ``_apply_body``).
+    """
+    return (batch, 1 if resume == model.spec.num_layers else seqlen, model.spec.hidden)
+
+
 def compute_boundary_activation(model: ModelState, tokens: np.ndarray, resume: int) -> np.ndarray:
     """Backbone output through layer ``resume`` (0 = embedding output), as a plain array.
 
     Layer ``resume``'s own adapters are not applied: ``forward_from_boundary``
-    starts with them.
+    starts with them. Its shape is ``activation_shape``: at the top layer
+    D only the pooled token, [B, 1, n].
     """
     _check_boundary(model, resume)
     h = _embed(model, tokens)
     if resume >= 1:
-        h = _apply_body(model.blocks[resume - 1],
-                        _run_blocks(model, h, 1, resume - 1), model.spec.heads)
+        h = _apply_body(model, resume, _run_blocks(model, h, 1, resume - 1))
     return h.data
 
 
@@ -334,13 +368,21 @@ def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray
     Bit-identical to ``forward`` when ``cached_act`` equals the true
     backbone output of the same chunk, because the remaining computation
     is the same instruction sequence either way.
+
+    On the host the top layer D runs only for the pooled first token, the
+    one position the classifier reads (``_apply_body``), so at resume point
+    D ``cached_act`` is [B, 1, n] (``activation_shape``). The emulated clock
+    still charges every layer for the whole sequence: a second stated
+    departure of the host from the emulated device, which changes no
+    emulated time, byte or joule.
     """
     _check_boundary(model, resume)
     act = np.asarray(cached_act)
-    expected = (model.spec.hidden,)
-    if act.ndim != 3 or act.shape[2:] != expected:
+    if act.ndim != 3 or act.shape != activation_shape(model, resume, *act.shape[:2]):
         raise ContractViolation(
-            f"cached activation shape {act.shape} does not end in hidden size {expected[0]}")
+            f"cached activation shape {act.shape} is not a backbone output through "
+            f"layer {resume} (hidden size {model.spec.hidden}, one position at layer "
+            f"{model.spec.num_layers})")
     if act.dtype != model.tok_embed.data.dtype:
         # a stray double-precision activation would promote the whole step to it
         raise ContractViolation(

@@ -6,9 +6,11 @@ follows the dtype of its inputs, so a float32 model computes in float32
 (as ``model.build_model`` builds it, the precision the wire charges) and a
 double-precision graph, as the gradient checks build, stays in double
 precision through ``backward``. Reductions run in a fixed order, so
-repeated runs on the same inputs are bit-identical. A forward pass records
-backward closures only above the deepest value that requires a gradient;
-everything below is plain numpy.
+repeated runs on the same inputs are bit-identical. A differentiable op
+writes in place only into arrays it allocated in the same call: never into
+its inputs, its upstream gradient or an array it has handed on. A forward
+pass records backward closures only above the deepest value that requires
+a gradient; everything below is plain numpy.
 
 A recorded graph is consumed once, as in the usual autograd rule: as
 ``Tensor.backward`` walks it, each node with parents gives up its gradient,
@@ -282,7 +284,8 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
         )
     lead = x.data.shape[:-1]
     x2 = np.ascontiguousarray(x.data.reshape(-1, w.data.shape[0]))
-    out2 = x2 @ w.data + b.data
+    out2 = x2 @ w.data
+    out2 += b.data
     needs = x.requires_grad or w.requires_grad or b.requires_grad
     out = Tensor(out2.reshape(*lead, w.data.shape[1]), needs,
                  (x, w, b) if needs else ())
@@ -302,21 +305,23 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
 def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then apply gain/shift.
 
-    Population variance; ``eps`` guards constant rows.
+    Population variance; ``eps`` guards constant rows. Row means are
+    ``np.add.reduce`` over the row divided by its length: the same sum
+    ``.mean`` takes and the same correctly rounded quotient, without its
+    per-call overhead.
     """
     x = _tensor_of(x)
     g, b = gain.tensor, shift.tensor
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * g.data + b.data
+    xhat *= inv
+    out_data = xhat * g.data
+    out_data += b.data
     needs = x.requires_grad or g.requires_grad or b.requires_grad
     out = Tensor(out_data, needs, (x, g, b) if needs else ())
     if needs:
-        n = x.data.shape[-1]
-
         def bwd(dout: Array) -> None:
             if g.requires_grad:
                 _accumulate(g, (dout * xhat).reshape(-1, n).sum(axis=0))
@@ -324,23 +329,40 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
                 _accumulate(b, dout.reshape(-1, n).sum(axis=0))
             if x.requires_grad:
                 dxhat = dout * g.data
-                mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-                mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-                _accumulate(x, inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat))
+                mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+                mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
+                along_xhat = xhat * mean_dxhat_xhat
+                dxhat -= mean_dxhat
+                dxhat -= along_xhat
+                dxhat *= inv
+                _accumulate(x, dxhat)
         out._bwd = bwd
     return out
 
 
+def _row_max(a: Array) -> Array:
+    """Max over the last axis (kept as length 1), by halving the rows with ``np.maximum``.
+
+    A max is exact, so the bits are those of ``a.max(axis=-1)``; a row of
+    odd length above 1 is finished with ``.max``.
+    """
+    while a.shape[-1] > 1 and a.shape[-1] % 2 == 0:
+        half = a.shape[-1] // 2
+        a = np.maximum(a[..., :half], a[..., half:])
+    return a if a.shape[-1] == 1 else a.max(axis=-1, keepdims=True)
+
+
 def softmax_lastdim(x: Tensor) -> Tensor:
     x = _tensor_of(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    y = exp / exp.sum(axis=-1, keepdims=True)
+    y = x.data - _row_max(x.data)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y, x.requires_grad, (x,) if x.requires_grad else ())
     if x.requires_grad:
         def bwd(dout: Array) -> None:
-            inner = (dout * y).sum(axis=-1, keepdims=True)
-            _accumulate(x, (dout - inner) * y)
+            dx = dout - (dout * y).sum(axis=-1, keepdims=True)
+            dx *= y
+            _accumulate(x, dx)
         out._bwd = bwd
     return out
 
@@ -412,24 +434,35 @@ class AttentionParams:
         return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
 
 
-def multi_head_attention(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
-    """Scaled dot-product self-attention over [B, S, n], no mask."""
+def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
+                         query: Tensor | None = None) -> Tensor:
+    """Scaled dot-product attention over [B, S, n], no mask.
+
+    Keys and values come from every position of ``x``; queries come from
+    ``query`` ([B, Sq, n], default ``x``: self-attention), and the output
+    has its shape.
+    """
     x = _tensor_of(x)
-    batch, seqlen, hidden = x.data.shape
+    query = x if query is None else _tensor_of(query)
+    batch, _, hidden = x.data.shape
+    qlen = query.data.shape[1]
+    if query.data.shape != (batch, qlen, hidden):
+        raise ShapeError(f"attention: query shape {query.data.shape} does not match "
+                         f"input shape {x.data.shape}")
     if hidden % heads != 0:
         raise ConfigurationError(f"hidden size {hidden} not divisible by {heads} heads")
     head_dim = hidden // heads
 
     def split_heads(t: Tensor) -> Tensor:
-        return transpose(reshape(t, (batch, seqlen, heads, head_dim)), (0, 2, 1, 3))
+        return transpose(reshape(t, (batch, t.shape[1], heads, head_dim)), (0, 2, 1, 3))
 
-    q = split_heads(linear_forward(x, params.wq, params.bq))
+    q = split_heads(linear_forward(query, params.wq, params.bq))
     k = split_heads(linear_forward(x, params.wk, params.bk))
     v = split_heads(linear_forward(x, params.wv, params.bv))
     scores = scale(bmm(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
     probs = softmax_lastdim(scores)
     context = bmm(probs, v)
-    merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, seqlen, hidden))
+    merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, qlen, hidden))
     return linear_forward(merged, params.wo, params.bo)
 
 

@@ -177,6 +177,39 @@ class TestLedger:
                     2, (client.id, batch.batch_id), batch.tokens)
         assert len(builds) == built and store.resume_points() == [2]
 
+    def test_ledgers_hold_nothing_below_the_watermark(self, monkeypatch, tmp_path):
+        """After each round a ledger is empty or at the watermark; ledgers = training chunks."""
+        checked = []
+
+        def checking_run_round(server, tracks, *args, _inner=fed_mod.run_round, **kwargs):
+            num_layers = kwargs["backbone"].spec.num_layers
+            depth = max(t.payload.scheme.tuning_depth(num_layers) for t in tracks)
+            stale = [c.id for c in server.registry.values()
+                     if c.cache.entries and c.cache.depth_at_store < depth]
+            report = _inner(server, tracks, *args, **kwargs)
+            store = kwargs["store"]
+            entries = {(key, id(e.activations)): e for c in server.registry.values()
+                       for key, e in c.cache.entries.items()}
+            for client in server.registry.values():
+                assert not client.cache.entries or \
+                    client.cache.depth_at_store == report.max_depth
+            chunks = {(key, id(act)): act for acts in store._acts.values()
+                      for key, act in acts.items() if key[0] != "test"}
+            assert entries.keys() == chunks.keys()
+            assert sum(e.activations.nbytes for e in entries.values()) == \
+                sum(act.nbytes for act in chunks.values())
+            for e in entries.values():
+                if e.resume == num_layers:  # the pooled top layer keeps one position
+                    assert e.activations.shape[1] == 1
+            checked.append(stale)
+            return report
+
+        monkeypatch.setattr(fed_mod, "run_round", checking_run_round)
+        cfg = session_mod.config_from_dict(CLIMBING_DOC)
+        session_mod.run_session_config(cfg, str(tmp_path / "climb.trace.jsonl"))
+        assert len(checked) == cfg.max_rounds
+        assert any(checked)  # some round began with stale ledgers to expire
+
     def test_release_frees_old_point_on_move(self, small_world):
         backbone = small_world.backbone
         tokens = SeededRng(5).integers(0, 24, size=(4, 8))

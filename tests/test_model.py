@@ -95,11 +95,18 @@ class TestForward:
         logits = forward(model, tiny_tokens[:2]).data
         # frozen golden values of the float32 model, compared bit for bit
         golden = np.array([
-            [0.07142171, -0.0346533, -0.022805283],
+            [0.0714217, -0.034653295, -0.022805281],
             [0.0822984, -0.009517075, -0.07798218],
         ], dtype=np.float32)
         assert logits.dtype == np.float32
         assert logits.tobytes() == golden.tobytes()
+        # the values before the top layer ran only for the pooled token: its
+        # GEMMs took 2 rows instead of 10, which moved the first row's last bits
+        golden_all_positions = np.array([
+            [0.07142171, -0.0346533, -0.022805283],
+            [0.0822984, -0.009517075, -0.07798218],
+        ], dtype=np.float32)
+        assert np.allclose(logits, golden_all_positions, rtol=0, atol=1e-7)
         # the same configuration's logits when the model was float64
         golden_float64 = np.array([
             [0.0714217120065039, -0.03465329193142037, -0.022805332312550903],

@@ -1,7 +1,9 @@
 """Every top-level function, class and constant in ``src/fedtune`` has a caller in ``src/``.
 
 A name counts as used when some other top-level statement of the package
-reads it, as a bare name or as an attribute (``model_mod.evaluate``).
+reads it, as a bare name or as an attribute (``model_mod.evaluate``). A
+function's own local variables do not count, even when one has the name
+of a top-level definition.
 Imports alone do not count, and neither do tests or the benchmark: a helper
 only they call is code the simulator does not need.
 """
@@ -27,13 +29,62 @@ def _defined_names(stmt: ast.stmt) -> list[str]:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
-def _read_names(stmt: ast.stmt) -> set[str]:
-    names = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Name):
+# nodes that open a scope of their own for the names bound in them
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of ``scope`` outside the scopes nested in it (those are yielded, not entered)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bound_names(scope: ast.AST) -> set[str]:
+    """Names a function, lambda or comprehension binds in its own scope."""
+    names, declared_global = set(), set()
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        names |= {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                  if arg is not None}
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared_global |= set(node.names)
+    return names - declared_global
+
+
+def _read_names(stmt: ast.stmt) -> set[str]:
+    """Module-level names ``stmt`` reads, as bare names or as attributes.
+
+    A bare name bound in the reading function's own scope, or in a function
+    around it, is a local variable (``grad_check``'s ``scale``), not a read
+    of the module-level name it shadows.
+    """
+    names = set()
+
+    def visit(scope: ast.AST, local: set[str]) -> None:
+        for node in _own_nodes(scope):
+            if isinstance(node, _SCOPES):
+                visit(node, local | _bound_names(node))
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                  and node.id not in local):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+
+    visit(stmt, _bound_names(stmt) if isinstance(stmt, _SCOPES) else set())
     return names
 
 

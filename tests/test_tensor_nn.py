@@ -359,3 +359,110 @@ class TestGraphRelease:
         assert peak <= 1.25 * before
         assert after <= 2 * grad_bytes
         assert all(p.tensor.grad is not None for p in model.trainable_parameters())
+
+
+def _old_layer_norm(x, g, b, dout, eps=1e-5):
+    """The layer norm's forward and input gradient as written with ``.mean``."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    dxhat = dout * g
+    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return xhat * g + b, inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+
+
+def _old_softmax(x, dout):
+    """The softmax's forward and input gradient as written with ``.max`` and fresh arrays."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    y = exp / exp.sum(axis=-1, keepdims=True)
+    inner = (dout * y).sum(axis=-1, keepdims=True)
+    return y, (dout - inner) * y
+
+
+class TestKernelsMatchTheirOldFormulas:
+    """Bit for bit on float32 rows: the rewritten kernels allocate less, not compute otherwise."""
+
+    @pytest.mark.parametrize("n", [1, 5, 32, 64])
+    def test_layer_norm(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(0.3, 2.0, (4, 3, n)).astype(np.float32)
+        g = rng.normal(1.0, 0.5, n).astype(np.float32)
+        b = rng.normal(0.0, 0.5, n).astype(np.float32)
+        dout = rng.normal(0.0, 1.0, x.shape).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        out = layer_norm(xt, make_parameter(g, False, "g"), make_parameter(b, False, "b"))
+        out._bwd(dout)
+        old_out, old_dx = _old_layer_norm(x, g, b, dout)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == old_out.tobytes()
+        assert xt.grad.tobytes() == old_dx.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 32, 64])
+    def test_softmax(self, n):
+        rng = np.random.default_rng(100 + n)
+        x = rng.normal(0.0, 3.0, (2, 4, 3, n)).astype(np.float32)
+        dout = rng.normal(0.0, 1.0, x.shape).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        out = tn.softmax_lastdim(xt)
+        out._bwd(dout)
+        old_y, old_dx = _old_softmax(x, dout)
+        assert out.data.dtype == np.float32
+        assert out.data.tobytes() == old_y.tobytes()
+        assert xt.grad.tobytes() == old_dx.tobytes()
+
+
+def _op_cases(rng):
+    """(name, forward closure) per op; each closure builds its output from the inputs it gets."""
+    def arr(*shape):
+        return rng.normal(0.0, 1.0, shape).astype(np.float32)
+
+    attn = AttentionParams(**{
+        f: make_parameter(arr(6, 6) if f.startswith("w") else arr(6), True, f)
+        for f in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")})
+    w, b = make_parameter(arr(6, 4), True, "w"), make_parameter(arr(4), True, "b")
+    g, s = make_parameter(arr(6), True, "g"), make_parameter(arr(6), True, "s")
+    table = make_parameter(arr(10, 6), True, "table")
+    ids = rng.integers(0, 10, (2, 5))
+    return {
+        "add": ([arr(2, 5, 6), arr(6)], lambda a, c: tn.add(a, c)),
+        "scale": ([arr(2, 5, 6)], lambda a: tn.scale(a, 0.5)),
+        "reshape": ([arr(2, 5, 6)], lambda a: tn.reshape(a, (10, 6))),
+        "transpose": ([arr(2, 5, 6)], lambda a: tn.transpose(a, (0, 2, 1))),
+        "relu": ([arr(2, 5, 6)], tn.relu),
+        "linear_forward": ([arr(2, 5, 6)], lambda a: linear_forward(a, w, b)),
+        "layer_norm": ([arr(2, 5, 6)], lambda a: layer_norm(a, g, s)),
+        "softmax_lastdim": ([arr(2, 5, 6)], tn.softmax_lastdim),
+        "bmm": ([arr(2, 5, 6), arr(2, 6, 3)], tn.bmm),
+        "embedding": ([], lambda: tn.embedding(table, ids)),
+        "first_token": ([arr(2, 5, 6)], tn.first_token),
+        "multi_head_attention": ([arr(2, 5, 6)], lambda a: multi_head_attention(a, attn, 2)),
+        "pooled_attention": ([arr(2, 5, 6), arr(2, 1, 6)],
+                             lambda a, q: multi_head_attention(a, attn, 2, q)),
+        "cross_entropy_loss": ([arr(5, 4)], lambda a: cross_entropy_loss(a, np.arange(5) % 4)),
+    }, [*attn.all(), w, b, g, s, table]
+
+
+@pytest.mark.parametrize("op", sorted(_op_cases(np.random.default_rng(0))[0]))
+def test_no_op_writes_into_its_inputs_or_outputs(op):
+    """Forward and backward leave inputs, parameters, the output and the upstream gradient alone."""
+    rng = np.random.default_rng(1)
+    cases, params = _op_cases(rng)
+    arrays, fwd = cases[op]
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    watched = [t.data for t in inputs] + [p.data for p in params]
+    before = [a.copy() for a in watched]
+    out = fwd(*inputs)
+    out_before = out.data.copy()
+    dout = rng.normal(0.0, 1.0, out.data.shape).astype(out.data.dtype)
+    dout_before = dout.copy()
+    # a scalar root that hands ``dout`` to ``out``, so backward() walks the whole graph
+    root = Tensor(np.zeros((), out.data.dtype), True, (out,))
+    root._bwd = lambda _: setattr(out, "grad", dout)
+    root.backward()
+    assert all(t.grad is not None for t in inputs)
+    for a, a0 in zip(watched + [out.data, dout], before + [out_before, dout_before]):
+        assert a.tobytes() == a0.tobytes()

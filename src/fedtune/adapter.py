@@ -74,8 +74,14 @@ def insert_adapters(model: ModelState, config: AdapterConfig, rng: SeededRng) ->
     return out
 
 
-def deepen(model: ModelState, depth_step: int, rng: SeededRng) -> ModelState:
-    """Extend the adapted range downward; existing stacks keep their bytes."""
+def deepen(model: ModelState, depth_step: int, rng: SeededRng,
+           unit: AdapterConfig | None = None) -> ModelState:
+    """Extend the adapted range downward; existing stacks keep their bytes.
+
+    The new stacks have the unit width and stack size of the existing
+    ones. A depth-0 model has none to copy, so it takes them from ``unit``,
+    the configuration being deepened.
+    """
     spec = model.spec
     adapted = model.adapted_layers()
     depth = len(adapted)
@@ -83,12 +89,13 @@ def deepen(model: ModelState, depth_step: int, rng: SeededRng) -> ModelState:
         raise ConfigurationError(
             f"cannot deepen past the model: depth {depth} + step {depth_step} "
             f"> {spec.num_layers}")
-    if depth == 0:
-        # a depth-0 model carries no stack to copy the unit width from
-        stack_size, step = 1, MIN_WIDTH
-    else:
+    if depth > 0:
         stack = model.blocks[adapted[0] - 1].adapters
         stack_size, step = len(stack), stack[0].width
+    elif unit is not None:
+        stack_size, step = unit.stack_size, unit.step
+    else:
+        raise ConfigurationError("deepening a model without adapters needs the unit config")
     out = _shallow_clone(model)
     top_new = spec.num_layers - depth
     for layer in range(top_new - depth_step + 1, top_new + 1):
@@ -207,7 +214,7 @@ def materialize(backbone: ModelState, scheme: TuningScheme,
             _set_block_trainable(block)
 
     if payload is not None:
-        _apply_buffers(out, scheme, payload)
+        load_payload(out, payload)
     return out
 
 
@@ -225,7 +232,7 @@ def _build_stacks_from_payload(model: ModelState, config: AdapterConfig,
                                payload: AdapterPayload) -> None:
     """Adapter stacks with the payload's units and widths, as placeholders.
 
-    Nothing is drawn: ``_apply_buffers`` checks every buffer against the
+    Nothing is drawn: ``load_payload`` checks every buffer against the
     placeholder's name, shape and dtype, then loads it.
     """
     spec = model.spec
@@ -244,7 +251,15 @@ def _build_stacks_from_payload(model: ModelState, config: AdapterConfig,
         model.blocks[layer - 1].adapters = stack
 
 
-def _apply_buffers(model: ModelState, scheme: TuningScheme, payload: AdapterPayload) -> None:
+def load_payload(model: ModelState, payload: AdapterPayload) -> None:
+    """Copy the payload's buffers into the model's trainable parameters.
+
+    The buffers' names must be exactly the trainable parameters' names, and
+    each buffer must have its parameter's shape and dtype; otherwise this
+    raises ProtocolError. ``fed.run_round`` loads every client's start
+    payload, then the aggregated one, into the track's one model of the
+    round.
+    """
     trainable = {p.name: p for p in model.trainable_parameters()}
     if set(trainable) != set(payload.buffers):
         missing = sorted(set(trainable) ^ set(payload.buffers))[:4]

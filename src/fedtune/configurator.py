@@ -21,7 +21,7 @@ from . import adapter as adapter_mod
 from . import fed as fed_mod
 from . import model as model_mod
 from .adapter import AdapterConfig, AdapterPayload, TuningScheme
-from .errors import DecisionError
+from .errors import DecisionError, ProtocolError
 from .fed import ServerState
 from .model import ModelState
 from .tensor_nn import SeededRng
@@ -37,6 +37,8 @@ class TrialTrack:
     payload: AdapterPayload
     clock: float = 0.0
     acc_history: list[tuple[float, float]] = field(default_factory=list)
+    # the payload materialized on the backbone by the last ``fed.run_round``
+    model: ModelState | None = field(default=None, repr=False)
 
     @property
     def config(self) -> AdapterConfig:
@@ -109,7 +111,8 @@ def dispatch(
 
     tracks = [TrialTrack(TRACK_CURRENT, current, clock=start_clock)]
     if d + state.params.depth_step <= num_layers:
-        deeper_model = adapter_mod.deepen(base_model, state.params.depth_step, rng)
+        deeper_model = adapter_mod.deepen(base_model, state.params.depth_step, rng,
+                                          scheme.adapter)
         deeper_scheme = _adapter_scheme(d + state.params.depth_step, w, step)
         tracks.append(TrialTrack(
             TRACK_DEEPER, adapter_mod.extract_payload(deeper_model, deeper_scheme),
@@ -148,21 +151,23 @@ def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
                     store: model_mod.PrefixStore, test_tokens, test_labels) -> list[float]:
     """Accuracy of every live track on the global test set, in track order.
 
-    The store first drops every resume point none of these tracks resumes
-    from (each resumes at the lowest adapter's input, see
-    ``model.resume_layer``); evaluation then builds the test chunks it
-    lacks. A track without a frozen prefix (full fine-tuning) runs the
-    plain forward.
+    Each track is scored on its ``model``, which ``fed.run_round`` left
+    holding the track's aggregated payload. The store first drops every
+    resume point none of these tracks resumes from (each resumes at the
+    lowest adapter's input, see ``model.resume_layer``); evaluation then
+    builds the test chunks it lacks. A track without a frozen prefix (full
+    fine-tuning) runs the plain forward.
     """
     num_layers = backbone.spec.num_layers
-    models = [adapter_mod.materialize(backbone, t.payload.scheme, t.payload) for t in tracks]
     resumes = []
-    for track, model in zip(tracks, models):
+    for track in tracks:
+        if track.model is None:
+            raise ProtocolError(f"track '{track.name}' has not trained a round yet")
         boundary = track.payload.scheme.boundary_layer(num_layers)
-        resumes.append(None if boundary is None else model_mod.resume_layer(model, boundary))
+        resumes.append(None if boundary is None else model_mod.resume_layer(track.model, boundary))
     store.retain({r for r in resumes if r is not None})
-    return [model_mod.evaluate(model, test_tokens, test_labels, store=store, resume=resume)
-            for model, resume in zip(models, resumes)]
+    return [model_mod.evaluate(track.model, test_tokens, test_labels, store=store, resume=resume)
+            for track, resume in zip(tracks, resumes)]
 
 
 @dataclass

@@ -103,7 +103,7 @@ def select_clients(registry: dict[int, ClientState], k: int, rng: SeededRng) -> 
 
 def local_train(
     client: ClientState,
-    backbone: ModelState,
+    model: ModelState,
     payload: AdapterPayload,
     *,
     epochs: int,
@@ -114,18 +114,20 @@ def local_train(
 ) -> tuple[AdapterPayload, int, LocalStats]:
     """Run E local passes of SGD over the client's fixed batches.
 
-    The payload is materialized onto the shared frozen backbone. With the
-    cache enabled, the client's ledger decides per batch whether the bottom
-    frozen path is recomputed (at most once per batch per watermark
-    change); the session's ``store`` holds its output under ``(client.id,
-    batch.batch_id)``, and the forward pass resumes at the lowest adapter's
-    input. Each batch is priced at the device boundary, one layer below
-    that.
+    ``model`` is the round's model of the client's track: the payload's
+    scheme materialized onto the shared frozen backbone (``run_round``).
+    The start ``payload`` is loaded into it first, so no earlier client's
+    training carries over. With the cache enabled, the client's ledger
+    decides per batch whether the bottom frozen path is recomputed (at
+    most once per batch per watermark change); the session's ``store``
+    holds its output under ``(client.id, batch.batch_id)``, and the forward
+    pass resumes at the lowest adapter's input. Each batch is priced at the
+    device boundary, one layer below that.
     """
     if not client.train_batches:
         raise TrainingError(f"client {client.id} has no training data")
     scheme = payload.scheme
-    model = adapter_mod.materialize(backbone, scheme, payload)
+    adapter_mod.load_payload(model, payload)
     num_layers = model.spec.num_layers
     depth = scheme.tuning_depth(num_layers)
     use_cache = cache_enabled and scheme.boundary_layer(num_layers) is not None
@@ -213,8 +215,12 @@ def run_round(
     ``tracks`` are configurator.TrialTrack objects: one for a fixed
     configuration, up to three while the configurator searches. All live
     tracks advance together: each gets its group's aggregated payload and
-    moves its ``clock`` by its own emulated round time. ``store`` is the
-    session's frozen-prefix store, which the clients' caches refer into.
+    moves its ``clock`` by its own emulated round time. Each track's
+    payload is materialized once per round; its clients train on that one
+    model in turn, and the aggregated payload is then loaded into it as
+    the track's ``model``, the one ``configurator.evaluate_tracks`` scores.
+    ``store`` is the session's frozen-prefix store, which the clients'
+    caches refer into.
     """
     if not tracks:
         raise SelectionError("run_round requires at least one track")
@@ -238,10 +244,11 @@ def run_round(
         energy = 0.0
         client_energy: dict[int, float] = {}
         hits = recomputes = samples = 0
+        model = adapter_mod.materialize(backbone, track.payload.scheme, track.payload)
         for cid in group:
             client = server.registry[cid]
             new_payload, n_samples, stats = local_train(
-                client, backbone, track.payload,
+                client, model, track.payload,
                 epochs=epochs, lr=lr, cache_enabled=cache_enabled,
                 depth_watermark=max_depth, store=store)
             updates.append(ClientUpdate(cid, new_payload, n_samples))
@@ -256,6 +263,8 @@ def run_round(
             recomputes += stats.cache_recomputes
             samples += n_samples
         track.payload = fedavg(updates)
+        adapter_mod.load_payload(model, track.payload)
+        track.model = model
         track.clock += round_seconds
         report_tracks.append(TrackRoundStats(
             track=track.name,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterator
 
 import numpy as np
@@ -106,7 +107,13 @@ class BlockParams:
 
 @dataclass
 class ModelState:
-    """Value-type container for all model parameters."""
+    """Value-type container for all model parameters.
+
+    Which parameters are trainable is worked out once, on first use: a
+    model's structure and trainable flags are fixed once it is built
+    (``adapter.py`` builds every variant as a fresh clone), and loading a
+    payload (``adapter.load_payload``) changes only parameter values.
+    """
 
     spec: ModelSpec
     tok_embed: Parameter
@@ -126,7 +133,24 @@ class ModelState:
         yield self.cls_b
 
     def trainable_parameters(self) -> list[Parameter]:
-        return [p for p in self.parameters() if p.trainable]
+        return list(self._trainable)
+
+    @cached_property
+    def _trainable(self) -> tuple[Parameter, ...]:
+        return tuple(p for p in self.parameters() if p.trainable)
+
+    @cached_property
+    def trainable_backbone_layers(self) -> frozenset[int]:
+        """1-indexed layers whose backbone (adapters aside) has a trainable parameter."""
+        return frozenset(i + 1 for i, block in enumerate(self.blocks)
+                         if any(p.trainable for p in block.backbone_params()))
+
+    @cached_property
+    def lowest_trainable_layer(self) -> int | None:
+        """Lowest 1-indexed layer with any trainable parameter, if any."""
+        adapted = {i + 1 for i, block in enumerate(self.blocks)
+                   if any(p.trainable for meta in block.adapters for p in meta.all())}
+        return min(self.trainable_backbone_layers | adapted, default=None)
 
     def adapter_depth(self) -> int:
         return sum(1 for block in self.blocks if block.adapters)
@@ -134,15 +158,6 @@ class ModelState:
     def adapted_layers(self) -> list[int]:
         """1-indexed layers carrying adapters."""
         return [i + 1 for i, block in enumerate(self.blocks) if block.adapters]
-
-    def lowest_trainable_layer(self) -> int | None:
-        """Lowest 1-indexed layer with any trainable parameter, if any."""
-        for i, block in enumerate(self.blocks):
-            if any(p.trainable for p in block.backbone_params()):
-                return i + 1
-            if any(p.trainable for meta in block.adapters for p in meta.all()):
-                return i + 1
-        return None
 
 
 def _adapter_name(layer: int, index: int, part: str) -> str:
@@ -304,8 +319,8 @@ def resume_layer(model: ModelState, boundary: int) -> int:
     backbone output, the lowest adapter's input. Otherwise (layer freezing,
     or a boundary at the top) the resume point is the boundary itself.
     """
-    above = model.blocks[boundary:boundary + 1]
-    if above and not any(p.trainable for p in above[0].backbone_params()):
+    if 0 <= boundary < model.spec.num_layers and \
+            boundary + 1 not in model.trainable_backbone_layers:
         return boundary + 1
     return boundary
 
@@ -341,14 +356,14 @@ def _check_boundary(model: ModelState, resume: int) -> None:
             f"resume point {resume} outside [0, {model.spec.num_layers}]")
     if model.tok_embed.trainable or model.pos_embed.trainable:
         raise ContractViolation("the embedding is trainable; nothing can be resumed")
-    lowest = model.lowest_trainable_layer()
+    lowest = model.lowest_trainable_layer
     if lowest is None or lowest > resume:
         return
     if lowest < resume:
         raise ContractViolation(
             f"resume point {resume} is above the lowest trainable layer {lowest}; "
             "caller must recompute from below")
-    if any(p.trainable for p in model.blocks[resume - 1].backbone_params()):
+    if resume in model.trainable_backbone_layers:
         raise ContractViolation(
             f"resume point {resume} has a trainable backbone; caller must recompute from below")
 

@@ -177,6 +177,10 @@ def config_from_dict(doc: dict) -> SessionConfig:
 
 def _validate(cfg: SessionConfig) -> None:
     _require(cfg.mode in MODES, "mode", f"must be one of {MODES}, got '{cfg.mode}'")
+    # SeededRng keeps a seed's low 64 bits: -1 would share every stream with 2**64 - 1
+    _require(0 <= cfg.seed < 2**64, "seed", "must be in [0, 2**64)")
+    if cfg.target_accuracy is not None:
+        _require(0.0 <= cfg.target_accuracy <= 1.0, "target_accuracy", "must be in [0, 1]")
     _require(cfg.num_clients >= 1, "num_clients", "must be >= 1")
     _require(cfg.participants_per_group >= 1, "participants_per_group", "must be >= 1")
     _require(cfg.participants_total() <= cfg.num_clients, "participants_per_group",
@@ -201,10 +205,18 @@ def _validate(cfg: SessionConfig) -> None:
         _require(0 <= cfg.freeze_layers < cfg.model.num_layers, "freeze_layers",
                  f"must be in [0, {cfg.model.num_layers - 1}]")
     if cfg.mode == "autofed":
-        _require(cfg.configurator.start_depth <= cfg.model.num_layers, "configurator.start_depth",
-                 "cannot exceed the model depth")
-        _require(cfg.configurator.depth_step >= 1, "configurator.depth_step", "must be >= 1")
-        _require(cfg.configurator.width_step >= 1, "configurator.width_step", "must be >= 1")
+        conf = cfg.configurator
+        _require(0 <= conf.start_depth <= cfg.model.num_layers, "configurator.start_depth",
+                 f"must be in [0, {cfg.model.num_layers}]")
+        _require(conf.depth_step >= 1, "configurator.depth_step", "must be >= 1")
+        _require(conf.width_step >= 1, "configurator.width_step", "must be >= 1")
+        _require(conf.start_width >= adapter_mod.MIN_WIDTH, "configurator.start_width",
+                 f"must be >= {adapter_mod.MIN_WIDTH}")
+        _require(conf.start_width % conf.width_step == 0, "configurator.start_width",
+                 "must be a multiple of the width step")
+        _require(conf.trial_intvl_s is None or conf.trial_intvl_s > 0,
+                 "configurator.trial_intvl_s", "must be > 0")
+        _require(conf.intvl_growth > 0, "configurator.intvl_growth", "must be > 0")
 
 
 def load_config(path: str) -> SessionConfig:

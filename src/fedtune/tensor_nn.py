@@ -6,11 +6,21 @@ follows the dtype of its inputs, so a float32 model computes in float32
 (as ``model.build_model`` builds it, the precision the wire charges) and a
 double-precision graph, as the gradient checks build, stays in double
 precision through ``backward``. Reductions run in a fixed order, so
-repeated runs on the same inputs are bit-identical. A differentiable op
-writes in place only into arrays it allocated in the same call: never into
-its inputs, its upstream gradient or an array it has handed on. A forward
-pass records backward closures only above the deepest value that requires
-a gradient; everything below is plain numpy.
+repeated runs on the same inputs are bit-identical. A forward pass records
+backward closures only above the deepest value that requires a gradient;
+everything below is plain numpy.
+
+An op may return a view: ``reshape`` and ``transpose`` share memory with
+their input, forward and backward, and a gradient handed on may be a view
+of the upstream gradient. So a differentiable op writes in place only into
+arrays it allocated in the same call: never into its inputs, its upstream
+gradient or an array it has handed on, any of which may alias another
+node's data. ``bmm`` copies an operand to contiguous memory only when its
+last axis is not unit-stride (in attention, the transposed keys): numpy
+runs a one-row product, such as the pooled top layer's [B, h, 1, d] query,
+through a matrix-vector kernel, and against a transposed view that kernel
+sums in another order than against contiguous keys. Every other operand
+layout the model produces gives the same bits as its contiguous copy.
 
 A recorded graph is consumed once, as in the usual autograd rule: as
 ``Tensor.backward`` walks it, each node with parents gives up its gradient,
@@ -94,7 +104,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
 
     def __init__(self, data, requires_grad: bool = False, parents: tuple = ()):
-        data = np.asarray(data)
+        if type(data) is not np.ndarray:
+            data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
@@ -115,10 +126,12 @@ class Tensor:
         The traversal order is fully determined by graph construction
         order, so gradient accumulation is reproducible bit for bit.
 
-        The graph is consumed: once a node's closure has run, the node
-        drops its gradient, its closure and its parent links, so only
-        leaves (parameters, and inputs created with ``requires_grad``)
-        hold gradients afterwards. Calling ``backward()`` again through a
+        Leaves are not walked: they have no closure to run, and leaving
+        them out keeps the order of every other node. The graph is
+        consumed: once a node's closure has run, the node drops its
+        gradient, its closure and its parent links, so only leaves
+        (parameters, and inputs created with ``requires_grad``) hold
+        gradients afterwards. Calling ``backward()`` again through a
         consumed node raises ``TrainingError``; rebuild the graph with a
         fresh forward pass instead.
         """
@@ -140,7 +153,8 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                # a leaf's parents are (); a consumed node's are None and raise above
+                if parent._parents != () and id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
@@ -225,36 +239,26 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    x = _tensor_of(x)
-    out = Tensor(x.data * factor, x.requires_grad, (x,) if x.requires_grad else ())
-    if x.requires_grad:
-        def bwd(dout: Array) -> None:
-            _accumulate(x, dout * factor)
-        out._bwd = bwd
-    return out
-
-
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``x`` in ``shape``: a view where numpy can give one (see the module docstring)."""
     x = _tensor_of(x)
-    out = Tensor(np.ascontiguousarray(x.data.reshape(shape)), x.requires_grad,
-                 (x,) if x.requires_grad else ())
+    out = Tensor(x.data.reshape(shape), x.requires_grad, (x,) if x.requires_grad else ())
     if x.requires_grad:
         def bwd(dout: Array) -> None:
-            _accumulate(x, np.ascontiguousarray(dout.reshape(x.data.shape)))
+            _accumulate(x, dout.reshape(x.data.shape))
         out._bwd = bwd
     return out
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """``x`` with its axes permuted, as a view, forward and backward."""
     x = _tensor_of(x)
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), x.requires_grad,
-                 (x,) if x.requires_grad else ())
+    out = Tensor(x.data.transpose(axes), x.requires_grad, (x,) if x.requires_grad else ())
     if x.requires_grad:
         inverse = tuple(np.argsort(axes))
 
         def bwd(dout: Array) -> None:
-            _accumulate(x, np.ascontiguousarray(dout.transpose(inverse)))
+            _accumulate(x, dout.transpose(inverse))
         out._bwd = bwd
     return out
 
@@ -308,53 +312,67 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
     Population variance; ``eps`` guards constant rows. Row means are
     ``np.add.reduce`` over the row divided by its length: the same sum
     ``.mean`` takes and the same correctly rounded quotient, without its
-    per-call overhead.
+    per-call overhead. With no graph to record (the frozen prefix,
+    evaluation) the normalised rows take the gain and shift in place.
     """
     x = _tensor_of(x)
     g, b = gain.tensor, shift.tensor
     n = x.data.shape[-1]
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
     xhat *= inv
+    needs = x.requires_grad or g.requires_grad or b.requires_grad
+    if not needs:
+        xhat *= g.data
+        xhat += b.data
+        return Tensor(xhat)
     out_data = xhat * g.data
     out_data += b.data
-    needs = x.requires_grad or g.requires_grad or b.requires_grad
-    out = Tensor(out_data, needs, (x, g, b) if needs else ())
-    if needs:
-        def bwd(dout: Array) -> None:
-            if g.requires_grad:
-                _accumulate(g, (dout * xhat).reshape(-1, n).sum(axis=0))
-            if b.requires_grad:
-                _accumulate(b, dout.reshape(-1, n).sum(axis=0))
-            if x.requires_grad:
-                dxhat = dout * g.data
-                mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
-                mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
-                along_xhat = xhat * mean_dxhat_xhat
-                dxhat -= mean_dxhat
-                dxhat -= along_xhat
-                dxhat *= inv
-                _accumulate(x, dxhat)
-        out._bwd = bwd
+    out = Tensor(out_data, True, (x, g, b))
+
+    def bwd(dout: Array) -> None:
+        if g.requires_grad:
+            _accumulate(g, (dout * xhat).reshape(-1, n).sum(axis=0))
+        if b.requires_grad:
+            _accumulate(b, dout.reshape(-1, n).sum(axis=0))
+        if x.requires_grad:
+            dxhat = dout * g.data
+            mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+            mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
+            along_xhat = xhat * mean_dxhat_xhat
+            dxhat -= mean_dxhat
+            dxhat -= along_xhat
+            dxhat *= inv
+            _accumulate(x, dxhat)
+    out._bwd = bwd
     return out
 
 
 def _row_max(a: Array) -> Array:
-    """Max over the last axis (kept as length 1), by halving the rows with ``np.maximum``.
+    """Max over the last axis (kept as length 1), in one ``np.maximum.reduce`` pass.
 
-    A max is exact, so the bits are those of ``a.max(axis=-1)``; a row of
-    odd length above 1 is finished with ``.max``.
+    The rows become the outer axis of one transposed copy, so the reduce
+    runs as elementwise maxima over whole contiguous slices. A max is
+    exact, so the bits are those of ``a.max(axis=-1)``.
     """
-    while a.shape[-1] > 1 and a.shape[-1] % 2 == 0:
-        half = a.shape[-1] // 2
-        a = np.maximum(a[..., :half], a[..., half:])
-    return a if a.shape[-1] == 1 else a.max(axis=-1, keepdims=True)
+    rows_outer = np.ascontiguousarray(a.transpose(-1, *range(a.ndim - 1)))
+    return np.maximum.reduce(rows_outer, axis=0)[..., None]
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
+def softmax_lastdim(x: Tensor, factor: float = 1.0) -> Tensor:
+    """Softmax over the last axis of ``factor * x``.
+
+    ``factor`` is attention's score scale 1/sqrt(d). It scales the input
+    before the max is taken, and the input gradient after, with the same
+    roundings as a separate scaling op, so the bits are those of
+    softmax(scale(x)) forward and backward.
+    """
     x = _tensor_of(x)
-    y = x.data - _row_max(x.data)
+    y = x.data * factor
+    y -= _row_max(y)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y, x.requires_grad, (x,) if x.requires_grad else ())
@@ -362,25 +380,39 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         def bwd(dout: Array) -> None:
             dx = dout - (dout * y).sum(axis=-1, keepdims=True)
             dx *= y
+            dx *= factor
             _accumulate(x, dx)
         out._bwd = bwd
     return out
 
 
+def _unit_stride_rows(a: Array) -> Array:
+    """``a`` itself if its last axis is unit-stride, else a contiguous copy (see ``bmm``)."""
+    return a if a.strides[-1] == a.itemsize else np.ascontiguousarray(a)
+
+
 def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the last two axes."""
+    """Batched matrix product over the last two axes.
+
+    An operand whose last axis is not unit-stride is copied to contiguous
+    memory first, forward and backward: with a one-row left operand,
+    numpy's matrix-vector kernel sums in another order against such a view
+    than against contiguous memory (see the module docstring).
+    """
     a, b = _tensor_of(a), _tensor_of(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"bmm: shapes {a.data.shape} and {b.data.shape} do not align")
-    out_data = a.data @ b.data
+    a_data, b_data = _unit_stride_rows(a.data), _unit_stride_rows(b.data)
+    out_data = a_data @ b_data
     needs = a.requires_grad or b.requires_grad
     out = Tensor(out_data, needs, (a, b) if needs else ())
     if needs:
         def bwd(dout: Array) -> None:
+            dout = _unit_stride_rows(dout)
             if a.requires_grad:
-                _accumulate(a, dout @ b.data.swapaxes(-1, -2))
+                _accumulate(a, dout @ b_data.swapaxes(-1, -2))
             if b.requires_grad:
-                _accumulate(b, a.data.swapaxes(-1, -2) @ dout)
+                _accumulate(b, a_data.swapaxes(-1, -2) @ dout)
         out._bwd = bwd
     return out
 
@@ -459,8 +491,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     q = split_heads(linear_forward(query, params.wq, params.bq))
     k = split_heads(linear_forward(x, params.wk, params.bk))
     v = split_heads(linear_forward(x, params.wv, params.bv))
-    scores = scale(bmm(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    probs = softmax_lastdim(scores)
+    probs = softmax_lastdim(bmm(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
     context = bmm(probs, v)
     merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, qlen, hidden))
     return linear_forward(merged, params.wo, params.bo)

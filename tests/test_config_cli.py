@@ -106,6 +106,43 @@ class TestUnknownKeys:
             assert session_mod.config_from_dict(cfg.to_dict()) == cfg
 
 
+class TestOutOfRange:
+    """Values a session cannot run with are refused by the parser, before any world or trace."""
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"configurator": {"start_depth": -1}}, "configurator.start_depth"),
+        ({"configurator": {"start_width": 4, "width_step": 4}}, "configurator.start_width"),
+        ({"configurator": {"start_width": 12}}, "configurator.start_width"),
+        ({"configurator": {"trial_intvl_s": 0.0}}, "configurator.trial_intvl_s"),
+        ({"configurator": {"intvl_growth": 0.0}}, "configurator.intvl_growth"),
+        ({"target_accuracy": 1.5}, "target_accuracy"),
+        ({"target_accuracy": -0.1}, "target_accuracy"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
+    ], ids=["start_depth", "start_width_min", "start_width_step", "trial_intvl_s",
+            "intvl_growth", "target_above_1", "target_below_0", "seed_negative", "seed_2_64"])
+    def test_rejected_before_any_session(self, overrides, key, tmp_path, capsys):
+        doc = small_session_doc(mode="autofed", max_rounds=1, **overrides)
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            session_mod.config_from_dict(doc)
+        path = tmp_path / "session.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        trace = tmp_path / "t.jsonl"
+        code = cli.main(["run", "--config", str(path), "--out", str(trace)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"error: field '{key}'")
+        assert not trace.exists()
+
+    def test_edges_accepted(self):
+        assert session_mod.config_from_dict(small_session_doc(seed=2**64 - 1)).seed == 2**64 - 1
+        cfg = session_mod.config_from_dict(small_session_doc(
+            mode="autofed", seed=0, target_accuracy=1.0,
+            configurator={"start_width": 16, "width_step": 16, "trial_intvl_s": 0.5,
+                          "intvl_growth": 0.5}))
+        assert cfg.seed == 0 and cfg.target_accuracy == 1.0
+        assert session_mod.config_from_dict(small_session_doc(target_accuracy=0.0))
+
+
 class TestCli:
     @pytest.fixture
     def config_path(self, tmp_path):

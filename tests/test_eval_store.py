@@ -297,6 +297,14 @@ class TestStoreUnit:
         with pytest.raises(ValueError):
             store.activation(2, ("test", 0), data[0])[0, 0, 0] = 1.0
 
+    def test_every_chunk_owns_its_memory(self, spec, data):
+        # a view would pin the larger temporary it came from, unseen by ``nbytes``
+        store = PrefixStore(build_model(spec, 1))
+        for resume in range(spec.num_layers + 1):
+            for start in (0, 3, 6):
+                act = store.activation(resume, ("test", start), data[0][start:start + 3])
+                assert act.base is None and act.flags.owndata, (resume, start)
+
     def test_mismatched_tokens_rejected(self, spec, data):
         tokens, labels = data
         backbone = build_model(spec, 1)

@@ -335,7 +335,7 @@ class TestGraphRelease:
             loss.backward()
         # a new graph on top of a consumed intermediate is refused too
         with pytest.raises(TrainingError, match="consumed"):
-            cross_entropy_loss(tn.scale(act, 2.0), np.array([0, 1, 2, 0])).backward()
+            cross_entropy_loss(tn.relu(act), np.array([0, 1, 2, 0])).backward()
         for t, g in zip((x, w.tensor, b.tensor), grads):
             assert np.array_equal(t.grad, g)
 
@@ -383,6 +383,12 @@ def _old_softmax(x, dout):
     return y, (dout - inner) * y
 
 
+def _old_scaled_softmax(x, factor, dout):
+    """Attention's scores as a separate scaling op followed by the softmax, as first written."""
+    y, dscaled = _old_softmax(x * factor, dout)
+    return y, dscaled * factor
+
+
 class TestKernelsMatchTheirOldFormulas:
     """Bit for bit on float32 rows: the rewritten kernels allocate less, not compute otherwise."""
 
@@ -414,6 +420,63 @@ class TestKernelsMatchTheirOldFormulas:
         assert out.data.tobytes() == old_y.tobytes()
         assert xt.grad.tobytes() == old_dx.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 5, 32, 64])
+    def test_softmax_with_factor(self, n):
+        rng = np.random.default_rng(200 + n)
+        x = rng.normal(0.0, 3.0, (2, 4, 3, n)).astype(np.float32)
+        dout = rng.normal(0.0, 1.0, x.shape).astype(np.float32)
+        factor = 1.0 / math.sqrt(16)
+        for f in (factor, 1.0 / math.sqrt(12)):
+            xt = Tensor(x, requires_grad=True)
+            out = tn.softmax_lastdim(xt, f)
+            out._bwd(dout)
+            old_y, old_dx = _old_scaled_softmax(x, f, dout)
+            assert out.data.tobytes() == old_y.tobytes()
+            assert xt.grad.tobytes() == old_dx.tobytes()
+
+    def test_layer_norm_without_a_graph(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(0.3, 2.0, (4, 3, 64)).astype(np.float32)
+        g = rng.normal(1.0, 0.5, 64).astype(np.float32)
+        b = rng.normal(0.0, 0.5, 64).astype(np.float32)
+        before = x.copy()
+        out = layer_norm(Tensor(x), make_parameter(g, False, "g"), make_parameter(b, False, "b"))
+        assert out._bwd is None and out.data.base is None
+        assert out.data.tobytes() == _old_layer_norm(x, g, b, x)[0].tobytes()
+        assert x.tobytes() == before.tobytes()
+
+
+class TestViewsAndContiguity:
+    """``reshape`` and ``transpose`` return views; ``bmm`` copies only a strided last axis."""
+
+    @pytest.mark.parametrize("op", [lambda t: tn.reshape(t, (2, 5, 3, 2)),
+                                    lambda t: tn.transpose(t, (0, 2, 1))],
+                             ids=["reshape", "transpose"])
+    def test_output_and_input_gradient_share_memory(self, op):
+        rng = np.random.default_rng(3)
+
+        def every_other(*shape):  # not contiguous, so a copy to contiguous memory would show
+            return rng.normal(0.0, 1.0, (2 * shape[0], *shape[1:])).astype(np.float32)[::2]
+
+        x = Tensor(every_other(2, 5, 6), requires_grad=True)
+        out = op(x)
+        assert np.shares_memory(out.data, x.data)
+        dout = every_other(*out.shape)
+        out._bwd(dout)
+        assert np.shares_memory(x.grad, dout)
+
+    def test_one_row_query_against_transposed_keys_matches_contiguous(self):
+        # the pooled top layer at the mid shape: a [B, h, 1, d] query against k^T, both
+        # views of split heads; numpy's one-row kernel sums a strided k^T in another order
+        rng = np.random.default_rng(4)
+        batch, heads, seqlen, head_dim = 8, 4, 32, 16
+        q = rng.normal(0.0, 1.0, (batch, 1, heads, head_dim)).astype(np.float32)
+        k = rng.normal(0.0, 1.0, (batch, seqlen, heads, head_dim)).astype(np.float32)
+        q, k = q.transpose(0, 2, 1, 3), k.transpose(0, 2, 1, 3)
+        k_t = k.transpose(0, 1, 3, 2)
+        out = tn.bmm(Tensor(q), Tensor(k_t)).data
+        assert out.tobytes() == (np.ascontiguousarray(q) @ np.ascontiguousarray(k_t)).tobytes()
+
 
 def _op_cases(rng):
     """(name, forward closure) per op; each closure builds its output from the inputs it gets."""
@@ -429,13 +492,13 @@ def _op_cases(rng):
     ids = rng.integers(0, 10, (2, 5))
     return {
         "add": ([arr(2, 5, 6), arr(6)], lambda a, c: tn.add(a, c)),
-        "scale": ([arr(2, 5, 6)], lambda a: tn.scale(a, 0.5)),
         "reshape": ([arr(2, 5, 6)], lambda a: tn.reshape(a, (10, 6))),
         "transpose": ([arr(2, 5, 6)], lambda a: tn.transpose(a, (0, 2, 1))),
         "relu": ([arr(2, 5, 6)], tn.relu),
         "linear_forward": ([arr(2, 5, 6)], lambda a: linear_forward(a, w, b)),
         "layer_norm": ([arr(2, 5, 6)], lambda a: layer_norm(a, g, s)),
         "softmax_lastdim": ([arr(2, 5, 6)], tn.softmax_lastdim),
+        "softmax_lastdim_scaled": ([arr(2, 5, 6)], lambda a: tn.softmax_lastdim(a, 0.5)),
         "bmm": ([arr(2, 5, 6), arr(2, 6, 3)], tn.bmm),
         "embedding": ([], lambda: tn.embedding(table, ids)),
         "first_token": ([arr(2, 5, 6)], tn.first_token),

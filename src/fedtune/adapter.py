@@ -256,9 +256,13 @@ def load_payload(model: ModelState, payload: AdapterPayload) -> None:
 
     The buffers' names must be exactly the trainable parameters' names, and
     each buffer must have its parameter's shape and dtype; otherwise this
-    raises ProtocolError. ``fed.run_round`` loads every client's start
-    payload, then the aggregated one, into the track's one model of the
-    round.
+    raises ProtocolError. The copy goes into the parameter's own array when
+    that is writeable, so a load allocates nothing, and arrays taken from
+    the model before it hold the payload's values afterwards. A read-only
+    placeholder (``_build_stacks_from_payload``) gets a fresh copy instead.
+    ``fed.run_track_round`` loads every client's start payload, then the
+    aggregated one, into the track's one model. The payload's buffers are
+    never kept.
     """
     trainable = {p.name: p for p in model.trainable_parameters()}
     if set(trainable) != set(payload.buffers):
@@ -272,5 +276,7 @@ def load_payload(model: ModelState, payload: AdapterPayload) -> None:
         if buf.dtype != param.tensor.data.dtype:
             raise ProtocolError(
                 f"buffer '{name}' dtype {buf.dtype} != expected {param.tensor.data.dtype}")
-        param.tensor.data = buf.copy()
-
+        if param.tensor.data.flags.writeable:
+            np.copyto(param.tensor.data, buf)
+        else:
+            param.tensor.data = buf.copy()

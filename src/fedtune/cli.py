@@ -22,9 +22,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = session_mod.load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = session_mod.load_config(args.config, seed=args.seed)
     out = args.out or f"session_seed{cfg.seed}_{cfg.mode}.trace.jsonl"
     result = session_mod.run_session_config(cfg, out)
     summary = dict(result.summary)
@@ -48,9 +46,7 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     grid = parse_grid(args.grid)
-    cfg = session_mod.load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = session_mod.load_config(args.config, seed=args.seed)
     rows = session_mod.sweep(cfg, grid, args.out, reference_accuracy=args.reference_accuracy)
     table_path = Path(args.out) / "sweep_table.json"
     with open(table_path, "w") as fh:

@@ -37,7 +37,8 @@ class TrialTrack:
     payload: AdapterPayload
     clock: float = 0.0
     acc_history: list[tuple[float, float]] = field(default_factory=list)
-    # the payload materialized on the backbone by the last ``fed.run_round``
+    # the payload materialized on the backbone by the track's first
+    # ``fed.run_track_round``; between rounds it holds ``payload``
     model: ModelState | None = field(default=None, repr=False)
 
     @property
@@ -151,8 +152,8 @@ def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
                     store: model_mod.PrefixStore, test_tokens, test_labels) -> list[float]:
     """Accuracy of every live track on the global test set, in track order.
 
-    Each track is scored on its ``model``, which ``fed.run_round`` left
-    holding the track's aggregated payload. The store first drops every
+    Each track is scored on its ``model``, which ``fed.run_track_round``
+    left holding the track's aggregated payload. The store first drops every
     resume point none of these tracks resumes from (each resumes at the
     lowest adapter's input, see ``model.resume_layer``); evaluation then
     builds the test chunks it lacks. A track without a frozen prefix (full

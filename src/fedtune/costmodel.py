@@ -4,8 +4,8 @@ Per-layer costs are uniform: one full-model training batch costs 3*D
 forward-layer units (forward D, backward 2D), so the unit cost is the
 measured full-batch latency divided by 3*D. One function,
 ``batch_time_from_boundary``, prices every training batch, with or without
-the activation cache; a round's time and energy are summed from it in
-``fed.run_round``. Adapter compute overhead is treated as negligible next
+the activation cache; a track round's time and energy are summed from it
+in ``fed.run_track_round``. Adapter compute overhead is treated as negligible next
 to a transformer block. Wire traffic is charged at 4 bytes per scalar,
 the float32 the model computes in.
 """

@@ -219,12 +219,19 @@ def _validate(cfg: SessionConfig) -> None:
         _require(conf.intvl_growth > 0, "configurator.intvl_growth", "must be > 0")
 
 
-def load_config(path: str) -> SessionConfig:
+def load_config(path: str, seed: int | None = None) -> SessionConfig:
+    """Parse and validate the YAML config at ``path``; ``seed`` overrides its seed.
+
+    The override is validated with the rest of the document, so an
+    out-of-range seed is refused like one written in the file.
+    """
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as err:
         raise ConfigurationError(f"cannot read config '{path}': {err}") from None
+    if seed is not None and isinstance(doc, dict):
+        doc = {**doc, "seed": seed}
     return config_from_dict(doc)
 
 

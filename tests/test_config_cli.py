@@ -158,6 +158,25 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["seed_negative", "seed_2_64"])
+    def test_out_of_range_seed_override_exits_2(self, verb, seed, config_path, tmp_path,
+                                                capsys):
+        out = tmp_path / "out"
+        extra = ["--grid", "0:8", "--reference-accuracy", "0.5"] if verb == "sweep" else []
+        code = cli.main([verb, "--config", config_path, "--seed", str(seed),
+                         "--out", str(out), *extra])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error: field 'seed'")
+        assert not out.exists()
+
+    def test_seed_override_reaches_the_session(self, config_path, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        code = cli.main(["run", "--config", config_path, "--seed", str(2**64 - 1),
+                         "--out", str(trace)])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
+
     def test_parse_grid(self):
         assert cli.parse_grid("0:8,2:16") == [(0, 8), (2, 16)]
 

@@ -32,10 +32,12 @@ def test_fedavg_of_identical_payloads_is_bit_exact(tiny_model):
     scheme = TuningScheme("adapter", AdapterConfig(2, 16, 8))
     model = _trained(adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1)), 2)
     payload = adapter_mod.extract_payload(model, scheme)
-    # weights 3/21, 7/21, 11/21 are not exact in binary
-    updates = [fed_mod.ClientUpdate(cid, adapter_mod.extract_payload(model, scheme), n)
-               for cid, n in ((4, 3), (1, 7), (9, 11))]
-    merged = fed_mod.fedavg(updates)
+    # weights 7/21, 3/21, 11/21 are not exact in binary
+    mean = fed_mod.RunningMean(7 + 3 + 11)
+    for cid, n in ((1, 7), (4, 3), (9, 11)):
+        fed_mod.fedavg(mean, fed_mod.ClientUpdate(
+            cid, adapter_mod.extract_payload(model, scheme), n))
+    merged = mean.payload()
     assert merged.scheme == scheme and list(merged.buffers) == list(payload.buffers)
     for name, buf in payload.buffers.items():
         assert merged.buffers[name].tobytes() == buf.tobytes(), name

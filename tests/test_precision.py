@@ -33,7 +33,7 @@ class TestSessionDtypes:
     def recorded(self, monkeypatch, small_world):
         """One round of a fixed adapter track, one of a full fine-tuning track, one evaluation."""
         world = small_world
-        models, grads, updates, merged = [], [], [], []
+        models, grads, updates, means = [], [], [], []
 
         def recording_materialize(*args, _inner=adapter_mod.materialize, **kwargs):
             models.append(_inner(*args, **kwargs))
@@ -44,10 +44,11 @@ class TestSessionDtypes:
             grads.extend(p.grad for p in params if p.trainable)
             _inner(params, lr)
 
-        def recording_fedavg(batch, _inner=fed_mod.fedavg):
-            updates.extend(batch)
-            merged.append(_inner(batch))
-            return merged[-1]
+        def recording_fedavg(mean, update, _inner=fed_mod.fedavg):
+            updates.append(update)
+            _inner(mean, update)
+            if not any(m is mean for m in means):
+                means.append(mean)
 
         monkeypatch.setattr(adapter_mod, "materialize", recording_materialize)
         monkeypatch.setattr(tn, "sgd_step", recording_sgd_step)
@@ -64,6 +65,10 @@ class TestSessionDtypes:
             tracks.append(track)
         conf_mod.evaluate_tracks(tracks, world.backbone, store,
                                  world.test_tokens, world.test_labels)
+        merged = [mean.payload() for mean in means]
+        # the folded means are the payloads the tracks carry on
+        assert len(merged) == len(tracks)
+        assert all(m.buffers is t.payload.buffers for m, t in zip(merged, tracks))
         return world, models, grads, updates, merged, store
 
     def test_parameters_and_gradients_are_float32(self, recorded):

@@ -19,6 +19,7 @@ from .tensor_nn import SeededRng
 TEACHER_FEATURE_DIM = 16
 TOPIC_BOOST = 4.0
 MAX_REJECTION_FACTOR = 400
+SAMPLING_BLOCK = 64  # most candidate sequences drawn and scored in one pass
 
 
 @dataclass(frozen=True)
@@ -67,48 +68,56 @@ def _teacher_embeddings(spec: SyntheticTaskSpec) -> np.ndarray:
     return rng.normal(0.0, 1.0, (spec.vocab, TEACHER_FEATURE_DIM))
 
 
-def _topic_of(token: int, num_labels: int) -> int:
-    return (token - 1) % num_labels
+def _teacher_matrix(emb: np.ndarray, topics: np.ndarray, num_labels: int) -> np.ndarray:
+    """Column y = centroid of the embeddings of label y's topic tokens.
 
-
-def _teacher_matrix(spec: SyntheticTaskSpec) -> np.ndarray:
-    """Column y = centroid of the embeddings of label y's topic tokens."""
-    emb = _teacher_embeddings(spec)
-    cols = np.zeros((TEACHER_FEATURE_DIM, spec.num_labels))
-    for y in range(spec.num_labels):
-        members = [t for t in range(1, spec.vocab) if _topic_of(t, spec.num_labels) == y]
-        cols[:, y] = emb[members].mean(axis=0)
+    ``topics[t - 1]`` is the topic of content token t.
+    """
+    cols = np.zeros((TEACHER_FEATURE_DIM, num_labels))
+    for y in range(num_labels):
+        cols[:, y] = emb[1:][topics == y].mean(axis=0)
     return cols
 
 
 def generate_task(spec: SyntheticTaskSpec, rng: SeededRng) -> LabeledDataset:
-    """Balanced dataset labeled by the hidden teacher, with optional noise."""
+    """Balanced dataset labeled by the hidden teacher, with optional noise.
+
+    Each label's candidates are drawn, scored and accepted in blocks of at
+    most ``SAMPLING_BLOCK`` sequences, and a block never holds more
+    candidates than the label still needs. A block of k sequences reads the
+    stream exactly as k single draws do, so every candidate drawn is one a
+    one-at-a-time sampler draws too: the dataset, the draw count at which
+    the budget runs out, and the stream's position after the call do not
+    depend on the block size.
+    """
     emb = _teacher_embeddings(spec)
-    teacher = _teacher_matrix(spec)
     content_tokens = np.arange(1, spec.vocab)
-    tokens_out = []
-    labels_out = []
+    topics = (content_tokens - 1) % spec.num_labels
+    teacher = _teacher_matrix(emb, topics, spec.num_labels)
+    per_label = spec.samples_per_label
+    limit = MAX_REJECTION_FACTOR * per_label
+    # not np.zeros: its calloc faulted the array's pages in anew on every build
+    tokens = np.empty((spec.num_labels * per_label, spec.seqlen), dtype=np.int64)
+    tokens[:, 0] = 0
     for y in range(spec.num_labels):
         weights = np.ones(content_tokens.size)
-        weights[[_topic_of(int(t), spec.num_labels) == y for t in content_tokens]] += TOPIC_BOOST
+        weights[topics == y] += TOPIC_BOOST
         probs = weights / weights.sum()
         accepted = 0
         draws = 0
-        limit = MAX_REJECTION_FACTOR * spec.samples_per_label
-        while accepted < spec.samples_per_label:
-            if draws >= limit:
+        while accepted < per_label:
+            k = min(per_label - accepted, limit - draws, SAMPLING_BLOCK)
+            if k == 0:
                 raise DataError(
                     f"label {y}: rejection sampling budget exhausted after {draws} draws")
-            draws += 1
-            idx = rng.choice_index(probs, spec.seqlen - 1)
-            seq = np.concatenate(([0], content_tokens[idx]))
-            features = emb[seq[1:]].mean(axis=0)
-            if int((features @ teacher).argmax()) == y:
-                tokens_out.append(seq)
-                labels_out.append(y)
-                accepted += 1
-    tokens = np.stack(tokens_out).astype(np.int64)
-    labels = np.asarray(labels_out, dtype=np.int64)
+            draws += k
+            seqs = content_tokens[rng.choice_index(probs, (k, spec.seqlen - 1))]
+            scores = emb[seqs].mean(axis=1) @ teacher
+            kept = seqs[scores.argmax(axis=1) == y]
+            row = y * per_label + accepted
+            tokens[row:row + kept.shape[0], 1:] = kept
+            accepted += kept.shape[0]
+    labels = np.repeat(np.arange(spec.num_labels, dtype=np.int64), per_label)
     if spec.noise_rate > 0.0:
         flip = rng.uniform(0.0, 1.0, labels.size) < spec.noise_rate
         offsets = rng.integers(1, spec.num_labels, size=labels.size)
@@ -141,7 +150,7 @@ def partition_noniid(dataset: LabeledDataset, num_clients: int, a: float,
     labels = dataset.labels
     num_labels = dataset.spec.num_labels
     for _ in range(max_retries):
-        prefs = np.stack([rng.dirichlet([a] * num_labels) for _ in range(num_clients)])
+        prefs = rng.dirichlet([a] * num_labels, size=num_clients)
         shards: dict[int, list[np.ndarray]] = {c: [] for c in range(num_clients)}
         for y in range(num_labels):
             pool = np.flatnonzero(labels == y)
@@ -176,28 +185,32 @@ def largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:
 
 def split_train_test(dataset: LabeledDataset, indices: np.ndarray, client_id: int,
                      rng: SeededRng, ratio: float = 0.8) -> Shard:
-    """Per-client stratified-when-possible train/test split at ``ratio``."""
+    """Per-client stratified-when-possible train/test split at ``ratio``.
+
+    ``indices`` must be ascending and distinct, as ``partition_noniid``
+    returns them; both parts keep that order. Each label present, in
+    ascending order, takes one ``rng.permutation`` of its members.
+    """
     if indices.size < 5:
         raise SplitError(f"client {client_id}: shard of {indices.size} samples is too small")
+    if np.any(indices[1:] <= indices[:-1]):
+        raise SplitError(f"client {client_id}: shard indices must be ascending and distinct")
     labels = dataset.labels[indices]
-    test_parts = []
-    for y in np.unique(labels):
-        members = indices[labels == y]
-        members = members[rng.permutation(members.size)]
+    test = np.zeros(indices.size, dtype=bool)
+    for y in np.flatnonzero(np.bincount(labels)):
+        members = np.flatnonzero(labels == y)
         n_test = int(round(members.size * (1.0 - ratio)))
-        test_parts.append(members[:n_test])
-    test_idx = np.sort(np.concatenate(test_parts)) if test_parts else np.array([], dtype=np.int64)
-    if test_idx.size == 0:
+        test[members[rng.permutation(members.size)][:n_test]] = True
+    if not test.any():
         # tiny shard: hold out one deterministic sample so evaluation exists
-        test_idx = indices[rng.permutation(indices.size)][:1]
-    train_idx = np.setdiff1d(indices, test_idx)
+        test[rng.permutation(indices.size)[0]] = True
+    train_idx, test_idx = indices[~test], indices[test]
     if train_idx.size == 0:
         raise SplitError(f"client {client_id}: no training samples after split")
     return Shard(
         client_id=client_id,
-        train_tokens=dataset.tokens[train_idx].copy(),
-        train_labels=dataset.labels[train_idx].copy(),
-        test_tokens=dataset.tokens[test_idx].copy(),
-        test_labels=dataset.labels[test_idx].copy(),
+        train_tokens=dataset.tokens[train_idx],
+        train_labels=dataset.labels[train_idx],
+        test_tokens=dataset.tokens[test_idx],
+        test_labels=dataset.labels[test_idx],
     )
-

@@ -330,7 +330,25 @@ def _initial_tracks(world: World, state: ConfiguratorState | None) -> list[Trial
 
 
 def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
-    """Execute one session and stream its trace to ``trace_path``."""
+    """Execute one session and stream its trace to ``trace_path``.
+
+    It starts by allocating and freeing one buffer of twice an evaluation
+    chunk's attention scores (1 MiB at the benchmark's mid shape), so that
+    the session's heap does not depend on what the process did before.
+    glibc's malloc maps a block above its mmap threshold (128 KiB at start)
+    on its own when no free part of the heap can hold it, and freeing a
+    mapped block raises the threshold to that block's size and the heap's
+    trim threshold to twice that. Below those thresholds, the session's
+    arrays of a few hundred KiB are mapped and unmapped again, and the top
+    of the heap is handed back after training steps, so each round faults
+    its pages in anew. Without this free the thresholds were set by
+    whatever large block the process freed first, such as the buffer that
+    read a lazily imported module's bytecode.
+    """
+    # mallopt(3), M_MMAP_THRESHOLD: freeing a mapped block raises both thresholds
+    scores = np.empty(2 * model_mod.EVAL_CHUNK * cfg.model.heads * cfg.model.seqlen ** 2,
+                      dtype=model_mod.DTYPE)
+    del scores
     world = build_world(cfg)
     with trace_mod.TraceWriter(trace_path) as writer:
         writer.emit({"evt": "session", "version": trace_mod.TRACE_VERSION,

@@ -81,11 +81,17 @@ class SeededRng:
     def permutation(self, n_or_seq):
         return self._gen.permutation(n_or_seq)
 
-    def dirichlet(self, alpha: Sequence[float]) -> Array:
-        return self._gen.dirichlet(np.asarray(alpha, dtype=np.float64))
+    def dirichlet(self, alpha: Sequence[float], size: int | None = None) -> Array:
+        """One draw of shape [len(alpha)], or ``size`` rows that read the
+        stream exactly as ``size`` single draws in a row do."""
+        return self._gen.dirichlet(np.asarray(alpha, dtype=np.float64), size)
 
-    def choice_index(self, probabilities: Array, size: int) -> Array:
-        """Sample ``size`` indices from a categorical distribution."""
+    def choice_index(self, probabilities: Array, size: int | tuple[int, ...]) -> Array:
+        """Sample indices of shape ``size`` from a categorical distribution.
+
+        One uniform draw per index, in C order: a block of shape (k, n)
+        reads the stream exactly as k calls with size n do.
+        """
         cdf = np.cumsum(probabilities)
         cdf /= cdf[-1]
         draws = self._gen.random(size)

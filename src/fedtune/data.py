@@ -132,7 +132,9 @@ def partition_noniid(dataset: LabeledDataset, num_clients: int, a: float,
     """Assign sample indices to clients with Dirichlet(a) label skew.
 
     Each client's label preference vector is drawn from a symmetric
-    Dirichlet with concentration ``a``; each class's samples are then split
+    Dirichlet with concentration ``a``, all clients in one batched draw
+    that reads the stream as one draw per client in turn does; each
+    class's samples are then split
     by largest-remainder rounding of the clients' preferences for it (evenly
     when they are all 0), so the shards are an exact disjoint cover of the
     dataset. Redraws until every client holds at least ``min_per_client``

@@ -12,12 +12,19 @@ the float32 the model computes in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
 WIRE_BYTES_PER_SCALAR = 4
 PAYLOAD_HEADER_BYTES = 64
+
+
+def _positive(value: float) -> bool:
+    """Finite and > 0: a NaN passes every ``<=`` test and would poison the emulated clock."""
+    return math.isfinite(value) and value > 0
+
 
 @dataclass(frozen=True)
 class DeviceProfile:
@@ -32,8 +39,9 @@ class DeviceProfile:
     def __post_init__(self):
         for field_name in ("per_batch_latency_full", "compute_power_watts",
                            "radio_power_watts", "cache_reload_latency"):
-            if getattr(self, field_name) <= 0:
-                raise ConfigurationError(f"device profile '{self.name}': {field_name} must be > 0")
+            if not _positive(getattr(self, field_name)):
+                raise ConfigurationError(
+                    f"device profile '{self.name}': {field_name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -42,8 +50,9 @@ class NetworkProfile:
     downlink_bytes_per_s: float
 
     def __post_init__(self):
-        if self.uplink_bytes_per_s <= 0 or self.downlink_bytes_per_s <= 0:
-            raise ConfigurationError("network bandwidth must be > 0")
+        for field_name in ("uplink_bytes_per_s", "downlink_bytes_per_s"):
+            if not _positive(getattr(self, field_name)):
+                raise ConfigurationError(f"network {field_name} must be finite and > 0")
 
 
 # Per-batch latencies measured on real boards; power coefficients and

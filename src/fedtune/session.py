@@ -11,6 +11,7 @@ dispatch, the fixed baselines from one track built by ``_fixed_scheme``.
 from __future__ import annotations
 
 import functools
+import math
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
@@ -190,9 +191,16 @@ def _validate(cfg: SessionConfig) -> None:
     _require(cfg.learning_rate >= 0, "learning_rate", "must be >= 0")
     _require(cfg.noniid_concentration > 0, "noniid_concentration", "must be > 0")
     _require(cfg.max_rounds >= 1, "max_rounds", "must be >= 1")
-    for name in cfg.devices:
+    for name, share in cfg.devices.items():
         _require(name in BUILTIN_DEVICE_PROFILES or name in cfg.custom_devices,
                  "devices", f"unknown device profile '{name}'")
+        _require(math.isfinite(share) and share >= 0, f"devices.{name}",
+                 f"share must be finite and >= 0, got {share}")
+    _require(0 < sum(cfg.devices.values()) < math.inf, "devices",
+             "shares must have a finite sum > 0")
+    for target in cfg.relative_targets:
+        _require(math.isfinite(target) and target > 0, "relative_targets",
+                 f"every target must be finite and > 0, got {target}")
     if cfg.mode == "fixed_adapter":
         _require(0 <= cfg.fixed_depth <= cfg.model.num_layers, "fixed_depth",
                  f"must be in [0, {cfg.model.num_layers}]")
@@ -332,23 +340,22 @@ def _initial_tracks(world: World, state: ConfiguratorState | None) -> list[Trial
 def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
     """Execute one session and stream its trace to ``trace_path``.
 
-    It starts by allocating and freeing one buffer of twice an evaluation
-    chunk's attention scores (1 MiB at the benchmark's mid shape), so that
+    It starts by allocating and freeing one untouched 16 MiB block, so that
     the session's heap does not depend on what the process did before.
     glibc's malloc maps a block above its mmap threshold (128 KiB at start)
-    on its own when no free part of the heap can hold it, and freeing a
-    mapped block raises the threshold to that block's size and the heap's
-    trim threshold to twice that. Below those thresholds, the session's
-    arrays of a few hundred KiB are mapped and unmapped again, and the top
-    of the heap is handed back after training steps, so each round faults
-    its pages in anew. Without this free the thresholds were set by
-    whatever large block the process freed first, such as the buffer that
-    read a lazily imported module's bytecode.
+    when no free part of the heap can hold it, and freeing a mapped block of
+    at most 32 MiB raises the threshold to that block's size and the heap's
+    trim threshold to twice that (mallopt(3), ``M_MMAP_THRESHOLD``). No
+    free part of the session's heap holds 16 MiB, so the block is mapped
+    whatever ran before. With the trim threshold at 32 MiB, the pages a
+    training step frees at the top of the heap stay mapped for the next
+    step instead of being handed back and faulted in anew. A 1 MiB block
+    left that to heap layout: a ``full_ft`` session at seed 2 took 2.9k
+    minor faults, or 138k once the training graph freed its values sooner.
     """
     # mallopt(3), M_MMAP_THRESHOLD: freeing a mapped block raises both thresholds
-    scores = np.empty(2 * model_mod.EVAL_CHUNK * cfg.model.heads * cfg.model.seqlen ** 2,
-                      dtype=model_mod.DTYPE)
-    del scores
+    guard = np.empty(16 << 20, dtype=np.uint8)
+    del guard
     world = build_world(cfg)
     with trace_mod.TraceWriter(trace_path) as writer:
         writer.emit({"evt": "session", "version": trace_mod.TRACE_VERSION,

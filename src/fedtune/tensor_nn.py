@@ -22,9 +22,22 @@ through a matrix-vector kernel, and against a transposed view that kernel
 sums in another order than against contiguous keys. Every other operand
 layout the model produces gives the same bits as its contiguous copy.
 
+A ``Tensor`` is a value; only a value that takes part in a graph has a
+``Node``. A leaf's node (a parameter, or an input created with
+``requires_grad``) holds the ``requires_grad`` flag and the gradient that
+backward leaves there. An op's node holds its parents' nodes and its
+backward closure, and no node links back to a tensor. A closure captures
+parent nodes, the arrays it reads (a softmax its output, a layer norm its
+normalised rows, a linear map its flattened input and its weight) and the
+shapes and dtypes it needs, never a parent ``Tensor``. So a value no
+backward reads, such as the attention scores before the softmax or a
+residual sum before its layer norm, is freed as soon as the forward drops
+its last reference to it, as under the usual saved-tensor rule; a value a
+closure reads lives until that closure has run.
+
 A recorded graph is consumed once, as in the usual autograd rule: as
 ``Tensor.backward`` walks it, each node with parents gives up its gradient,
-its closure (and with it the activations the closure saved) and its parent
+its closure (and with it the arrays the closure saved) and its parent
 links once its closure has run. Peak memory during backward is thus close
 to one step's working set. Only leaves (parameters, and inputs created with
 ``requires_grad``) keep their gradients; a second ``backward()`` through a
@@ -98,26 +111,67 @@ class SeededRng:
         return np.searchsorted(cdf, draws, side="right")
 
 
+class Node:
+    """What the backward graph keeps of one value: never the value itself.
+
+    A leaf's node (a parameter, or an input created with ``requires_grad``)
+    has no parents and holds the gradient that ``backward`` leaves there. An
+    op's node holds its parents' nodes and its backward closure, which
+    captures only the arrays and shapes it reads; ``parents`` becomes
+    ``None`` once ``Tensor.backward`` has consumed the node.
+    """
+
+    __slots__ = ("requires_grad", "grad", "parents", "bwd")
+
+    def __init__(self, parents: tuple["Node", ...] = (),
+                 bwd: Callable[[Array], None] | None = None):
+        self.requires_grad = True
+        self.grad: Array | None = None
+        self.parents: tuple[Node, ...] | None = parents
+        self.bwd = bwd
+
+
 class Tensor:
-    """Value node in the backward graph (row-major).
+    """A value (row-major), with a ``Node`` only if it takes part in a graph.
 
     A floating array keeps its dtype, and every op's output and gradient
     follow it: the model is float32 (``model.build_model``). Anything else
     (integers, bools, Python numbers and lists) is stored in double
-    precision.
+    precision. No node links back to its tensor, so the array is freed when
+    the last tensor or closure holding it goes.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
+    __slots__ = ("data", "node")
 
-    def __init__(self, data, requires_grad: bool = False, parents: tuple = ()):
+    def __init__(self, data, requires_grad: bool = False):
         if type(data) is not np.ndarray:
             data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
-        self.grad: Array | None = None
-        self.requires_grad = bool(requires_grad)
-        # None once backward() has consumed this node (leaves keep ``()``)
-        self._parents: tuple[Tensor, ...] | None = parents
-        self._bwd: Callable[[Array], None] | None = None
+        self.node: Node | None = Node() if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None and self.node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        if self.node is not None:
+            self.node.requires_grad = bool(flag)
+        elif flag:
+            self.node = Node()
+
+    @property
+    def grad(self) -> Array | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, value: Array | None) -> None:
+        if self.node is None:
+            if value is None:
+                return
+            self.node = Node()
+            self.node.requires_grad = False
+        self.node.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -143,9 +197,9 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.data.shape}")
-        topo: list[Tensor] = []
+        topo: list[Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack = [(self.node, False)] if self.node is not None else []
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -153,22 +207,22 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
-            if node._parents is None:
+            if node.parents is None:
                 raise TrainingError(
                     "backward() through a graph an earlier backward() already consumed")
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 # a leaf's parents are (); a consumed node's are None and raise above
-                if parent._parents != () and id(parent) not in visited:
+                if parent.parents != () and id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if not node._parents:
+            if not node.parents:
                 continue
             if node.grad is not None:
-                node._bwd(node.grad)
-            node.grad = node._bwd = node._parents = None
+                node.bwd(node.grad)
+            node.grad = node.bwd = node.parents = None
 
 
 @dataclass
@@ -207,7 +261,22 @@ def _tensor_of(value) -> Tensor:
     return value.tensor if isinstance(value, Parameter) else value
 
 
-def _accumulate(target: Tensor, grad: Array) -> None:
+def _grad_node(t: Tensor) -> Node | None:
+    """The node an op's closure accumulates into: ``None`` unless ``t`` needs its gradient."""
+    node = t.node
+    return node if node is not None and node.requires_grad else None
+
+
+def _recorded(data: Array, parents: Iterable[Node | None], bwd: Callable[[Array], None]) -> Tensor:
+    """An op's output: its array, with a node linking the parents that need a gradient."""
+    out = Tensor(data)
+    # from a list: tuple() of a generator shrinks an over-sized tuple, and
+    # freed shrunk tuples pile up in the interpreter's small-tuple free lists
+    out.node = Node(tuple([p for p in parents if p is not None]), bwd)
+    return out
+
+
+def _accumulate(target: Node, grad: Array) -> None:
     if not target.requires_grad:
         return
     if target.grad is None:
@@ -233,55 +302,66 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _tensor_of(a), _tensor_of(b)
     out_data = a.data + b.data
-    needs = a.requires_grad or b.requires_grad
-    out = Tensor(out_data, needs, (a, b) if needs else ())
-    if needs:
-        def bwd(dout: Array) -> None:
-            if a.requires_grad:
-                _accumulate(a, _unbroadcast(dout, a.data.shape))
-            if b.requires_grad:
-                _accumulate(b, _unbroadcast(dout, b.data.shape))
-        out._bwd = bwd
-    return out
+    na, nb = _grad_node(a), _grad_node(b)
+    if na is None and nb is None:
+        return Tensor(out_data)
+    a_shape, b_shape = a.data.shape, b.data.shape
+
+    def bwd(dout: Array) -> None:
+        if na is not None:
+            _accumulate(na, _unbroadcast(dout, a_shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(dout, b_shape))
+    return _recorded(out_data, (na, nb), bwd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """``x`` in ``shape``: a view where numpy can give one (see the module docstring)."""
     x = _tensor_of(x)
-    out = Tensor(x.data.reshape(shape), x.requires_grad, (x,) if x.requires_grad else ())
-    if x.requires_grad:
-        def bwd(dout: Array) -> None:
-            _accumulate(x, dout.reshape(x.data.shape))
-        out._bwd = bwd
-    return out
+    out_data = x.data.reshape(shape)
+    nx = _grad_node(x)
+    if nx is None:
+        return Tensor(out_data)
+    x_shape = x.data.shape
+
+    def bwd(dout: Array) -> None:
+        _accumulate(nx, dout.reshape(x_shape))
+    return _recorded(out_data, (nx,), bwd)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     """``x`` with its axes permuted, as a view, forward and backward."""
     x = _tensor_of(x)
-    out = Tensor(x.data.transpose(axes), x.requires_grad, (x,) if x.requires_grad else ())
-    if x.requires_grad:
-        inverse = tuple(np.argsort(axes))
+    out_data = x.data.transpose(axes)
+    nx = _grad_node(x)
+    if nx is None:
+        return Tensor(out_data)
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
 
-        def bwd(dout: Array) -> None:
-            _accumulate(x, dout.transpose(inverse))
-        out._bwd = bwd
-    return out
+    def bwd(dout: Array) -> None:
+        _accumulate(nx, dout.transpose(inverse))
+    return _recorded(out_data, (nx,), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
     x = _tensor_of(x)
     mask = x.data > 0.0
-    out = Tensor(x.data * mask, x.requires_grad, (x,) if x.requires_grad else ())
-    if x.requires_grad:
-        def bwd(dout: Array) -> None:
-            _accumulate(x, dout * mask)
-        out._bwd = bwd
-    return out
+    out_data = x.data * mask
+    nx = _grad_node(x)
+    if nx is None:
+        return Tensor(out_data)
+
+    def bwd(dout: Array) -> None:
+        _accumulate(nx, dout * mask)
+    return _recorded(out_data, (nx,), bwd)
 
 
 def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
-    """Affine map ``x @ W + b`` over the last axis of ``x``."""
+    """Affine map ``x @ W + b`` over the last axis of ``x``.
+
+    The closure keeps the flattened input only if the weight needs its
+    gradient, and the weight only if the input does.
+    """
     x = _tensor_of(x)
     w, b = weight.tensor, bias.tensor
     if x.data.shape[-1] != w.data.shape[0]:
@@ -296,20 +376,23 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
     x2 = np.ascontiguousarray(x.data.reshape(-1, w.data.shape[0]))
     out2 = x2 @ w.data
     out2 += b.data
-    needs = x.requires_grad or w.requires_grad or b.requires_grad
-    out = Tensor(out2.reshape(*lead, w.data.shape[1]), needs,
-                 (x, w, b) if needs else ())
-    if needs:
-        def bwd(dout: Array) -> None:
-            d2 = np.ascontiguousarray(dout.reshape(out2.shape))
-            if w.requires_grad:
-                _accumulate(w, x2.T @ d2)
-            if b.requires_grad:
-                _accumulate(b, d2.sum(axis=0))
-            if x.requires_grad:
-                _accumulate(x, np.ascontiguousarray((d2 @ w.data.T).reshape(x.data.shape)))
-        out._bwd = bwd
-    return out
+    out_data = out2.reshape(*lead, w.data.shape[1])
+    nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
+    if nx is None and nw is None and nb is None:
+        return Tensor(out_data)
+    x_shape, out2_shape = x.data.shape, out2.shape
+    saved_x2 = x2 if nw is not None else None
+    saved_w = w.data if nx is not None else None
+
+    def bwd(dout: Array) -> None:
+        d2 = np.ascontiguousarray(dout.reshape(out2_shape))
+        if nw is not None:
+            _accumulate(nw, saved_x2.T @ d2)
+        if nb is not None:
+            _accumulate(nb, d2.sum(axis=0))
+        if nx is not None:
+            _accumulate(nx, np.ascontiguousarray((d2 @ saved_w.T).reshape(x_shape)))
+    return _recorded(out_data, (nx, nw, nb), bwd)
 
 
 def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) -> Tensor:
@@ -320,6 +403,8 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
     ``.mean`` takes and the same correctly rounded quotient, without its
     per-call overhead. With no graph to record (the frozen prefix,
     evaluation) the normalised rows take the gain and shift in place.
+    The closure keeps the normalised rows and their inverse deviations,
+    not the input.
     """
     x = _tensor_of(x)
     g, b = gain.tensor, shift.tensor
@@ -330,31 +415,30 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    needs = x.requires_grad or g.requires_grad or b.requires_grad
-    if not needs:
+    nx, ng, nb = _grad_node(x), _grad_node(g), _grad_node(b)
+    if nx is None and ng is None and nb is None:
         xhat *= g.data
         xhat += b.data
         return Tensor(xhat)
-    out_data = xhat * g.data
+    g_data = g.data
+    out_data = xhat * g_data
     out_data += b.data
-    out = Tensor(out_data, True, (x, g, b))
 
     def bwd(dout: Array) -> None:
-        if g.requires_grad:
-            _accumulate(g, (dout * xhat).reshape(-1, n).sum(axis=0))
-        if b.requires_grad:
-            _accumulate(b, dout.reshape(-1, n).sum(axis=0))
-        if x.requires_grad:
-            dxhat = dout * g.data
+        if ng is not None:
+            _accumulate(ng, (dout * xhat).reshape(-1, n).sum(axis=0))
+        if nb is not None:
+            _accumulate(nb, dout.reshape(-1, n).sum(axis=0))
+        if nx is not None:
+            dxhat = dout * g_data
             mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
             mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
             along_xhat = xhat * mean_dxhat_xhat
             dxhat -= mean_dxhat
             dxhat -= along_xhat
             dxhat *= inv
-            _accumulate(x, dxhat)
-    out._bwd = bwd
-    return out
+            _accumulate(nx, dxhat)
+    return _recorded(out_data, (nx, ng, nb), bwd)
 
 
 def _row_max(a: Array) -> Array:
@@ -374,22 +458,24 @@ def softmax_lastdim(x: Tensor, factor: float = 1.0) -> Tensor:
     ``factor`` is attention's score scale 1/sqrt(d). It scales the input
     before the max is taken, and the input gradient after, with the same
     roundings as a separate scaling op, so the bits are those of
-    softmax(scale(x)) forward and backward.
+    softmax(scale(x)) forward and backward. The closure keeps the output,
+    not the scores.
     """
     x = _tensor_of(x)
     y = x.data * factor
     y -= _row_max(y)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor(y, x.requires_grad, (x,) if x.requires_grad else ())
-    if x.requires_grad:
-        def bwd(dout: Array) -> None:
-            dx = dout - (dout * y).sum(axis=-1, keepdims=True)
-            dx *= y
-            dx *= factor
-            _accumulate(x, dx)
-        out._bwd = bwd
-    return out
+    nx = _grad_node(x)
+    if nx is None:
+        return Tensor(y)
+
+    def bwd(dout: Array) -> None:
+        dx = dout - (dout * y).sum(axis=-1, keepdims=True)
+        dx *= y
+        dx *= factor
+        _accumulate(nx, dx)
+    return _recorded(y, (nx,), bwd)
 
 
 def _unit_stride_rows(a: Array) -> Array:
@@ -403,24 +489,26 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     An operand whose last axis is not unit-stride is copied to contiguous
     memory first, forward and backward: with a one-row left operand,
     numpy's matrix-vector kernel sums in another order against such a view
-    than against contiguous memory (see the module docstring).
+    than against contiguous memory (see the module docstring). The closure
+    keeps the operands as multiplied, so a copied operand's source is not
+    kept.
     """
     a, b = _tensor_of(a), _tensor_of(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"bmm: shapes {a.data.shape} and {b.data.shape} do not align")
     a_data, b_data = _unit_stride_rows(a.data), _unit_stride_rows(b.data)
     out_data = a_data @ b_data
-    needs = a.requires_grad or b.requires_grad
-    out = Tensor(out_data, needs, (a, b) if needs else ())
-    if needs:
-        def bwd(dout: Array) -> None:
-            dout = _unit_stride_rows(dout)
-            if a.requires_grad:
-                _accumulate(a, dout @ b_data.swapaxes(-1, -2))
-            if b.requires_grad:
-                _accumulate(b, a_data.swapaxes(-1, -2) @ dout)
-        out._bwd = bwd
-    return out
+    na, nb = _grad_node(a), _grad_node(b)
+    if na is None and nb is None:
+        return Tensor(out_data)
+
+    def bwd(dout: Array) -> None:
+        dout = _unit_stride_rows(dout)
+        if na is not None:
+            _accumulate(na, dout @ b_data.swapaxes(-1, -2))
+        if nb is not None:
+            _accumulate(nb, a_data.swapaxes(-1, -2) @ dout)
+    return _recorded(out_data, (na, nb), bwd)
 
 
 def embedding(table: Parameter, ids: Array) -> Tensor:
@@ -432,27 +520,33 @@ def embedding(table: Parameter, ids: Array) -> Tensor:
         raise DataError(
             f"token id out of range for table of size {t.data.shape[0]} (first bad row {bad})"
         )
-    out = Tensor(t.data[ids], t.requires_grad, (t,) if t.requires_grad else ())
-    if t.requires_grad:
-        def bwd(dout: Array) -> None:
-            dt = np.zeros_like(t.data)
-            np.add.at(dt, ids.reshape(-1), dout.reshape(-1, t.data.shape[1]))
-            _accumulate(t, dt)
-        out._bwd = bwd
-    return out
+    out_data = t.data[ids]
+    nt = _grad_node(t)
+    if nt is None:
+        return Tensor(out_data)
+    table_shape, dtype = t.data.shape, t.data.dtype
+
+    def bwd(dout: Array) -> None:
+        dt = np.zeros(table_shape, dtype)
+        np.add.at(dt, ids.reshape(-1), dout.reshape(-1, table_shape[1]))
+        _accumulate(nt, dt)
+    return _recorded(out_data, (nt,), bwd)
 
 
 def first_token(x: Tensor) -> Tensor:
     """Pool a [B, S, n] sequence batch down to its first position."""
     x = _tensor_of(x)
-    out = Tensor(x.data[:, 0, :].copy(), x.requires_grad, (x,) if x.requires_grad else ())
-    if x.requires_grad:
-        def bwd(dout: Array) -> None:
-            dx = np.zeros_like(x.data)
-            dx[:, 0, :] = dout
-            _accumulate(x, dx)
-        out._bwd = bwd
-    return out
+    out_data = x.data[:, 0, :].copy()
+    nx = _grad_node(x)
+    if nx is None:
+        return Tensor(out_data)
+    x_shape, dtype = x.data.shape, x.data.dtype
+
+    def bwd(dout: Array) -> None:
+        dx = np.zeros(x_shape, dtype)
+        dx[:, 0, :] = dout
+        _accumulate(nx, dx)
+    return _recorded(out_data, (nx,), bwd)
 
 
 @dataclass
@@ -518,15 +612,16 @@ def cross_entropy_loss(logits: Tensor, labels: Array) -> Tensor:
     sum_exp = exp.sum(axis=-1, keepdims=True)
     log_probs = shifted - np.log(sum_exp)
     picked = log_probs[np.arange(batch), labels]
-    out = Tensor(np.array(-picked.mean()), logits.requires_grad,
-                 (logits,) if logits.requires_grad else ())
-    if logits.requires_grad:
-        def bwd(dout: Array) -> None:
-            dlogits = exp / sum_exp
-            dlogits[np.arange(batch), labels] -= 1.0
-            _accumulate(logits, dlogits * (float(dout) / batch))
-        out._bwd = bwd
-    return out
+    out_data = np.array(-picked.mean())
+    nl = _grad_node(logits)
+    if nl is None:
+        return Tensor(out_data)
+
+    def bwd(dout: Array) -> None:
+        dlogits = exp / sum_exp
+        dlogits[np.arange(batch), labels] -= 1.0
+        _accumulate(nl, dlogits * (float(dout) / batch))
+    return _recorded(out_data, (nl,), bwd)
 
 
 # ---------------------------------------------------------------------------

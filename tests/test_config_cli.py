@@ -119,8 +119,21 @@ class TestOutOfRange:
         ({"target_accuracy": -0.1}, "target_accuracy"),
         ({"seed": -1}, "seed"),
         ({"seed": 2**64}, "seed"),
+        ({"devices": {"tx2": 1.0, "nano": -0.5}}, "devices.nano"),
+        ({"devices": {"tx2": float("nan")}}, "devices.tx2"),
+        ({"devices": {"tx2": 1.0, "nano": float("inf")}}, "devices.nano"),
+        ({"devices": {"tx2": 0.0}}, "devices"),
+        ({"devices": {}}, "devices"),
+        ({"devices": {"tx2": 1e308, "nano": 1e308}}, "devices"),
+        ({"relative_targets": [-1.0, 7.0]}, "relative_targets"),
+        ({"relative_targets": [0.99, 0.0]}, "relative_targets"),
+        ({"relative_targets": [float("nan")]}, "relative_targets"),
+        ({"relative_targets": [float("inf")]}, "relative_targets"),
     ], ids=["start_depth", "start_width_min", "start_width_step", "trial_intvl_s",
-            "intvl_growth", "target_above_1", "target_below_0", "seed_negative", "seed_2_64"])
+            "intvl_growth", "target_above_1", "target_below_0", "seed_negative", "seed_2_64",
+            "share_negative", "share_nan", "share_inf", "shares_all_zero", "no_devices",
+            "shares_sum_overflows", "relative_target_negative", "relative_target_zero",
+            "relative_target_nan", "relative_target_inf"])
     def test_rejected_before_any_session(self, overrides, key, tmp_path, capsys):
         doc = small_session_doc(mode="autofed", max_rounds=1, **overrides)
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
@@ -141,6 +154,33 @@ class TestOutOfRange:
                           "intvl_growth": 0.5}))
         assert cfg.seed == 0 and cfg.target_accuracy == 1.0
         assert session_mod.config_from_dict(small_session_doc(target_accuracy=0.0))
+        assert session_mod.config_from_dict(small_session_doc(relative_targets=[1e-9, 7.0]))
+
+    def test_zero_share_gets_no_clients(self):
+        cfg = session_mod.config_from_dict(small_session_doc(devices={"tx2": 1.0, "nano": 0.0}))
+        world = session_mod.build_world(cfg)
+        assert {c.device.name for c in world.server.registry.values()} == {"tx2"}
+        cfg = session_mod.config_from_dict(small_session_doc(devices={"tx2": 2.0, "nano": 1.0}))
+        names = [c.device.name for c in session_mod.build_world(cfg).server.registry.values()]
+        assert (names.count("tx2"), names.count("nano")) == (6, 3)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
+    @pytest.mark.parametrize("key", ["uplink_bytes_per_s", "downlink_bytes_per_s"])
+    def test_network_bandwidth_finite_and_positive(self, key, value):
+        network = {"uplink_bytes_per_s": 1e6, "downlink_bytes_per_s": 1e6, key: value}
+        with pytest.raises(ConfigurationError, match=f"network {key} must be finite and > 0"):
+            session_mod.config_from_dict(small_session_doc(network=network))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("key", ["per_batch_latency_full", "compute_power_watts",
+                                     "radio_power_watts", "cache_reload_latency"])
+    def test_custom_device_finite_and_positive(self, key, value):
+        profile = {"per_batch_latency_full": 1.0, "compute_power_watts": 5.0,
+                   "radio_power_watts": 1.0, "cache_reload_latency": 0.01, key: value}
+        with pytest.raises(ConfigurationError,
+                           match=f"device profile 'slow': {key} must be finite and > 0"):
+            session_mod.config_from_dict(small_session_doc(
+                devices="slow", custom_devices={"slow": profile}))
 
 
 class TestCli:

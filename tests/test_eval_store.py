@@ -345,7 +345,7 @@ class TestGraphFree:
         assert [(f, t) for f, t, _ in after] == [(f, t) for f, t, _ in before]
         assert all(a is b for (_, _, a), (_, _, b) in zip(after, before))
         assert model.cls_w.tensor.grad is sentinel
-        assert outputs and all(o._parents == () and not o.requires_grad for o in outputs)
+        assert outputs and all(o.node is None for o in outputs)
 
     def test_flags_restored_when_forward_raises(self, tiny_model):
         with pytest.raises(DataError):

@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -361,6 +363,91 @@ class TestGraphRelease:
         assert all(p.tensor.grad is not None for p in model.trainable_parameters())
 
 
+MID_SPEC = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128, vocab=200, seqlen=32,
+                     num_labels=4)
+
+
+def _mid_full_ft_step():
+    """A full fine-tuning model at the mid shape, the benchmark's, and one B = 8 batch."""
+    model = adapter_mod.materialize(build_model(MID_SPEC, 2), TuningScheme("full"))
+    tokens = SeededRng(5).integers(0, MID_SPEC.vocab, size=(8, MID_SPEC.seqlen))
+    return model, tokens, np.arange(8) % MID_SPEC.num_labels
+
+
+def _graph_nodes(root: tn.Node) -> list[tn.Node]:
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+class TestGraphKeepsOnlyWhatBackwardReads:
+    """Closures hold parent nodes, arrays and shapes, never a parent ``Tensor``."""
+
+    def test_mid_shape_step_peak(self):
+        model, tokens, labels = _mid_full_ft_step()
+        trainable = model.trainable_parameters()
+        cross_entropy_loss(forward(model, tokens), labels).backward()  # warm-up
+        tn.clear_grads(trainable)
+        tracemalloc.start()
+        try:
+            cross_entropy_loss(forward(model, tokens), labels).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8.30 MB when every node kept its parent Tensor, 4.77 MB without
+        assert peak <= 5.5e6, peak
+        assert all(p.tensor.grad is not None for p in trainable)
+
+    def test_scores_and_residual_sum_freed_before_backward(self, monkeypatch):
+        spec = ModelSpec(num_layers=2, hidden=16, heads=2, ffn_dim=32,
+                         vocab=24, seqlen=8, num_labels=3)
+        model = adapter_mod.materialize(build_model(spec, 2), TuningScheme("full"))
+        tokens = SeededRng(5).integers(0, spec.vocab, size=(4, spec.seqlen))
+        inputs = {"softmax_lastdim": [], "layer_norm": []}
+        for name, kept in inputs.items():
+            def spy(x, *args, _op=getattr(tn, name), _kept=kept):
+                _kept.append(weakref.ref(x.data))
+                return _op(x, *args)
+            monkeypatch.setattr(tn, name, spy)
+        logits = forward(model, tokens)
+        assert len(inputs["softmax_lastdim"]) == 2 and len(inputs["layer_norm"]) == 4
+        # the attention scores and the residual sums before each layer norm
+        assert all(ref() is None for refs in inputs.values() for ref in refs)
+        loss = cross_entropy_loss(logits, np.arange(4) % 3)
+        assert loss.node.parents is not None  # the graph is still unconsumed
+        loss.backward()
+        assert all(p.tensor.grad is not None for p in model.trainable_parameters())
+
+    def test_no_closure_holds_a_tensor(self):
+        model, tokens, labels = _mid_full_ft_step()
+        loss = cross_entropy_loss(forward(model, tokens), labels)
+        plain = (tn.Node, np.ndarray, np.dtype, int, float, type(None))
+
+        def holds_no_tensor(value):
+            if isinstance(value, (tuple, list)):
+                return all(holds_no_tensor(v) for v in value)
+            return isinstance(value, plain)
+
+        nodes = _graph_nodes(loss.node)
+        closures = [node.bwd for node in nodes if node.parents]
+        assert len(closures) > 100
+        for bwd in closures:
+            for name, cell in zip(bwd.__code__.co_freevars, bwd.__closure__):
+                assert holds_no_tensor(cell.cell_contents), (bwd.__qualname__, name)
+        loss.backward()
+
+    def test_ops_without_a_graph_make_no_node(self):
+        x = Tensor(np.ones((2, 3)))
+        w = make_parameter(np.ones((3, 2)), False, "w")
+        b = make_parameter(np.zeros(2), False, "b")
+        assert x.node is None and w.tensor.node is None
+        out = tn.relu(linear_forward(x, w, b))
+        assert out.node is None and not out.requires_grad and out.grad is None
+
 def _old_layer_norm(x, g, b, dout, eps=1e-5):
     """The layer norm's forward and input gradient as written with ``.mean``."""
     mu = x.mean(axis=-1, keepdims=True)
@@ -401,7 +488,7 @@ class TestKernelsMatchTheirOldFormulas:
         dout = rng.normal(0.0, 1.0, x.shape).astype(np.float32)
         xt = Tensor(x, requires_grad=True)
         out = layer_norm(xt, make_parameter(g, False, "g"), make_parameter(b, False, "b"))
-        out._bwd(dout)
+        out.node.bwd(dout)
         old_out, old_dx = _old_layer_norm(x, g, b, dout)
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == old_out.tobytes()
@@ -414,7 +501,7 @@ class TestKernelsMatchTheirOldFormulas:
         dout = rng.normal(0.0, 1.0, x.shape).astype(np.float32)
         xt = Tensor(x, requires_grad=True)
         out = tn.softmax_lastdim(xt)
-        out._bwd(dout)
+        out.node.bwd(dout)
         old_y, old_dx = _old_softmax(x, dout)
         assert out.data.dtype == np.float32
         assert out.data.tobytes() == old_y.tobytes()
@@ -429,7 +516,7 @@ class TestKernelsMatchTheirOldFormulas:
         for f in (factor, 1.0 / math.sqrt(12)):
             xt = Tensor(x, requires_grad=True)
             out = tn.softmax_lastdim(xt, f)
-            out._bwd(dout)
+            out.node.bwd(dout)
             old_y, old_dx = _old_scaled_softmax(x, f, dout)
             assert out.data.tobytes() == old_y.tobytes()
             assert xt.grad.tobytes() == old_dx.tobytes()
@@ -441,7 +528,7 @@ class TestKernelsMatchTheirOldFormulas:
         b = rng.normal(0.0, 0.5, 64).astype(np.float32)
         before = x.copy()
         out = layer_norm(Tensor(x), make_parameter(g, False, "g"), make_parameter(b, False, "b"))
-        assert out._bwd is None and out.data.base is None
+        assert out.node is None and out.data.base is None
         assert out.data.tobytes() == _old_layer_norm(x, g, b, x)[0].tobytes()
         assert x.tobytes() == before.tobytes()
 
@@ -462,8 +549,18 @@ class TestViewsAndContiguity:
         out = op(x)
         assert np.shares_memory(out.data, x.data)
         dout = every_other(*out.shape)
-        out._bwd(dout)
+        out.node.bwd(dout)
         assert np.shares_memory(x.grad, dout)
+
+    @pytest.mark.parametrize("axes", [*itertools.permutations(range(3)),
+                                      *itertools.permutations(range(4))])
+    def test_transpose_gradient_is_the_inverse_permutation(self, axes):
+        x = Tensor(np.zeros((2, 3, 4, 5)[:len(axes)], np.float32), requires_grad=True)
+        out = tn.transpose(x, axes)
+        dout = np.arange(out.data.size, dtype=np.float32).reshape(out.shape)
+        out.node.bwd(dout)
+        assert np.shares_memory(x.grad, dout)
+        assert np.array_equal(x.grad, dout.transpose(np.argsort(axes)))
 
     def test_one_row_query_against_transposed_keys_matches_contiguous(self):
         # the pooled top layer at the mid shape: a [B, h, 1, d] query against k^T, both
@@ -523,8 +620,8 @@ def test_no_op_writes_into_its_inputs_or_outputs(op):
     dout = rng.normal(0.0, 1.0, out.data.shape).astype(out.data.dtype)
     dout_before = dout.copy()
     # a scalar root that hands ``dout`` to ``out``, so backward() walks the whole graph
-    root = Tensor(np.zeros((), out.data.dtype), True, (out,))
-    root._bwd = lambda _: setattr(out, "grad", dout)
+    root = Tensor(np.zeros((), out.data.dtype))
+    root.node = tn.Node((out.node,), lambda _: setattr(out, "grad", dout))
     root.backward()
     assert all(t.grad is not None for t in inputs)
     for a, a0 in zip(watched + [out.data, dout], before + [out_before, dout_before]):

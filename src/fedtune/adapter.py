@@ -6,11 +6,19 @@ identical. A monolithic configuration (step == width, one unit per layer)
 reproduces the classic single-adapter parameter arithmetic; it supports
 deepening but not widening, since widening it would have to discard
 trained weights.
+
+Each trial track's model is built once: ``materialize`` builds one on the
+frozen backbone, and ``deepen`` and ``widen`` derive the upgraded tracks'
+models from the winner's. Every model shares the backbone's frozen
+parameters and owns copies of its trainable ones (``_shallow_clone``), so
+training one track never moves another's bytes. A payload is the wire
+format only: ``extract_payload`` copies a model's trainable buffers out,
+and ``load_payload`` copies buffers back into a model of the same scheme.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,13 +57,36 @@ class AdapterConfig:
 
 
 # ---------------------------------------------------------------------------
-# structural transforms (pure: frozen buffers shared, new stacks created)
+# structural transforms (pure: frozen parameters shared, trainable ones copied)
 # ---------------------------------------------------------------------------
 
+def _clone_trainable(p: Parameter) -> Parameter:
+    return make_parameter(p.tensor.data.copy(), True, p.name)
+
+
+def _own(p: Parameter) -> Parameter:
+    """A trainable parameter's fresh copy; a frozen one is shared as it is."""
+    return _clone_trainable(p) if p.trainable else p
+
+
+def _map_params(obj, fn, **others):
+    """A copy of the dataclass ``obj`` with ``fn`` applied to each Parameter field."""
+    params = {f.name: fn(getattr(obj, f.name)) for f in fields(obj)
+              if isinstance(getattr(obj, f.name), Parameter)}
+    return replace(obj, **params, **others)
+
+
 def _shallow_clone(model: ModelState) -> ModelState:
-    blocks = [replace(b, adapters=list(b.adapters)) for b in model.blocks]
-    return ModelState(model.spec, model.tok_embed, model.pos_embed, blocks,
-                      model.cls_w, model.cls_b)
+    """A new model that shares every frozen parameter and copies every trainable one.
+
+    So no two models derived from one another (``materialize``, ``deepen``,
+    ``widen``) share a trainable array: training one leaves the others'
+    bytes as they were.
+    """
+    blocks = [_map_params(b, _own, attn=_map_params(b.attn, _own),
+                          adapters=[_map_params(m, _own) for m in b.adapters])
+              for b in model.blocks]
+    return _map_params(model, _own, blocks=blocks)
 
 
 def insert_adapters(model: ModelState, config: AdapterConfig, rng: SeededRng) -> ModelState:
@@ -174,81 +205,37 @@ def extract_payload(model: ModelState, scheme: TuningScheme) -> AdapterPayload:
     return AdapterPayload(scheme, buffers)
 
 
-def _clone_trainable(p: Parameter) -> Parameter:
-    return make_parameter(p.tensor.data.copy(), True, p.name)
-
-
 def materialize(backbone: ModelState, scheme: TuningScheme,
-                payload: AdapterPayload | None = None,
                 rng: SeededRng | None = None) -> ModelState:
-    """Build a client-side model for a scheme, loading buffers from a payload.
+    """A fresh client-side model of ``scheme`` on the adapter-free backbone.
 
-    Frozen parameters are shared with the backbone (they are never written);
-    trainable parameters are fresh copies. With no payload, trainable parts
-    are freshly initialized from ``rng``.
+    Frozen parameters are shared with the backbone (they are never
+    written); trainable ones are copies of the backbone's. An adapter
+    scheme's stacks are drawn from ``rng``. A trial track is built here
+    once, or derived by ``deepen`` and ``widen``, and keeps its model until
+    the next dispatch; payloads are loaded into it (``load_payload``).
     """
     spec = backbone.spec
     if backbone.adapter_depth() != 0:
         raise ProtocolError("backbone must be adapter-free")
-    out = _shallow_clone(backbone)
-    out.cls_w = _clone_trainable(backbone.cls_w)
-    out.cls_b = _clone_trainable(backbone.cls_b)
-
     if scheme.kind == "adapter":
-        if payload is None:
-            if rng is None:
-                raise ConfigurationError("fresh adapter materialization needs an rng")
-            out = insert_adapters(out, scheme.adapter, rng)
-        else:
-            _build_stacks_from_payload(out, scheme.adapter, payload)
-    elif scheme.kind == "full":
-        out.tok_embed = _clone_trainable(backbone.tok_embed)
-        out.pos_embed = _clone_trainable(backbone.pos_embed)
-        for block in out.blocks:
-            _set_block_trainable(block)
-    elif scheme.kind == "freeze":
+        if rng is None:
+            raise ConfigurationError("fresh adapter materialization needs an rng")
+        return insert_adapters(backbone, scheme.adapter, rng)
+    out = _shallow_clone(backbone)
+    first = 0
+    if scheme.kind == "full":
+        out.tok_embed = _clone_trainable(out.tok_embed)
+        out.pos_embed = _clone_trainable(out.pos_embed)
+    else:
         if scheme.frozen_layers >= spec.num_layers:
             raise ConfigurationError(
                 f"freeze depth {scheme.frozen_layers} leaves no trainable block")
-        for block in out.blocks[scheme.frozen_layers:]:
-            _set_block_trainable(block)
-
-    if payload is not None:
-        load_payload(out, payload)
+        first = scheme.frozen_layers
+    out.blocks[first:] = [_map_params(b, _clone_trainable,
+                                      attn=_map_params(b.attn, _clone_trainable))
+                          for b in out.blocks[first:]]
     return out
-
-
-def _set_block_trainable(block) -> None:
-    block.attn = type(block.attn)(**{
-        f: _clone_trainable(getattr(block.attn, f))
-        for f in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-    })
-    for name in ("ln1_gain", "ln1_shift", "ffn_w1", "ffn_b1",
-                 "ffn_w2", "ffn_b2", "ln2_gain", "ln2_shift"):
-        setattr(block, name, _clone_trainable(getattr(block, name)))
-
-
-def _build_stacks_from_payload(model: ModelState, config: AdapterConfig,
-                               payload: AdapterPayload) -> None:
-    """Adapter stacks with the payload's units and widths, as placeholders.
-
-    Nothing is drawn: ``load_payload`` checks every buffer against the
-    placeholder's name, shape and dtype, then loads it.
-    """
-    spec = model.spec
-    if config.depth > spec.num_layers:
-        raise ProtocolError(
-            f"payload depth {config.depth} exceeds model depth {spec.num_layers}")
-    for layer in range(spec.num_layers - config.depth + 1, spec.num_layers + 1):
-        stack = []
-        idx = 0
-        while f"block{layer:02d}.adapter{idx:02d}.w_down" in payload.buffers:
-            width = payload.buffers[f"block{layer:02d}.adapter{idx:02d}.w_down"].shape[1]
-            stack.append(make_meta_adapter(spec.hidden, width, layer, idx, rng=None))
-            idx += 1
-        if not stack:
-            raise ProtocolError(f"payload missing adapter stack for layer {layer}")
-        model.blocks[layer - 1].adapters = stack
 
 
 def load_payload(model: ModelState, payload: AdapterPayload) -> None:
@@ -256,13 +243,11 @@ def load_payload(model: ModelState, payload: AdapterPayload) -> None:
 
     The buffers' names must be exactly the trainable parameters' names, and
     each buffer must have its parameter's shape and dtype; otherwise this
-    raises ProtocolError. The copy goes into the parameter's own array when
-    that is writeable, so a load allocates nothing, and arrays taken from
-    the model before it hold the payload's values afterwards. A read-only
-    placeholder (``_build_stacks_from_payload``) gets a fresh copy instead.
-    ``fed.run_track_round`` loads every client's start payload, then the
-    aggregated one, into the track's one model. The payload's buffers are
-    never kept.
+    raises ProtocolError. The copy goes into the parameter's own array, so
+    a load allocates nothing, and arrays taken from the model before it
+    hold the payload's values afterwards. ``fed.run_track_round`` loads
+    every client's start payload, then the aggregated one, into the
+    track's one model. The payload's buffers are never kept.
     """
     trainable = {p.name: p for p in model.trainable_parameters()}
     if set(trainable) != set(payload.buffers):
@@ -276,7 +261,4 @@ def load_payload(model: ModelState, payload: AdapterPayload) -> None:
         if buf.dtype != param.tensor.data.dtype:
             raise ProtocolError(
                 f"buffer '{name}' dtype {buf.dtype} != expected {param.tensor.data.dtype}")
-        if param.tensor.data.flags.writeable:
-            np.copyto(param.tensor.data, buf)
-        else:
-            param.tensor.data = buf.copy()
+        np.copyto(param.tensor.data, buf)

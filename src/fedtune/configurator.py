@@ -21,7 +21,7 @@ from . import adapter as adapter_mod
 from . import fed as fed_mod
 from . import model as model_mod
 from .adapter import AdapterConfig, AdapterPayload, TuningScheme
-from .errors import DecisionError, ProtocolError
+from .errors import DecisionError
 from .fed import ServerState
 from .model import ModelState
 from .tensor_nn import SeededRng
@@ -35,11 +35,11 @@ TRACK_WIDER = "wider"
 class TrialTrack:
     name: str
     payload: AdapterPayload
+    # built with the track (``dispatch``, or a fixed mode's one track) and
+    # kept until the next dispatch; between rounds it holds ``payload``
+    model: ModelState = field(repr=False)
     clock: float = 0.0
     acc_history: list[tuple[float, float]] = field(default_factory=list)
-    # the payload materialized on the backbone by the track's first
-    # ``fed.run_track_round``; between rounds it holds ``payload``
-    model: ModelState | None = field(default=None, repr=False)
 
     @property
     def config(self) -> AdapterConfig:
@@ -90,41 +90,39 @@ def _adapter_scheme(depth: int, width: int, step: int) -> TuningScheme:
 
 def dispatch(
     state: ConfiguratorState,
-    winner_payload: AdapterPayload | None,
+    winner: TrialTrack | None,
     backbone: ModelState,
     rng: SeededRng,
     start_clock: float = 0.0,
 ) -> list[TrialTrack]:
-    """Derive the current/deeper/wider trial payloads from the winner.
+    """Derive the current/deeper/wider trial tracks from the winner.
 
-    The winner's trained weights are carried over byte-identically; only
-    the newly added stacks are freshly initialized. Impossible directions
-    (deeper past the model, wider at depth 0) are omitted.
+    The current track takes the winner's model, which holds the winner's
+    aggregated payload; without a winner (the session's first dispatch) it
+    is materialized fresh. The deeper and wider tracks take models derived
+    from it, which carry its trained weights byte-identically in arrays of
+    their own; only the newly added stacks are freshly initialized.
+    Impossible directions (deeper past the model, wider at depth 0) are
+    omitted.
     """
     num_layers = backbone.spec.num_layers
     d, w, step = state.base_depth, state.base_width, state.params.width_step
+    depth_step = state.params.depth_step
     scheme = _adapter_scheme(d, w, step)
-    if winner_payload is None:
-        base_model = adapter_mod.materialize(backbone, scheme, payload=None, rng=rng)
+    if winner is None:
+        base = adapter_mod.materialize(backbone, scheme, rng=rng)
     else:
-        base_model = adapter_mod.materialize(backbone, scheme, winner_payload)
-    current = adapter_mod.extract_payload(base_model, scheme)
-
-    tracks = [TrialTrack(TRACK_CURRENT, current, clock=start_clock)]
-    if d + state.params.depth_step <= num_layers:
-        deeper_model = adapter_mod.deepen(base_model, state.params.depth_step, rng,
-                                          scheme.adapter)
-        deeper_scheme = _adapter_scheme(d + state.params.depth_step, w, step)
-        tracks.append(TrialTrack(
-            TRACK_DEEPER, adapter_mod.extract_payload(deeper_model, deeper_scheme),
-            clock=start_clock))
+        base = winner.model
+    variants = [(TRACK_CURRENT, scheme, base)]
+    if d + depth_step <= num_layers:
+        variants.append((TRACK_DEEPER, _adapter_scheme(d + depth_step, w, step),
+                         adapter_mod.deepen(base, depth_step, rng, scheme.adapter)))
     if d >= 1:
-        wider_model = adapter_mod.widen(base_model, step, rng)
-        wider_scheme = _adapter_scheme(d, w + step, step)
-        tracks.append(TrialTrack(
-            TRACK_WIDER, adapter_mod.extract_payload(wider_model, wider_scheme),
-            clock=start_clock))
-    return tracks
+        variants.append((TRACK_WIDER, _adapter_scheme(d, w + step, step),
+                         adapter_mod.widen(base, step, rng)))
+    return [TrialTrack(name, adapter_mod.extract_payload(model, track_scheme), model,
+                       clock=start_clock)
+            for name, track_scheme, model in variants]
 
 
 def should_decide(state: ConfiguratorState, now: float) -> bool:
@@ -162,8 +160,6 @@ def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
     num_layers = backbone.spec.num_layers
     resumes = []
     for track in tracks:
-        if track.model is None:
-            raise ProtocolError(f"track '{track.name}' has not trained a round yet")
         boundary = track.payload.scheme.boundary_layer(num_layers)
         resumes.append(None if boundary is None else model_mod.resume_layer(track.model, boundary))
     store.retain({r for r in resumes if r is not None})
@@ -280,7 +276,7 @@ def run_session(
             state.trial_intvl *= state.params.intvl_growth
             if configs_visited[-1] != (state.base_depth, state.base_width):
                 configs_visited.append((state.base_depth, state.base_width))
-            tracks = dispatch(state, winner.payload, backbone, adapter_rng,
+            tracks = dispatch(state, winner, backbone, adapter_rng,
                               start_clock=decision_clock)
             _emit_dispatch(writer, iteration, decision_clock, tracks, num_layers)
 

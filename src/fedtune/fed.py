@@ -121,12 +121,12 @@ def local_train(
 ) -> tuple[AdapterPayload, int, LocalStats]:
     """Run E local passes of SGD over the client's fixed batches.
 
-    ``model`` is the round's model of the client's track: ``scheme``
-    materialized onto the shared frozen backbone, holding the round's start
-    payload (``run_track_round`` loads it before each client, so no earlier
-    client's training carries over). With the cache enabled, the client's
-    ledger decides per batch whether the bottom frozen path is recomputed
-    (at most once per batch per watermark change); the session's ``store``
+    ``model`` is the client's track's model, which shares the frozen
+    backbone and holds the round's start payload (``run_track_round``
+    loads it before each client, so no earlier client's training carries
+    over). With the cache enabled, the client's ledger decides per batch
+    whether the bottom frozen path is recomputed (at most once per batch
+    per watermark change); the session's ``store``
     holds its output under ``(client.id, batch.batch_id)``, and the forward
     pass resumes at the lowest adapter's input. Each batch is priced at the
     device boundary, one layer below that.
@@ -244,7 +244,6 @@ def run_track_round(
     group: list[int],
     registry: dict[int, ClientState],
     *,
-    backbone: ModelState,
     epochs: int,
     lr: float,
     cache_enabled: bool,
@@ -253,10 +252,9 @@ def run_track_round(
 ) -> TrackRoundStats:
     """One round of one track with a given group: train, aggregate, advance its clock.
 
-    ``track`` is a configurator.TrialTrack. Its ``model`` is materialized
-    on its first round and kept until the next dispatch replaces the
-    track; between rounds it holds ``track.payload``. The group trains on
-    it in ascending client id, each client from the start payload, and each
+    ``track`` is a configurator.TrialTrack, built with its model; between
+    rounds the model holds ``track.payload``. The group trains on it in
+    ascending client id, each client from the start payload, and each
     trained payload is folded into the round's ``RunningMean`` through
     ``fedavg`` before the next client loads. The mean becomes the track's
     payload and is loaded into its model, the one
@@ -265,8 +263,6 @@ def run_track_round(
     """
     scheme = track.payload.scheme
     payload_size = costmodel.payload_bytes(track.payload.total_scalars())
-    if track.model is None:
-        track.model = adapter_mod.materialize(backbone, scheme, track.payload)
     model = track.model
     mean = RunningMean(sum(registry[cid].num_train_samples() for cid in group))
     local: dict[int, LocalStats] = {}
@@ -343,7 +339,7 @@ def run_round(
     for track, group_size in zip(tracks, budgets):
         report_tracks.append(run_track_round(
             track, selected[cursor:cursor + group_size], server.registry,
-            backbone=backbone, epochs=epochs, lr=lr, cache_enabled=cache_enabled,
+            epochs=epochs, lr=lr, cache_enabled=cache_enabled,
             depth_watermark=max_depth, store=store))
         cursor += group_size
     server.round_index = round_index

@@ -169,31 +169,17 @@ def _draw(rng: SeededRng, std: float, shape: tuple[int, ...]) -> np.ndarray:
     return rng.normal(0.0, std, shape).astype(DTYPE)
 
 
-def make_meta_adapter(
-    hidden: int, width: int, layer: int, index: int, rng: SeededRng | None,
-    trainable: bool = True
-) -> MetaAdapter:
-    """Fresh bottleneck unit: projection weights N(0, 0.02), zero biases.
-
-    With ``rng`` None nothing is drawn or allocated: every buffer is a
-    read-only zero-stride placeholder of its shape and dtype, for a caller
-    that loads the unit from a payload (``adapter.materialize``).
-    """
-    def weight(shape: tuple[int, ...]) -> np.ndarray:
-        if rng is None:
-            return np.broadcast_to(DTYPE(0), shape)
-        return _draw(rng, ADAPTER_INIT_STD, shape)
-
-    def bias(size: int) -> np.ndarray:
-        return np.broadcast_to(DTYPE(0), (size,)) if rng is None else np.zeros(size, DTYPE)
+def make_meta_adapter(hidden: int, width: int, layer: int, index: int,
+                      rng: SeededRng) -> MetaAdapter:
+    """Fresh trainable bottleneck unit: projection weights N(0, 0.02), zero biases."""
+    def param(data: np.ndarray, part: str) -> Parameter:
+        return tn.make_parameter(data, True, _adapter_name(layer, index, part))
 
     return MetaAdapter(
-        w_down=tn.make_parameter(weight((hidden, width)), trainable,
-                                 _adapter_name(layer, index, "w_down")),
-        b_down=tn.make_parameter(bias(width), trainable, _adapter_name(layer, index, "b_down")),
-        w_up=tn.make_parameter(weight((width, hidden)), trainable,
-                               _adapter_name(layer, index, "w_up")),
-        b_up=tn.make_parameter(bias(hidden), trainable, _adapter_name(layer, index, "b_up")),
+        w_down=param(_draw(rng, ADAPTER_INIT_STD, (hidden, width)), "w_down"),
+        b_down=param(np.zeros(width, DTYPE), "b_down"),
+        w_up=param(_draw(rng, ADAPTER_INIT_STD, (width, hidden)), "w_up"),
+        b_up=param(np.zeros(hidden, DTYPE), "b_up"),
     )
 
 

@@ -180,6 +180,7 @@ def _validate(cfg: SessionConfig) -> None:
     _require(cfg.mode in MODES, "mode", f"must be one of {MODES}, got '{cfg.mode}'")
     # SeededRng keeps a seed's low 64 bits: -1 would share every stream with 2**64 - 1
     _require(0 <= cfg.seed < 2**64, "seed", "must be in [0, 2**64)")
+    _require(0 <= cfg.task.teacher_seed < 2**64, "task.teacher_seed", "must be in [0, 2**64)")
     if cfg.target_accuracy is not None:
         _require(0.0 <= cfg.target_accuracy <= 1.0, "target_accuracy", "must be in [0, 1]")
     _require(cfg.num_clients >= 1, "num_clients", "must be >= 1")
@@ -188,8 +189,10 @@ def _validate(cfg: SessionConfig) -> None:
              f"3N={cfg.participants_total()} exceeds num_clients={cfg.num_clients}")
     _require(cfg.batch_size >= 1, "batch_size", "must be >= 1")
     _require(cfg.local_epochs >= 1, "local_epochs", "must be >= 1")
-    _require(cfg.learning_rate >= 0, "learning_rate", "must be >= 0")
-    _require(cfg.noniid_concentration > 0, "noniid_concentration", "must be > 0")
+    _require(math.isfinite(cfg.learning_rate) and cfg.learning_rate >= 0, "learning_rate",
+             "must be finite and >= 0")
+    _require(math.isfinite(cfg.noniid_concentration) and cfg.noniid_concentration > 0,
+             "noniid_concentration", "must be finite and > 0")
     _require(cfg.max_rounds >= 1, "max_rounds", "must be >= 1")
     for name, share in cfg.devices.items():
         _require(name in BUILTIN_DEVICE_PROFILES or name in cfg.custom_devices,
@@ -332,9 +335,8 @@ def _initial_tracks(world: World, state: ConfiguratorState | None) -> list[Trial
     if state is not None:
         return conf_mod.dispatch(state, None, world.backbone, world.adapter_rng)
     scheme = _fixed_scheme(world.config)
-    model = adapter_mod.materialize(world.backbone, scheme, payload=None,
-                                    rng=world.adapter_rng)
-    return [TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme))]
+    model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
+    return [TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme), model)]
 
 
 def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
@@ -415,11 +417,16 @@ def _summarize(events: list[dict], cfg: SessionConfig,
 # post-hoc analysis
 # ---------------------------------------------------------------------------
 
+def _check_reference_accuracy(reference_accuracy: float) -> None:
+    if not 0 < reference_accuracy <= 1:  # NaN fails too
+        raise ConfigurationError(
+            f"reference_accuracy must be in (0, 1], got {reference_accuracy}")
+
+
 def time_to_accuracy(events: list[dict], relative_target: float,
                      reference_accuracy: float) -> float | None:
     """Earliest clock at which any track's evaluation met the relative target."""
-    if reference_accuracy <= 0:
-        raise ConfigurationError("reference_accuracy must be > 0")
+    _check_reference_accuracy(reference_accuracy)
     threshold = relative_target * reference_accuracy
     times = [e["clock"] for e in trace_mod.events_of_kind(events, "eval")
              if e["accuracy"] >= threshold]
@@ -431,11 +438,13 @@ def sweep(cfg: SessionConfig, grid: list[tuple[int, int]], out_dir: str,
     """Run fixed-adapter sessions for every (depth, width) on shared seeds.
 
     The reference accuracy for relative targets defaults to the converged
-    accuracy of a full fine-tuning run on the same seed. Every grid point
-    is validated before any session runs.
+    accuracy of a full fine-tuning run on the same seed. Every grid point,
+    and a given reference accuracy, is validated before any session runs.
     """
     if not grid:
         raise ConfigurationError("sweep grid must be non-empty")
+    if reference_accuracy is not None:
+        _check_reference_accuracy(reference_accuracy)
     runs = [replace(cfg, mode="fixed_adapter", fixed_depth=depth, fixed_width=width,
                     target_accuracy=None) for depth, width in grid]
     for run_cfg in runs:

@@ -12,6 +12,8 @@ from fedtune.session import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK
 
 from conftest import small_session_doc
 
+TASK = small_session_doc()["task"]
+
 
 class TestUnknownKeys:
     def test_valid_doc_parses(self):
@@ -129,11 +131,16 @@ class TestOutOfRange:
         ({"relative_targets": [0.99, 0.0]}, "relative_targets"),
         ({"relative_targets": [float("nan")]}, "relative_targets"),
         ({"relative_targets": [float("inf")]}, "relative_targets"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"noniid_concentration": float("inf")}, "noniid_concentration"),
+        ({"task": {**TASK, "teacher_seed": -1}}, "task.teacher_seed"),
+        ({"task": {**TASK, "teacher_seed": 2**64}}, "task.teacher_seed"),
     ], ids=["start_depth", "start_width_min", "start_width_step", "trial_intvl_s",
             "intvl_growth", "target_above_1", "target_below_0", "seed_negative", "seed_2_64",
             "share_negative", "share_nan", "share_inf", "shares_all_zero", "no_devices",
             "shares_sum_overflows", "relative_target_negative", "relative_target_zero",
-            "relative_target_nan", "relative_target_inf"])
+            "relative_target_nan", "relative_target_inf", "learning_rate_inf",
+            "concentration_inf", "teacher_seed_negative", "teacher_seed_2_64"])
     def test_rejected_before_any_session(self, overrides, key, tmp_path, capsys):
         doc = small_session_doc(mode="autofed", max_rounds=1, **overrides)
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
@@ -155,6 +162,12 @@ class TestOutOfRange:
         assert cfg.seed == 0 and cfg.target_accuracy == 1.0
         assert session_mod.config_from_dict(small_session_doc(target_accuracy=0.0))
         assert session_mod.config_from_dict(small_session_doc(relative_targets=[1e-9, 7.0]))
+
+    def test_teacher_seed_edges_accepted(self):
+        for seed in (0, 2**64 - 1):
+            cfg = session_mod.config_from_dict(small_session_doc(
+                task={**TASK, "teacher_seed": seed}))
+            assert cfg.task.teacher_seed == seed
 
     def test_zero_share_gets_no_clients(self):
         cfg = session_mod.config_from_dict(small_session_doc(devices={"tx2": 1.0, "nano": 0.0}))
@@ -209,6 +222,21 @@ class TestCli:
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("error: field 'seed'")
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5", "1.5"])
+    def test_bad_reference_accuracy_exits_2_before_any_session(self, value, config_path,
+                                                                tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--config", config_path, "--grid", "0:8",
+                         "--out", str(out), "--reference-accuracy", value])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error: reference_accuracy must be in (0, 1]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, 1.5])
+    def test_time_to_accuracy_refuses_bad_reference(self, value):
+        with pytest.raises(ConfigurationError, match="reference_accuracy"):
+            session_mod.time_to_accuracy([], 0.9, value)
 
     def test_seed_override_reaches_the_session(self, config_path, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"

@@ -159,7 +159,7 @@ class TestLedger:
         scheme = TuningScheme("adapter", AdapterConfig(2, 8, 8))
         model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
         track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT,
-                                    adapter_mod.extract_payload(model, scheme))
+                                    adapter_mod.extract_payload(model, scheme), model)
         store = PrefixStore(world.backbone)
         report = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
                                    backbone=world.backbone, epochs=1, lr=cfg.learning_rate,

@@ -6,6 +6,10 @@ function's own local variables do not count, even when one has the name
 of a top-level definition.
 Imports alone do not count, and neither do tests or the benchmark: a helper
 only they call is code the simulator does not need.
+
+Likewise every parameter of every function in ``src/fedtune`` is read in
+the function's body: a parameter nothing reads is an input the caller
+prepares for nothing.
 """
 
 import ast
@@ -101,3 +105,32 @@ def test_every_top_level_name_has_a_caller_in_src():
     dead = sorted(set(unused) - ALLOWED)
     assert not dead, f"no caller in src/: {', '.join(dead)}"
     assert ALLOWED <= set(unused), "an allowlisted name gained a caller; drop it from ALLOWED"
+
+
+# the context-manager protocol passes the exception triple whether it is read or not
+PROTOCOL_METHODS = {"__exit__"}
+
+
+def _reads(scope: ast.AST, name: str) -> bool:
+    """Whether ``scope``, or a scope nested in it that does not rebind ``name``, loads ``name``."""
+    for node in _own_nodes(scope):
+        if isinstance(node, _SCOPES):
+            if name not in _bound_names(node) and _reads(node, name):
+                return True
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name:
+            return True
+    return False
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or func.name in PROTOCOL_METHODS:
+                continue
+            a = func.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if arg is not None and not _reads(func, arg.arg):
+                    unread.append(f"{path.stem}.{func.name}({arg.arg}), line {func.lineno}")
+    assert not unread, f"parameters never read: {', '.join(unread)}"

@@ -25,7 +25,8 @@ def _as_float64(model):
 
 def _track(world, scheme):
     model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
-    return conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme))
+    return conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme),
+                               model)
 
 
 class TestSessionDtypes:
@@ -122,13 +123,13 @@ class TestNoSilentCast:
 
     def test_float64_payload_buffer_rejected(self, tiny_model):
         scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
-        payload = adapter_mod.extract_payload(
-            adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1)), scheme)
-        adapter_mod.materialize(tiny_model, scheme, payload)
+        model = adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1))
+        payload = adapter_mod.extract_payload(model, scheme)
+        adapter_mod.load_payload(model, payload)
         name = "block02.adapter00.w_up"
         payload.buffers[name] = payload.buffers[name].astype(np.float64)
-        with pytest.raises(ProtocolError, match=name):
-            adapter_mod.materialize(tiny_model, scheme, payload)
+        with pytest.raises(ProtocolError, match=f"'{name}' dtype float64"):
+            adapter_mod.load_payload(model, payload)
 
 
 class TestPrecision:

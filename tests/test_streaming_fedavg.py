@@ -133,12 +133,13 @@ class TestAggregationErrors:
 
 def _track(world, scheme):
     model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
-    return conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme))
+    return conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme),
+                               model)
 
 
 def _track_round(world, track, group, store=None):
     return fed_mod.run_track_round(
-        track, group, world.server.registry, backbone=world.backbone, epochs=1,
+        track, group, world.server.registry, epochs=1,
         lr=world.config.learning_rate, cache_enabled=True,
         depth_watermark=track.payload.scheme.tuning_depth(world.config.model.num_layers),
         store=store or PrefixStore(world.backbone))
@@ -147,11 +148,15 @@ def _track_round(world, track, group, store=None):
 class TestTrackRound:
     def test_group_order_changes_only_the_listing(self, small_world):
         scheme = TuningScheme("adapter", AdapterConfig(2, 8, 8))
-        payload = _track(small_world, scheme).payload
+        start = _track(small_world, scheme).payload
         results = []
         for group in ([5, 1, 7], [1, 7, 5]):
             world = session_mod.build_world(small_world.config)  # fresh client ledgers
-            track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, payload)
+            track = _track(world, scheme)
+            # a fresh world draws the same adapters: both tracks start from one payload
+            assert list(track.payload.buffers) == list(start.buffers)
+            for key, buf in start.buffers.items():
+                assert track.payload.buffers[key].tobytes() == buf.tobytes(), key
             stats = _track_round(world, track, group)
             assert stats.participants == group and list(stats.client_energy) == group
             results.append((track, stats))
@@ -169,12 +174,12 @@ class TestTrackRound:
             return _inner(*args, **kwargs)
 
         track = _track(small_world, TuningScheme("adapter", AdapterConfig(2, 8, 8)))
+        model = track.model
         monkeypatch.setattr(adapter_mod, "materialize", counting_materialize)
         store = PrefixStore(small_world.backbone)
         _track_round(small_world, track, [0, 3], store)
-        model = track.model
         _track_round(small_world, track, [2, 4, 8], store)
-        assert track.model is model and len(calls) == 1
+        assert track.model is model and calls == []
         for p in model.trainable_parameters():
             assert p.tensor.data is not track.payload.buffers[p.name]
             assert p.tensor.data.tobytes() == track.payload.buffers[p.name].tobytes(), p.name

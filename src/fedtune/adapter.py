@@ -47,10 +47,6 @@ class AdapterConfig:
                 f"width {self.width} must be a positive multiple of step {self.step}")
 
     @property
-    def monolithic(self) -> bool:
-        return self.step == self.width
-
-    @property
     def stack_size(self) -> int:
         return self.width // self.step
 

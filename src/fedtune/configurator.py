@@ -10,7 +10,9 @@ model depth.
 
 ``run_session`` is the one session loop of every mode. The fixed baselines
 (a fixed adapter, full fine-tuning, layer freezing) are this loop with one
-``current`` track and no configurator state, so they never decide.
+``current`` track and no configurator state, so they never decide. The loop
+keeps no totals: it emits events, and the session's summary is derived from
+them (``session._summary``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class TrialTrack:
     # kept until the next dispatch; between rounds it holds ``payload``
     model: ModelState = field(repr=False)
     clock: float = 0.0
-    acc_history: list[tuple[float, float]] = field(default_factory=list)
+    accuracy: float | None = None  # the latest evaluation; None before the first
 
     @property
     def config(self) -> AdapterConfig:
@@ -49,11 +51,6 @@ class TrialTrack:
         """Tuning depth and adapter width (0 without adapters) of the scheme."""
         scheme = self.payload.scheme
         return scheme.tuning_depth(num_layers), (scheme.adapter.width if scheme.adapter else 0)
-
-    def latest_accuracy(self) -> float:
-        if not self.acc_history:
-            raise DecisionError(f"track '{self.name}' has no evaluations yet")
-        return self.acc_history[-1][1]
 
 
 @dataclass
@@ -140,9 +137,11 @@ def decide_winner(tracks: list[TrialTrack]) -> TrialTrack:
     """Track with the highest latest accuracy; ties go to the cheaper config."""
     if not tracks:
         raise DecisionError("no live tracks to decide between")
-    scored = [(t.latest_accuracy(), t) for t in tracks]
-    best_acc = max(acc for acc, _ in scored)
-    contenders = [t for acc, t in scored if acc == best_acc]
+    for t in tracks:
+        if t.accuracy is None:
+            raise DecisionError(f"track '{t.name}' has no evaluations yet")
+    best_acc = max(t.accuracy for t in tracks)
+    contenders = [t for t in tracks if t.accuracy == best_acc]
     return min(contenders, key=lambda t: config_cost_key(t.config))
 
 
@@ -165,15 +164,6 @@ def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
     store.retain({r for r in resumes if r is not None})
     return [model_mod.evaluate(track.model, test_tokens, test_labels, store=store, resume=resume)
             for track, resume in zip(tracks, resumes)]
-
-
-@dataclass
-class SessionOutcome:
-    reached: bool
-    time_to_target: float | None
-    rounds: int
-    best_accuracy: float
-    configs_visited: list[tuple[int, int]]
 
 
 def _emit_dispatch(writer, iteration: int, clock: float, tracks: list[TrialTrack],
@@ -206,14 +196,17 @@ def run_session(
     max_rounds: int,
     adapter_rng: SeededRng,
     writer,
-) -> SessionOutcome:
+) -> None:
     """Run ``tracks`` until the target accuracy or the round budget.
 
     Every round advances all live tracks once (each on its own emulated
     clock), then the server scores each track on the global test set with
-    ``evaluate_tracks``. With a configurator ``state``, ``tracks`` is its
-    first ``dispatch`` and decisions happen when the current track's clock
-    passes the trial interval; without one, the tracks are never replaced.
+    ``evaluate_tracks``. The session ends after the round in which some
+    track first meets ``target_accuracy``. With a configurator ``state``,
+    ``tracks`` is its first ``dispatch`` and decisions happen when the
+    current track's clock passes the trial interval; without one, the
+    tracks are never replaced. The loop keeps no totals, no best accuracy
+    and no time to target: ``writer`` receives every event they derive from.
     One ``model.PrefixStore`` per session holds every frozen-prefix
     activation on the host: the clients' training batches and the test
     set's chunks. Each client's ``ActivationCache`` is a ledger that refers
@@ -225,18 +218,12 @@ def run_session(
     store = model_mod.PrefixStore(backbone)
     iteration = 0
     _emit_dispatch(writer, iteration, 0.0, tracks, num_layers)
-    configs_visited = [tracks[0].depth_width(num_layers)]
-    best_acc = 0.0
-    reached = False
-    time_to_target: float | None = None
-    rounds = 0
 
-    while rounds < max_rounds and not reached:
+    for _ in range(max_rounds):
         report = fed_mod.run_round(
             server, tracks, participants_total,
             backbone=backbone, epochs=epochs, lr=lr, cache_enabled=cache_enabled,
             store=store)
-        rounds = report.round_index
         for track, stat in zip(tracks, report.tracks):
             writer.emit({"evt": "round", "round": report.round_index,
                          "max_depth": report.max_depth, "clock": track.clock,
@@ -244,15 +231,12 @@ def run_session(
 
         accuracies = evaluate_tracks(tracks, backbone, store, test_tokens, test_labels)
         for track, acc in zip(tracks, accuracies):
-            track.acc_history.append((track.clock, acc))
+            track.accuracy = acc
             writer.emit({"evt": "eval", "round": report.round_index, "track": track.name,
                          "clock": track.clock, "accuracy": acc})
-            if acc > best_acc:
-                best_acc = acc
-            if target_accuracy is not None and acc >= target_accuracy and not reached:
-                reached = True
-                time_to_target = track.clock
-        if reached or state is None:
+        if target_accuracy is not None and max(accuracies) >= target_accuracy:
+            return
+        if state is None:
             continue
 
         if state.trial_intvl is None:
@@ -264,9 +248,9 @@ def run_session(
             winner = decide_winner(tracks)
             decision_clock = max(t.clock for t in tracks)
             writer.emit({
-                "evt": "decision", "round": rounds, "clock": decision_clock,
+                "evt": "decision", "round": report.round_index, "clock": decision_clock,
                 "winner": winner.name,
-                "accuracies": {t.name: t.latest_accuracy() for t in tracks},
+                "accuracies": {t.name: t.accuracy for t in tracks},
                 "new_depth": winner.config.depth, "new_width": winner.config.width,
             })
             iteration += 1
@@ -274,10 +258,6 @@ def run_session(
             state.base_width = winner.config.width
             state.t_trial = decision_clock
             state.trial_intvl *= state.params.intvl_growth
-            if configs_visited[-1] != (state.base_depth, state.base_width):
-                configs_visited.append((state.base_depth, state.base_width))
             tracks = dispatch(state, winner, backbone, adapter_rng,
                               start_clock=decision_clock)
             _emit_dispatch(writer, iteration, decision_clock, tracks, num_layers)
-
-    return SessionOutcome(reached, time_to_target, rounds, best_acc, configs_visited)

@@ -6,6 +6,10 @@ training step derive from named substreams of the session seed, so the
 emitted trace is byte-identical across runs. Every mode runs the one loop
 in ``configurator.run_session``: ``autofed`` from the configurator's first
 dispatch, the fixed baselines from one track built by ``_fixed_scheme``.
+
+The trace is the session's one record. Its closing summary is a function of
+the events before it (``_summary``), and ``report`` derives it again from
+those events and refuses a trace whose summary disagrees in any field.
 """
 
 from __future__ import annotations
@@ -324,7 +328,6 @@ def _fixed_scheme(cfg: SessionConfig) -> TuningScheme:
 
 @dataclass
 class SessionResult:
-    reached: bool
     exit_code: int
     summary: dict
     events: list[dict]
@@ -363,7 +366,7 @@ def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
         writer.emit({"evt": "session", "version": trace_mod.TRACE_VERSION,
                      "config": cfg.to_dict()})
         state = ConfiguratorState(cfg.configurator) if cfg.mode == "autofed" else None
-        outcome = conf_mod.run_session(
+        conf_mod.run_session(
             state, _initial_tracks(world, state), world.server, world.backbone,
             test_tokens=world.test_tokens, test_labels=world.test_labels,
             participants_total=cfg.participants_total(),
@@ -374,42 +377,53 @@ def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
             adapter_rng=world.adapter_rng,
             writer=writer,
         )
-        summary = _summarize(writer.events, cfg, outcome)
+        summary = _summary(writer.events)
         writer.emit(summary)
-    if cfg.target_accuracy is None or outcome.reached:
-        code = EXIT_OK
-    else:
-        code = EXIT_NOT_CONVERGED
-    return SessionResult(outcome.reached, code, summary, writer.events)
+    missed = cfg.target_accuracy is not None and not summary["reached"]
+    return SessionResult(EXIT_NOT_CONVERGED if missed else EXIT_OK, summary, writer.events)
 
 
-def _traffic_bytes(rounds: list[dict]) -> int:
-    """Wire bytes of ``round`` events: each participant downloads and uploads one payload."""
-    return sum(2 * e["payload_bytes"] * len(e["participants"]) for e in rounds)
+def _earliest_clock(events: list[dict], threshold: float) -> float | None:
+    """Earliest clock of an ``eval`` event at or above ``threshold``; None if there is none."""
+    return min((e["clock"] for e in trace_mod.events_of_kind(events, "eval")
+                if e["accuracy"] >= threshold), default=None)
 
 
-def _summarize(events: list[dict], cfg: SessionConfig,
-               outcome: conf_mod.SessionOutcome) -> dict:
+def _summary(events: list[dict]) -> dict:
+    """The summary event that closes a trace whose earlier events are ``events``.
+
+    ``mode``, ``seed`` and ``target_accuracy`` come from the leading
+    ``session`` event's config; every other field is derived from the
+    ``round``, ``eval`` and ``dispatch`` events. The target is reached when
+    some evaluation meets it, at the earliest such clock.
+    """
+    cfg = events[0]["config"]
     rounds = trace_mod.events_of_kind(events, "round")
-    energy = sum(e["energy_j"] for e in rounds)
-    hits = sum(e["cache_hits"] for e in rounds)
-    recomputes = sum(e["cache_recomputes"] for e in rounds)
+    evals = trace_mod.events_of_kind(events, "eval")
+    target = cfg["target_accuracy"]
+    time_to_target = None if target is None else _earliest_clock(events, target)
+    configs_visited = []
+    for e in trace_mod.events_of_kind(events, "dispatch"):
+        shape = [e["base_depth"], e["base_width"]]
+        if configs_visited[-1:] != [shape]:
+            configs_visited.append(shape)
     return {
         "evt": "summary",
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "reached": outcome.reached,
-        "target_accuracy": cfg.target_accuracy,
-        "time_to_target": outcome.time_to_target,
-        "rounds": outcome.rounds,
-        "best_accuracy": outcome.best_accuracy,
-        "traffic_bytes": _traffic_bytes(rounds),
-        "energy_j": energy,
-        "cache_hits": hits,
-        "cache_recomputes": recomputes,
+        "mode": cfg["mode"],
+        "seed": cfg["seed"],
+        "reached": time_to_target is not None,
+        "target_accuracy": target,
+        "time_to_target": time_to_target,
+        "rounds": rounds[-1]["round"] if rounds else 0,
+        "best_accuracy": max((e["accuracy"] for e in evals), default=0.0),
+        # each participant downloads and uploads one payload
+        "traffic_bytes": sum(2 * e["payload_bytes"] * len(e["participants"]) for e in rounds),
+        "energy_j": sum(e["energy_j"] for e in rounds),
+        "cache_hits": sum(e["cache_hits"] for e in rounds),
+        "cache_recomputes": sum(e["cache_recomputes"] for e in rounds),
         "depth_increases": sum(b["max_depth"] > a["max_depth"]
                                for a, b in zip(rounds, rounds[1:])),
-        "configs_visited": [list(c) for c in outcome.configs_visited],
+        "configs_visited": configs_visited,
     }
 
 
@@ -427,10 +441,7 @@ def time_to_accuracy(events: list[dict], relative_target: float,
                      reference_accuracy: float) -> float | None:
     """Earliest clock at which any track's evaluation met the relative target."""
     _check_reference_accuracy(reference_accuracy)
-    threshold = relative_target * reference_accuracy
-    times = [e["clock"] for e in trace_mod.events_of_kind(events, "eval")
-             if e["accuracy"] >= threshold]
-    return min(times) if times else None
+    return _earliest_clock(events, relative_target * reference_accuracy)
 
 
 def sweep(cfg: SessionConfig, grid: list[tuple[int, int]], out_dir: str,
@@ -472,23 +483,32 @@ def sweep(cfg: SessionConfig, grid: list[tuple[int, int]], out_dir: str,
 
 
 def report(paths: list[str]) -> dict:
-    """Aggregate totals across traces and check them against each summary."""
+    """Totals across traces, each derived from its events and checked against its summary.
+
+    A trace must open with its ``session`` event and close with its one
+    ``summary``; a summary field that differs from the one ``_summary``
+    derives from the events before it is a TraceParseError naming that field.
+    """
     sessions = []
     totals = {"traffic_bytes": 0, "energy_j": 0.0, "rounds": 0}
     for path in paths:
         events = trace_mod.read_trace(path)
-        summaries = trace_mod.events_of_kind(events, "summary")
-        if len(summaries) != 1:
-            raise TraceParseError(f"{path}: expected exactly one summary event")
-        summary = summaries[0]
-        rounds = trace_mod.events_of_kind(events, "round")
-        traffic = _traffic_bytes(rounds)
-        if traffic != summary["traffic_bytes"]:
-            raise TraceParseError(
-                f"{path}: traffic accounting mismatch "
-                f"(events {traffic} vs summary {summary['traffic_bytes']})")
+        if not events or events[0].get("evt") != "session":
+            raise TraceParseError(f"{path}: expected a leading session event")
+        if trace_mod.events_of_kind(events, "summary") != events[-1:]:
+            raise TraceParseError(f"{path}: expected exactly one summary event, at the end")
+        *body, summary = events
+        try:
+            derived = _summary(body)
+        except (KeyError, TypeError) as err:
+            raise TraceParseError(f"{path}: malformed event: {err!r}") from None
+        for key in [*derived, *sorted(set(summary) - set(derived))]:
+            if summary.get(key) != derived.get(key):
+                raise TraceParseError(
+                    f"{path}: summary field '{key}' disagrees with the events "
+                    f"(events {derived.get(key)!r} vs summary {summary.get(key)!r})")
         per_client: dict[str, dict] = {}
-        for e in rounds:
+        for e in trace_mod.events_of_kind(body, "round"):
             for cid, joules in e.get("client_energy", {}).items():
                 entry = per_client.setdefault(str(cid), {"traffic_bytes": 0,
                                                          "energy_j": 0.0, "rounds": 0})
@@ -497,19 +517,11 @@ def report(paths: list[str]) -> dict:
                 entry["rounds"] += 1
         sessions.append({
             "path": path,
-            "mode": summary["mode"],
-            "seed": summary["seed"],
-            "reached": summary["reached"],
-            "time_to_target": summary["time_to_target"],
-            "rounds": summary["rounds"],
-            "best_accuracy": summary["best_accuracy"],
-            "traffic_bytes": summary["traffic_bytes"],
-            "energy_j": summary["energy_j"],
-            "depth_increases": summary["depth_increases"],
-            "configs_visited": summary["configs_visited"],
+            **{key: derived[key] for key in (
+                "mode", "seed", "reached", "time_to_target", "rounds", "best_accuracy",
+                "traffic_bytes", "energy_j", "depth_increases", "configs_visited")},
             "per_client": per_client,
         })
-        totals["traffic_bytes"] += summary["traffic_bytes"]
-        totals["energy_j"] += summary["energy_j"]
-        totals["rounds"] += summary["rounds"]
+        for key in totals:
+            totals[key] += derived[key]
     return {"sessions": sessions, "totals": totals}

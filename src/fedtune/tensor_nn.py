@@ -249,9 +249,6 @@ class Parameter:
     def grad(self) -> Array | None:
         return self.tensor.grad
 
-    def size(self) -> int:
-        return int(self.tensor.data.size)
-
 
 def make_parameter(data, trainable: bool, name: str) -> Parameter:
     return Parameter(Tensor(data), trainable, name)

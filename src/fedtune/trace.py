@@ -2,7 +2,9 @@
 
 One event per line, keys sorted, compact separators: the byte content of a
 trace file is a pure function of (config, seed). Event kinds: session,
-dispatch, round, eval, decision, summary.
+dispatch, round, eval, decision, summary. The one summary closes the trace
+and is a function of the events before it; ``session.report`` derives it
+again and checks every field.
 """
 
 from __future__ import annotations

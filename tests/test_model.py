@@ -41,7 +41,7 @@ class TestBuildModel:
 
     def test_backbone_count_matches_closed_form(self, tiny_spec):
         model = build_model(tiny_spec, 1)
-        frozen = sum(p.size() for p in model.parameters() if not p.trainable)
+        frozen = sum(p.data.size for p in model.parameters() if not p.trainable)
         assert frozen == closed_form_backbone_count(tiny_spec)
 
     def test_backbone_count_at_reference_shape(self, monkeypatch):
@@ -51,11 +51,11 @@ class TestBuildModel:
         monkeypatch.setattr(model_mod, "_draw",
                             lambda rng, std, shape: np.broadcast_to(model_mod.DTYPE(0), shape))
         model = build_model(spec, 1)
-        frozen = sum(p.size() for p in model.parameters() if not p.trainable)
+        frozen = sum(p.data.size for p in model.parameters() if not p.trainable)
         assert frozen == closed_form_backbone_count(spec) == 85_143_552
 
     def test_depth_zero_trainable_is_classifier_only(self, tiny_spec, tiny_model):
-        count = sum(p.size() for p in tiny_model.trainable_parameters())
+        count = sum(p.data.size for p in tiny_model.trainable_parameters())
         assert count == tiny_spec.hidden * tiny_spec.num_labels + tiny_spec.num_labels
 
     def test_invalid_spec(self):

@@ -7,6 +7,10 @@ of a top-level definition.
 Imports alone do not count, and neither do tests or the benchmark: a helper
 only they call is code the simulator does not need.
 
+Every method of a class in ``src/fedtune`` is called as an attribute in
+``src/`` (``store.retain(...)``), and every property (any other decorated
+member) is read or set as one. Dunders are exempt: the language calls them.
+
 Likewise every parameter of every function in ``src/fedtune`` is read in
 the function's body: a parameter nothing reads is an input the caller
 prepares for nothing.
@@ -105,6 +109,32 @@ def test_every_top_level_name_has_a_caller_in_src():
     dead = sorted(set(unused) - ALLOWED)
     assert not dead, f"no caller in src/: {', '.join(dead)}"
     assert ALLOWED <= set(unused), "an allowlisted name gained a caller; drop it from ALLOWED"
+
+
+# read only by the prefix store's tests, to see which resume points it holds
+ALLOWED_MEMBERS = {"model.PrefixStore.resume_points"}
+
+
+def test_every_member_has_a_caller_in_src():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    called = {n.func.attr for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    accessed = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    unused = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or (member.name.startswith("__") and member.name.endswith("__")):
+                    continue
+                plain = all(isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+                            for d in member.decorator_list)
+                if member.name not in (called if plain else accessed):
+                    unused.append(f"{module}.{cls.name}.{member.name}")
+    dead = sorted(set(unused) - ALLOWED_MEMBERS)
+    assert not dead, f"no caller in src/: {', '.join(dead)}"
+    assert ALLOWED_MEMBERS <= set(unused), \
+        "an allowlisted member gained a caller; drop it from ALLOWED_MEMBERS"
 
 
 # the context-manager protocol passes the exception triple whether it is read or not

@@ -69,7 +69,81 @@ def test_report_reconciles_with_summary(mode, tmp_path):
     summary = json.loads(lines[-1])
     summary["traffic_bytes"] += 1
     path.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
-    with pytest.raises(TraceParseError, match="traffic accounting mismatch"):
+    with pytest.raises(TraceParseError, match="summary field 'traffic_bytes' disagrees"):
+        session_mod.report([str(path)])
+
+
+# In round 1 the deeper track meets the target at clock 2.0733 and is emitted
+# first; the wider track meets it at clock 1.4867.
+TARGETED = small_session_doc(seed=1, mode="autofed", max_rounds=20, target_accuracy=0.4,
+                             configurator={"start_depth": 1, "trial_intvl_s": 0.5})
+
+
+@pytest.fixture(scope="module")
+def targeted(tmp_path_factory):
+    path = tmp_path_factory.mktemp("targeted") / "t.jsonl"
+    return _run(TARGETED, path), path
+
+
+def test_time_to_target_is_the_earliest_eval_clock(targeted):
+    result, _ = targeted
+    evals = [(e["track"], e["clock"]) for e in trace_mod.events_of_kind(result.events, "eval")
+             if e["accuracy"] >= 0.4]
+    assert evals == [("deeper", 2.0733493333333337), ("wider", 1.4866826666666668)]
+    assert result.summary["reached"] and result.exit_code == session_mod.EXIT_OK
+    assert result.summary["time_to_target"] == 1.4866826666666668
+    assert session_mod.time_to_accuracy(result.events, 1.0, 0.4) == 1.4866826666666668
+
+
+FORGERIES = {
+    "energy_j": lambda v: 2 * v,
+    "rounds": lambda v: v + 1,
+    "cache_hits": lambda v: v + 7,
+    "cache_recomputes": lambda v: v - 1,
+    "best_accuracy": lambda v: 0.99,
+    "depth_increases": lambda v: v + 1,
+    "reached": lambda v: not v,
+    "time_to_target": lambda v: 2.0733493333333337,
+    "configs_visited": lambda v: v + [[2, 8]],
+}
+
+
+@pytest.mark.parametrize("field", sorted(FORGERIES))
+def test_report_refuses_a_forged_summary_field(field, targeted, tmp_path):
+    _, source = targeted
+    lines = source.read_text().splitlines()
+    summary = json.loads(lines[-1])
+    summary[field] = FORGERIES[field](summary[field])
+    path = tmp_path / "forged.jsonl"
+    path.write_text("\n".join(lines[:-1] + [json.dumps(summary)]) + "\n")
+    with pytest.raises(TraceParseError, match=f"summary field '{field}' disagrees"):
+        session_mod.report([str(path)])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[1:], "expected a leading session event"),
+    (lambda lines: lines[:-1], "expected exactly one summary event, at the end"),
+    (lambda lines: lines + lines[-1:], "expected exactly one summary event, at the end"),
+    (lambda lines: lines[:-1] + [lines[-1][:-1] + ',"extra":1}'], "summary field 'extra'"),
+], ids=["no_session_event", "no_summary", "two_summaries", "extra_field"])
+def test_report_refuses_a_misshapen_trace(edit, message, targeted, tmp_path):
+    _, source = targeted
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(edit(source.read_text().splitlines())) + "\n")
+    with pytest.raises(TraceParseError, match=message):
+        session_mod.report([str(path)])
+
+
+def test_report_names_a_malformed_event(targeted, tmp_path):
+    _, source = targeted
+    lines = source.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if '"evt":"round"' in line)
+    event = json.loads(lines[index])
+    del event["energy_j"]
+    lines[index] = json.dumps(event)
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError, match="malformed event: KeyError\\('energy_j'\\)"):
         session_mod.report([str(path)])
 
 

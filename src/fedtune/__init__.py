@@ -2,14 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .adapter import AdapterConfig, AdapterPayload, TuningScheme
+from .adapter import AdapterConfig, TuningScheme
 from .model import ModelSpec, ModelState, build_model
 from .session import SessionConfig, load_config, run_session_config
 from .tensor_nn import Parameter, SeededRng, Tensor
 
 __all__ = [
     "AdapterConfig",
-    "AdapterPayload",
     "ModelSpec",
     "ModelState",
     "Parameter",

@@ -7,13 +7,14 @@ reproduces the classic single-adapter parameter arithmetic; it supports
 deepening but not widening, since widening it would have to discard
 trained weights.
 
-Each trial track's model is built once: ``materialize`` builds one on the
-frozen backbone, and ``deepen`` and ``widen`` derive the upgraded tracks'
-models from the winner's. Every model shares the backbone's frozen
-parameters and owns copies of its trainable ones (``_shallow_clone``), so
-training one track never moves another's bytes. A payload is the wire
-format only: ``extract_payload`` copies a model's trainable buffers out,
-and ``load_payload`` copies buffers back into a model of the same scheme.
+A trial track is its ``TuningScheme`` plus one model, built once:
+``materialize`` builds one on the frozen backbone, and ``deepen`` and
+``widen`` derive the upgraded tracks' models from the winner's. Every model
+shares the backbone's frozen parameters and owns copies of its trainable
+ones (``_shallow_clone``), so training one track never moves another's
+bytes. A payload is the wire format only, a plain ``dict`` of trainable
+buffers keyed by parameter name: ``extract_payload`` copies a model's out,
+and ``load_payload`` copies them into a model with the same parameters.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class AdapterConfig:
     @property
     def stack_size(self) -> int:
         return self.width // self.step
-
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +186,9 @@ class TuningScheme:
         return num_layers - self.tuning_depth(num_layers)
 
 
-@dataclass
-class AdapterPayload:
-    """Everything a client ships: scheme plus trainable buffers by name."""
-
-    scheme: TuningScheme
-    buffers: dict[str, np.ndarray]
-
-    def total_scalars(self) -> int:
-        return int(sum(b.size for b in self.buffers.values()))
-
-def extract_payload(model: ModelState, scheme: TuningScheme) -> AdapterPayload:
-    buffers = {p.name: p.tensor.data.copy() for p in model.trainable_parameters()}
-    return AdapterPayload(scheme, buffers)
+def extract_payload(model: ModelState) -> dict[str, np.ndarray]:
+    """A copy of the model's trainable buffers, keyed by parameter name."""
+    return {p.name: p.tensor.data.copy() for p in model.trainable_parameters()}
 
 
 def materialize(backbone: ModelState, scheme: TuningScheme,
@@ -234,7 +224,7 @@ def materialize(backbone: ModelState, scheme: TuningScheme,
     return out
 
 
-def load_payload(model: ModelState, payload: AdapterPayload) -> None:
+def load_payload(model: ModelState, payload: dict[str, np.ndarray]) -> None:
     """Copy the payload's buffers into the model's trainable parameters.
 
     The buffers' names must be exactly the trainable parameters' names, and
@@ -242,15 +232,16 @@ def load_payload(model: ModelState, payload: AdapterPayload) -> None:
     raises ProtocolError. The copy goes into the parameter's own array, so
     a load allocates nothing, and arrays taken from the model before it
     hold the payload's values afterwards. ``fed.run_track_round`` loads
-    every client's start payload, then the aggregated one, into the
-    track's one model. The payload's buffers are never kept.
+    the round's start values before every client after the first, then
+    the aggregated mean, into the track's one model. The payload's buffers
+    are never kept.
     """
     trainable = {p.name: p for p in model.trainable_parameters()}
-    if set(trainable) != set(payload.buffers):
-        missing = sorted(set(trainable) ^ set(payload.buffers))[:4]
-        raise ProtocolError(f"payload buffers do not match scheme (first diffs: {missing})")
+    if set(trainable) != set(payload):
+        missing = sorted(set(trainable) ^ set(payload))[:4]
+        raise ProtocolError(f"payload buffers do not match the model (first diffs: {missing})")
     for name, param in trainable.items():
-        buf = payload.buffers[name]
+        buf = payload[name]
         if buf.shape != param.tensor.data.shape:
             raise ProtocolError(
                 f"buffer '{name}' shape {buf.shape} != expected {param.tensor.data.shape}")

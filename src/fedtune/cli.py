@@ -1,7 +1,8 @@
 """Command line front end: run, sweep, and report verbs.
 
-Exit statuses: 0 on success, 2 on configuration errors, 3 when a session
-finished its round budget without reaching the configured target accuracy.
+Exit statuses: 0 on success; 2 on configuration errors, malformed traces
+and unusable paths (any OSError, such as a missing output directory); 3
+when a session finished its round budget short of its target accuracy.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, TraceParseError) as err:
+    except (ConfigurationError, TraceParseError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except FedTuneError as err:

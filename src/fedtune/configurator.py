@@ -8,6 +8,11 @@ prefix), and its configuration becomes the new floor. Configurations only
 ever grow, which is what keeps activation-cache expirations bounded by the
 model depth.
 
+A trial track is the ``TuningScheme`` it trains plus its model, which
+holds the track's latest FedAvg mean between rounds; what a track trains
+is stated once, by its scheme, and decisions read the winner's
+``scheme.adapter``.
+
 ``run_session`` is the one session loop of every mode. The fixed baselines
 (a fixed adapter, full fine-tuning, layer freezing) are this loop with one
 ``current`` track and no configurator state, so they never decide. The loop
@@ -22,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from . import adapter as adapter_mod
 from . import fed as fed_mod
 from . import model as model_mod
-from .adapter import AdapterConfig, AdapterPayload, TuningScheme
+from .adapter import AdapterConfig, TuningScheme
 from .errors import DecisionError
 from .fed import ServerState
 from .model import ModelState
@@ -36,21 +41,17 @@ TRACK_WIDER = "wider"
 @dataclass
 class TrialTrack:
     name: str
-    payload: AdapterPayload
+    scheme: TuningScheme
     # built with the track (``dispatch``, or a fixed mode's one track) and
-    # kept until the next dispatch; between rounds it holds ``payload``
+    # kept until the next dispatch; between rounds it holds the latest mean
     model: ModelState = field(repr=False)
     clock: float = 0.0
     accuracy: float | None = None  # the latest evaluation; None before the first
 
-    @property
-    def config(self) -> AdapterConfig:
-        return self.payload.scheme.adapter
-
     def depth_width(self, num_layers: int) -> tuple[int, int]:
         """Tuning depth and adapter width (0 without adapters) of the scheme."""
-        scheme = self.payload.scheme
-        return scheme.tuning_depth(num_layers), (scheme.adapter.width if scheme.adapter else 0)
+        adapter = self.scheme.adapter
+        return self.scheme.tuning_depth(num_layers), (adapter.width if adapter else 0)
 
 
 @dataclass
@@ -95,7 +96,7 @@ def dispatch(
     """Derive the current/deeper/wider trial tracks from the winner.
 
     The current track takes the winner's model, which holds the winner's
-    aggregated payload; without a winner (the session's first dispatch) it
+    aggregated mean; without a winner (the session's first dispatch) it
     is materialized fresh. The deeper and wider tracks take models derived
     from it, which carry its trained weights byte-identically in arrays of
     their own; only the newly added stacks are freshly initialized.
@@ -117,8 +118,7 @@ def dispatch(
     if d >= 1:
         variants.append((TRACK_WIDER, _adapter_scheme(d, w + step, step),
                          adapter_mod.widen(base, step, rng)))
-    return [TrialTrack(name, adapter_mod.extract_payload(model, track_scheme), model,
-                       clock=start_clock)
+    return [TrialTrack(name, track_scheme, model, clock=start_clock)
             for name, track_scheme, model in variants]
 
 
@@ -127,10 +127,6 @@ def should_decide(state: ConfiguratorState, now: float) -> bool:
     if state.trial_intvl is None:
         return False
     return now - state.t_trial > state.trial_intvl
-
-
-def config_cost_key(config: AdapterConfig) -> tuple[int, int]:
-    return (config.depth, config.width)
 
 
 def decide_winner(tracks: list[TrialTrack]) -> TrialTrack:
@@ -142,7 +138,7 @@ def decide_winner(tracks: list[TrialTrack]) -> TrialTrack:
             raise DecisionError(f"track '{t.name}' has no evaluations yet")
     best_acc = max(t.accuracy for t in tracks)
     contenders = [t for t in tracks if t.accuracy == best_acc]
-    return min(contenders, key=lambda t: config_cost_key(t.config))
+    return min(contenders, key=lambda t: (t.scheme.adapter.depth, t.scheme.adapter.width))
 
 
 def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
@@ -150,7 +146,7 @@ def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
     """Accuracy of every live track on the global test set, in track order.
 
     Each track is scored on its ``model``, which ``fed.run_track_round``
-    left holding the track's aggregated payload. The store first drops every
+    left holding the track's aggregated mean. The store first drops every
     resume point none of these tracks resumes from (each resumes at the
     lowest adapter's input, see ``model.resume_layer``); evaluation then
     builds the test chunks it lacks. A track without a frozen prefix (full
@@ -159,7 +155,7 @@ def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
     num_layers = backbone.spec.num_layers
     resumes = []
     for track in tracks:
-        boundary = track.payload.scheme.boundary_layer(num_layers)
+        boundary = track.scheme.boundary_layer(num_layers)
         resumes.append(None if boundary is None else model_mod.resume_layer(track.model, boundary))
     store.retain({r for r in resumes if r is not None})
     return [model_mod.evaluate(track.model, test_tokens, test_labels, store=store, resume=resume)
@@ -246,16 +242,16 @@ def run_session(
         current = tracks[0]
         if should_decide(state, current.clock):
             winner = decide_winner(tracks)
+            new = winner.scheme.adapter
             decision_clock = max(t.clock for t in tracks)
             writer.emit({
                 "evt": "decision", "round": report.round_index, "clock": decision_clock,
                 "winner": winner.name,
                 "accuracies": {t.name: t.accuracy for t in tracks},
-                "new_depth": winner.config.depth, "new_width": winner.config.width,
+                "new_depth": new.depth, "new_width": new.width,
             })
             iteration += 1
-            state.base_depth = winner.config.depth
-            state.base_width = winner.config.width
+            state.base_depth, state.base_width = new.depth, new.width
             state.t_trial = decision_clock
             state.trial_intvl *= state.params.intvl_growth
             tracks = dispatch(state, winner, backbone, adapter_rng,

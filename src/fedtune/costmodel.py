@@ -7,7 +7,8 @@ measured full-batch latency divided by 3*D. One function,
 the activation cache; a track round's time and energy are summed from it
 in ``fed.run_track_round``. Adapter compute overhead is treated as negligible next
 to a transformer block. Wire traffic is charged at 4 bytes per scalar,
-the float32 the model computes in.
+the float32 the model computes in, and each participant of a round
+downloads and uploads one payload (``traffic_bytes``).
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ def batch_time_from_boundary(profile: DeviceProfile, num_layers: int, tuning_dep
 def payload_bytes(trainable_scalars: int) -> int:
     """Wire size of one payload in one direction."""
     return trainable_scalars * WIRE_BYTES_PER_SCALAR + PAYLOAD_HEADER_BYTES
+
+
+def traffic_bytes(payload_size: int, participants: int) -> int:
+    """Wire bytes of a round: each participant downloads and uploads one payload."""
+    return 2 * payload_size * participants
 
 
 def transfer_seconds(num_bytes: int, net: NetworkProfile) -> tuple[float, float]:

@@ -7,15 +7,17 @@ running max depth: the round's deepest dispatched tuning depth.
 Configurations only grow, so no deeper one was dispatched in any earlier
 round, and the watermark never falls.
 
-A track round trains its group one client after another, in ascending
-client id, on the track's one model. As soon as a client finishes, its
-trained parameters are folded into the round's anchored running mean
-(``fedavg``), so a round holds two payloads (the anchor and the running
-sum), not one per participant. The round's trace fields keep the
-selection order: participants, energy summed in that order, and the
-round time as the max over the group. Every reduction (aggregation,
-selection, batch order) has a fixed order, so the results never depend
-on timing.
+A track is its tuning scheme plus one model, which holds its latest FedAvg
+mean between rounds. A track round copies the start values out of the
+model once, then trains its group one client after another, in ascending
+client id, on that model. As soon as a client finishes, its trained
+parameters (a payload: buffers keyed by parameter name) are folded into
+the round's anchored running mean (``fedavg``), so a round holds three
+payloads (the start values, the anchor and the running sum), not one per
+participant. The round's trace fields keep the selection order:
+participants, energy summed in that order, and the round time as the max
+over the group. Every reduction (aggregation, selection, batch order) has
+a fixed order, so the results never depend on timing.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import cache as cache_mod
 from . import costmodel
 from . import model as model_mod
 from . import tensor_nn as tn
-from .adapter import AdapterPayload, TuningScheme
+from .adapter import TuningScheme
 from .cache import ActivationCache
 from .costmodel import DeviceProfile, NetworkProfile
 from .errors import AggregationError, SelectionError, TrainingError
@@ -66,7 +68,7 @@ class ServerState:
 @dataclass
 class ClientUpdate:
     client_id: int
-    payload: AdapterPayload
+    payload: dict[str, np.ndarray]  # trainable buffers by parameter name
     num_samples: int
 
 
@@ -118,12 +120,12 @@ def local_train(
     cache_enabled: bool,
     depth_watermark: int,
     store: PrefixStore,
-) -> tuple[AdapterPayload, int, LocalStats]:
+) -> tuple[dict[str, np.ndarray], int, LocalStats]:
     """Run E local passes of SGD over the client's fixed batches.
 
     ``model`` is the client's track's model, which shares the frozen
-    backbone and holds the round's start payload (``run_track_round``
-    loads it before each client, so no earlier client's training carries
+    backbone and holds the round's start values (``run_track_round``
+    loads them before each client, so no earlier client's training carries
     over). With the cache enabled, the client's ledger decides per batch
     whether the bottom frozen path is recomputed (at most once per batch
     per watermark change); the session's ``store``
@@ -166,8 +168,7 @@ def local_train(
         if use_cache:
             # every batch is stored at this watermark now: later epochs hit
             client.cache.depth_at_store = depth_watermark
-    trained = AdapterPayload(scheme, {p.name: p.tensor.data for p in trainable})
-    return trained, client.num_train_samples(), stats
+    return {p.name: p.tensor.data for p in trainable}, client.num_train_samples(), stats
 
 
 @dataclass
@@ -182,20 +183,19 @@ class RunningMean:
     """
 
     total_samples: int
-    scheme: TuningScheme | None = None
     anchor: dict[str, np.ndarray] | None = None
     acc: dict[str, np.ndarray] | None = None
     last_id: int | None = None
     folded_samples: int = 0
 
-    def payload(self) -> AdapterPayload:
-        """The group's mean, once every client has been folded."""
+    def payload(self) -> dict[str, np.ndarray]:
+        """The group's mean buffers, once every client has been folded."""
         if self.acc is None:
             raise AggregationError("fedavg of an empty group: no update was folded")
         if self.folded_samples != self.total_samples:
             raise AggregationError(
                 f"folded {self.folded_samples} samples, the group has {self.total_samples}")
-        return AdapterPayload(self.scheme, self.acc)
+        return self.acc
 
 
 def fedavg(mean: RunningMean, update: ClientUpdate) -> None:
@@ -205,8 +205,9 @@ def fedavg(mean: RunningMean, update: ClientUpdate) -> None:
     order: the same float operations in the same order as averaging the
     whole sorted list at once. ``update``'s buffers are only read, never
     kept, so they may be the round model's own arrays. A client id not
-    above the previous one, another scheme or other buffer names raise
-    AggregationError.
+    above the previous one, or buffers whose names, order or shapes differ
+    from the anchor's, raise AggregationError: on one backbone, that is
+    every update trained under another scheme.
     """
     if mean.total_samples <= 0:
         raise AggregationError("total sample count must be > 0")
@@ -214,14 +215,14 @@ def fedavg(mean: RunningMean, update: ClientUpdate) -> None:
         raise AggregationError(
             f"client {update.client_id} folded after client {mean.last_id}: "
             "ids must ascend")
-    buffers = update.payload.buffers
+    buffers = update.payload
     if mean.anchor is None:
-        mean.scheme = update.payload.scheme
         mean.anchor = {key: buf.copy() for key, buf in buffers.items()}
         mean.acc = {key: buf.copy() for key, buf in buffers.items()}
-    elif update.payload.scheme != mean.scheme or list(buffers) != list(mean.anchor):
+    elif ([(key, buf.shape) for key, buf in buffers.items()]
+          != [(key, buf.shape) for key, buf in mean.anchor.items()]):
         raise AggregationError(
-            f"client {update.client_id} payload does not match the round's scheme")
+            f"client {update.client_id} payload does not match the round's buffers")
     weight = update.num_samples / mean.total_samples
     for key, anchor in mean.anchor.items():
         delta = buffers[key] - anchor
@@ -252,31 +253,30 @@ def run_track_round(
 ) -> TrackRoundStats:
     """One round of one track with a given group: train, aggregate, advance its clock.
 
-    ``track`` is a configurator.TrialTrack, built with its model; between
-    rounds the model holds ``track.payload``. The group trains on it in
-    ascending client id, each client from the start payload, and each
-    trained payload is folded into the round's ``RunningMean`` through
-    ``fedavg`` before the next client loads. The mean becomes the track's
-    payload and is loaded into its model, the one
-    ``configurator.evaluate_tracks`` scores. The stats list the group in
-    the order given.
+    ``track`` is a configurator.TrialTrack; between rounds its model holds
+    the track's latest mean. The round copies the start values out once and
+    prices each participant's download and upload at their size. The group
+    trains on the model in ascending client id, each client from the start
+    values, and each trained payload is folded into the round's
+    ``RunningMean`` through ``fedavg`` before the next client loads. The
+    mean is loaded into the model, the one ``configurator.evaluate_tracks``
+    scores. The stats list the group in the order given.
     """
-    scheme = track.payload.scheme
-    payload_size = costmodel.payload_bytes(track.payload.total_scalars())
     model = track.model
+    start = adapter_mod.extract_payload(model)
+    payload_size = costmodel.payload_bytes(sum(buf.size for buf in start.values()))
     mean = RunningMean(sum(registry[cid].num_train_samples() for cid in group))
     local: dict[int, LocalStats] = {}
     for position, cid in enumerate(sorted(group)):
         if position:
-            # the first client finds the start payload already loaded
-            adapter_mod.load_payload(model, track.payload)
+            # the first client finds the start values already loaded
+            adapter_mod.load_payload(model, start)
         trained, n_samples, local[cid] = local_train(
-            registry[cid], model, scheme,
+            registry[cid], model, track.scheme,
             epochs=epochs, lr=lr, cache_enabled=cache_enabled,
             depth_watermark=depth_watermark, store=store)
         fedavg(mean, ClientUpdate(cid, trained, n_samples))
-    track.payload = mean.payload()
-    adapter_mod.load_payload(model, track.payload)
+    adapter_mod.load_payload(model, mean.payload())
 
     round_seconds = 0.0
     energy = 0.0
@@ -327,7 +327,7 @@ def run_round(
         raise SelectionError("run_round requires at least one track")
     round_index = server.round_index + 1
     num_layers = backbone.spec.num_layers
-    max_depth = max(t.payload.scheme.tuning_depth(num_layers) for t in tracks)
+    max_depth = max(t.scheme.tuning_depth(num_layers) for t in tracks)
 
     for client in server.registry.values():
         # a ledger stored below the watermark can never hit again

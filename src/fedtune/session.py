@@ -214,6 +214,7 @@ def _validate(cfg: SessionConfig) -> None:
         _require(cfg.fixed_width >= adapter_mod.MIN_WIDTH, "fixed_width",
                  f"must be >= {adapter_mod.MIN_WIDTH}")
         if not cfg.monolithic_adapters:
+            _require(cfg.configurator.width_step >= 1, "configurator.width_step", "must be >= 1")
             _require(cfg.fixed_width % cfg.configurator.width_step == 0, "fixed_width",
                      "stacked mode needs width to be a multiple of the width step")
     if cfg.mode == "layer_freeze":
@@ -339,13 +340,14 @@ def _initial_tracks(world: World, state: ConfiguratorState | None) -> list[Trial
         return conf_mod.dispatch(state, None, world.backbone, world.adapter_rng)
     scheme = _fixed_scheme(world.config)
     model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
-    return [TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme), model)]
+    return [TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)]
 
 
 def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
     """Execute one session and stream its trace to ``trace_path``.
 
-    It starts by allocating and freeing one untouched 16 MiB block, so that
+    The trace opens before the world is built, so an unusable path fails at
+    once. First, one untouched 16 MiB block is allocated and freed, so that
     the session's heap does not depend on what the process did before.
     glibc's malloc maps a block above its mmap threshold (128 KiB at start)
     when no free part of the heap can hold it, and freeing a mapped block of
@@ -361,8 +363,8 @@ def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
     # mallopt(3), M_MMAP_THRESHOLD: freeing a mapped block raises both thresholds
     guard = np.empty(16 << 20, dtype=np.uint8)
     del guard
-    world = build_world(cfg)
     with trace_mod.TraceWriter(trace_path) as writer:
+        world = build_world(cfg)
         writer.emit({"evt": "session", "version": trace_mod.TRACE_VERSION,
                      "config": cfg.to_dict()})
         state = ConfiguratorState(cfg.configurator) if cfg.mode == "autofed" else None
@@ -416,8 +418,8 @@ def _summary(events: list[dict]) -> dict:
         "time_to_target": time_to_target,
         "rounds": rounds[-1]["round"] if rounds else 0,
         "best_accuracy": max((e["accuracy"] for e in evals), default=0.0),
-        # each participant downloads and uploads one payload
-        "traffic_bytes": sum(2 * e["payload_bytes"] * len(e["participants"]) for e in rounds),
+        "traffic_bytes": sum(costmodel.traffic_bytes(e["payload_bytes"], len(e["participants"]))
+                             for e in rounds),
         "energy_j": sum(e["energy_j"] for e in rounds),
         "cache_hits": sum(e["cache_hits"] for e in rounds),
         "cache_recomputes": sum(e["cache_recomputes"] for e in rounds),
@@ -512,7 +514,7 @@ def report(paths: list[str]) -> dict:
             for cid, joules in e.get("client_energy", {}).items():
                 entry = per_client.setdefault(str(cid), {"traffic_bytes": 0,
                                                          "energy_j": 0.0, "rounds": 0})
-                entry["traffic_bytes"] += 2 * e["payload_bytes"]
+                entry["traffic_bytes"] += costmodel.traffic_bytes(e["payload_bytes"], 1)
                 entry["energy_j"] += joules
                 entry["rounds"] += 1
         sessions.append({

@@ -1,3 +1,7 @@
+import ctypes
+import functools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,23 @@ from fedtune import model as model_mod
 from fedtune import session as session_mod
 from fedtune.model import ModelSpec
 from fedtune.tensor_nn import SeededRng
+
+
+@functools.cache
+def blas_core_name() -> str:
+    """The OpenBLAS kernel numpy runs on at runtime (e.g. "SkylakeX"), or "unknown".
+
+    The bit-identity tests compare GEMMs of different shapes, whose last
+    bits depend on the kernel; their failure messages name it.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 @pytest.fixture

@@ -135,14 +135,17 @@ class TestOutOfRange:
         ({"noniid_concentration": float("inf")}, "noniid_concentration"),
         ({"task": {**TASK, "teacher_seed": -1}}, "task.teacher_seed"),
         ({"task": {**TASK, "teacher_seed": 2**64}}, "task.teacher_seed"),
+        ({"mode": "fixed_adapter", "monolithic_adapters": False,
+          "configurator": {"width_step": 0}}, "configurator.width_step"),
     ], ids=["start_depth", "start_width_min", "start_width_step", "trial_intvl_s",
             "intvl_growth", "target_above_1", "target_below_0", "seed_negative", "seed_2_64",
             "share_negative", "share_nan", "share_inf", "shares_all_zero", "no_devices",
             "shares_sum_overflows", "relative_target_negative", "relative_target_zero",
             "relative_target_nan", "relative_target_inf", "learning_rate_inf",
-            "concentration_inf", "teacher_seed_negative", "teacher_seed_2_64"])
+            "concentration_inf", "teacher_seed_negative", "teacher_seed_2_64",
+            "stacked_fixed_width_step_zero"])
     def test_rejected_before_any_session(self, overrides, key, tmp_path, capsys):
-        doc = small_session_doc(mode="autofed", max_rounds=1, **overrides)
+        doc = small_session_doc(**{"mode": "autofed", "max_rounds": 1, **overrides})
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
             session_mod.config_from_dict(doc)
         path = tmp_path / "session.yaml"
@@ -255,6 +258,29 @@ class TestCli:
         assert code == EXIT_CONFIG_ERROR
         assert "max_round" in capsys.readouterr().err
 
+    def test_run_into_a_missing_directory_exits_2_before_the_world(
+            self, config_path, tmp_path, capsys, monkeypatch):
+        def no_world(cfg):
+            raise AssertionError("the world was built before the trace was opened")
+
+        monkeypatch.setattr(session_mod, "build_world", no_world)
+        trace = tmp_path / "missing" / "t.jsonl"
+        code = cli.main(["run", "--config", config_path, "--out", str(trace)])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(trace) in err
+
+    def test_zero_width_step_exits_2_before_any_sweep_session(self, tmp_path, capsys):
+        # full_ft reads no width step, but the sweep's stacked fixed-adapter runs do
+        path = tmp_path / "session.yaml"
+        path.write_text(yaml.safe_dump(small_session_doc(
+            mode="full_ft", monolithic_adapters=False, configurator={"width_step": 0})))
+        out = tmp_path / "out"
+        code = cli.main(["sweep", "--config", str(path), "--grid", "0:8", "--out", str(out)])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("error: field 'configurator.width_step'")
+        assert not out.exists()
+
     def test_bad_grid_point_exits_2_before_any_session(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         code = cli.main(["sweep", "--config", config_path, "--grid", "0:8,9:8",
@@ -305,3 +331,16 @@ class TestExitCodes:
         assert cli.main(["report", str(trace)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["sessions"][0]["rounds"] == summary["rounds"]
+
+    def test_report_of_a_missing_trace_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "missing.jsonl"
+        assert cli.main(["report", str(trace)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(trace) in err
+
+    def test_report_into_a_missing_directory_exits_2(self, tmp_path, capsys):
+        _, _, trace = self.run_cli(tmp_path, capsys)
+        out = tmp_path / "missing" / "r.json"
+        assert cli.main(["report", str(trace), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err

@@ -2,7 +2,7 @@
 
 Every test runs on the small config (3 layers, hidden 16). A track's widths
 are read both from its scheme, as the trace reports them, and from its
-payload's buffers, the adapters the clients actually train.
+model's trainable parameters, the adapters the clients actually train.
 """
 
 import pytest
@@ -15,10 +15,10 @@ from fedtune import trace as trace_mod
 from conftest import small_session_doc
 
 
-def _units(payload) -> dict[int, list[int]]:
-    """Adapted layer -> the width of each unit in its stack, from the payload's buffers."""
+def _units(model) -> dict[int, list[int]]:
+    """Adapted layer -> the width of each unit in its stack, from the trainable parameters."""
     units: dict[int, list[int]] = {}
-    for name, buf in sorted(payload.buffers.items()):
+    for name, buf in sorted((p.name, p.tensor.data) for p in model.trainable_parameters()):
         if name.endswith(".w_down"):
             units.setdefault(int(name[len("block"):name.index(".")]), []).append(buf.shape[1])
     return units
@@ -30,7 +30,7 @@ def _first_dispatch(**configurator) -> list[tuple]:
     world = session_mod.build_world(cfg)
     tracks = conf_mod.dispatch(conf_mod.ConfiguratorState(cfg.configurator), None,
                                world.backbone, world.adapter_rng)
-    return [(t.name, *t.depth_width(cfg.model.num_layers), _units(t.payload)) for t in tracks]
+    return [(t.name, *t.depth_width(cfg.model.num_layers), _units(t.model)) for t in tracks]
 
 
 def _events(tmp_path, **overrides) -> list[dict]:
@@ -107,6 +107,6 @@ def test_monolithic_adapters_choose_one_unit_or_a_stack(monolithic, units, scala
     cfg = session_mod.config_from_dict(small_session_doc(**doc))
     world = session_mod.build_world(cfg)
     [track] = session_mod._initial_tracks(world, None)
-    assert _units(track.payload) == {2: units, 3: units}
+    assert _units(track.model) == {2: units, 3: units}
     [round_event] = trace_mod.events_of_kind(_events(tmp_path, **doc), "round")
     assert round_event["payload_bytes"] == costmodel.payload_bytes(scalars)

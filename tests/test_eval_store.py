@@ -158,8 +158,7 @@ class TestLedger:
         world, cfg = small_world, small_world.config
         scheme = TuningScheme("adapter", AdapterConfig(2, 8, 8))
         model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
-        track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT,
-                                    adapter_mod.extract_payload(model, scheme), model)
+        track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
         store = PrefixStore(world.backbone)
         report = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
                                    backbone=world.backbone, epochs=1, lr=cfg.learning_rate,
@@ -183,7 +182,7 @@ class TestLedger:
 
         def checking_run_round(server, tracks, *args, _inner=fed_mod.run_round, **kwargs):
             num_layers = kwargs["backbone"].spec.num_layers
-            depth = max(t.payload.scheme.tuning_depth(num_layers) for t in tracks)
+            depth = max(t.scheme.tuning_depth(num_layers) for t in tracks)
             stale = [c.id for c in server.registry.values()
                      if c.cache.entries and c.cache.depth_at_store < depth]
             report = _inner(server, tracks, *args, **kwargs)

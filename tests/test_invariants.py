@@ -31,16 +31,15 @@ def _trained(model, seed: int):
 def test_fedavg_of_identical_payloads_is_bit_exact(tiny_model):
     scheme = TuningScheme("adapter", AdapterConfig(2, 16, 8))
     model = _trained(adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1)), 2)
-    payload = adapter_mod.extract_payload(model, scheme)
+    payload = adapter_mod.extract_payload(model)
     # weights 7/21, 3/21, 11/21 are not exact in binary
     mean = fed_mod.RunningMean(7 + 3 + 11)
     for cid, n in ((1, 7), (4, 3), (9, 11)):
-        fed_mod.fedavg(mean, fed_mod.ClientUpdate(
-            cid, adapter_mod.extract_payload(model, scheme), n))
+        fed_mod.fedavg(mean, fed_mod.ClientUpdate(cid, adapter_mod.extract_payload(model), n))
     merged = mean.payload()
-    assert merged.scheme == scheme and list(merged.buffers) == list(payload.buffers)
-    for name, buf in payload.buffers.items():
-        assert merged.buffers[name].tobytes() == buf.tobytes(), name
+    assert list(merged) == list(payload)
+    for name, buf in payload.items():
+        assert merged[name].tobytes() == buf.tobytes(), name
 
 
 def test_deepen_and_widen_keep_trained_bytes():

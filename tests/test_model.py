@@ -15,6 +15,7 @@ from fedtune.errors import (
 from fedtune.model import ModelSpec, build_model, evaluate, forward, forward_from_boundary
 from fedtune.tensor_nn import SeededRng
 
+from conftest import blas_core_name
 
 KEY = (0, 0)  # (client id, batch id): a ledger entry's key in the cache and the store
 
@@ -99,7 +100,8 @@ class TestForward:
             [0.0822984, -0.009517075, -0.07798218],
         ], dtype=np.float32)
         assert logits.dtype == np.float32
-        assert logits.tobytes() == golden.tobytes()
+        assert logits.tobytes() == golden.tobytes(), \
+            f"BLAS kernel {blas_core_name()}: logits {logits.tolist()}"
         # the values before the top layer ran only for the pooled token: its
         # GEMMs took 2 rows instead of 10, which moved the first row's last bits
         golden_all_positions = np.array([
@@ -302,7 +304,8 @@ class TestEvaluate:
         assert chunk == 32 and count % chunk != 1
         chunked = np.concatenate([forward(model, tokens[s:s + chunk]).data
                                   for s in range(0, count, chunk)])
-        assert np.array_equal(chunked, forward(model, tokens).data)
+        assert np.array_equal(chunked, forward(model, tokens).data), \
+            f"BLAS kernel {blas_core_name()}"
 
     def test_accuracy_independent_of_chunk(self, small):
         model, tokens, labels = small

@@ -11,6 +11,8 @@ from fedtune.errors import ContractViolation
 from fedtune.model import ModelSpec, PrefixStore, build_model, forward
 from fedtune.tensor_nn import SeededRng
 
+from conftest import blas_core_name
+
 MID = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128,
                 vocab=200, seqlen=32, num_labels=4)
 F32_EPS = float(np.finfo(np.float32).eps)
@@ -44,7 +46,7 @@ def mid_adapted():
 def test_mid_shape_logits_bit_identical_to_unpooled(mid_adapted, batch):
     tokens = SeededRng(batch).integers(0, MID.vocab, size=(batch, MID.seqlen))
     assert forward(mid_adapted, tokens).data.tobytes() == \
-        unpooled_forward(mid_adapted, tokens).data.tobytes()
+        unpooled_forward(mid_adapted, tokens).data.tobytes(), f"BLAS kernel {blas_core_name()}"
 
 
 @pytest.mark.parametrize("shape,batch", [("mid", 1), ("tiny", 1), ("tiny", 2), ("tiny", 3)])

@@ -25,8 +25,7 @@ def _as_float64(model):
 
 def _track(world, scheme):
     model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
-    return conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme),
-                               model)
+    return conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
 
 
 class TestSessionDtypes:
@@ -67,9 +66,11 @@ class TestSessionDtypes:
         conf_mod.evaluate_tracks(tracks, world.backbone, store,
                                  world.test_tokens, world.test_labels)
         merged = [mean.payload() for mean in means]
-        # the folded means are the payloads the tracks carry on
+        # the folded means are the values the tracks' models carry on
         assert len(merged) == len(tracks)
-        assert all(m.buffers is t.payload.buffers for m, t in zip(merged, tracks))
+        for mean, track in zip(merged, tracks):
+            for p in track.model.trainable_parameters():
+                assert p.tensor.data.tobytes() == mean[p.name].tobytes(), p.name
         return world, models, grads, updates, merged, store
 
     def test_parameters_and_gradients_are_float32(self, recorded):
@@ -84,7 +85,7 @@ class TestSessionDtypes:
         _, _, _, updates, merged, _ = recorded
         assert len(merged) == 2 and len(updates) == 2 * 2
         for payload in [u.payload for u in updates] + merged:
-            for name, buf in payload.buffers.items():
+            for name, buf in payload.items():
                 assert buf.dtype == F32, name
 
     def test_cache_entries_and_store_chunks_are_float32(self, recorded):
@@ -124,10 +125,10 @@ class TestNoSilentCast:
     def test_float64_payload_buffer_rejected(self, tiny_model):
         scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
         model = adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1))
-        payload = adapter_mod.extract_payload(model, scheme)
+        payload = adapter_mod.extract_payload(model)
         adapter_mod.load_payload(model, payload)
         name = "block02.adapter00.w_up"
-        payload.buffers[name] = payload.buffers[name].astype(np.float64)
+        payload[name] = payload[name].astype(np.float64)
         with pytest.raises(ProtocolError, match=f"'{name}' dtype float64"):
             adapter_mod.load_payload(model, payload)
 

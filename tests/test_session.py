@@ -73,6 +73,20 @@ def test_report_reconciles_with_summary(mode, tmp_path):
         session_mod.report([str(path)])
 
 
+@pytest.mark.parametrize("mode", sorted(MODE_DOCS))
+def test_report_per_client_adds_up_to_the_session(mode, tmp_path):
+    path = tmp_path / "t.jsonl"
+    result = _run(MODE_DOCS[mode], path)
+    [session] = session_mod.report([str(path)])["sessions"]
+    clients = session["per_client"].values()
+    rounds = trace_mod.events_of_kind(result.events, "round")
+    assert len(clients) > 1
+    assert sum(c["traffic_bytes"] for c in clients) == result.summary["traffic_bytes"]
+    assert sum(c["rounds"] for c in clients) == sum(len(e["participants"]) for e in rounds)
+    assert sum(c["energy_j"] for c in clients) == pytest.approx(result.summary["energy_j"],
+                                                                 rel=1e-12)
+
+
 # In round 1 the deeper track meets the target at clock 2.0733 and is emitted
 # first; the wider track meets it at clock 1.4867.
 TARGETED = small_session_doc(seed=1, mode="autofed", max_rounds=20, target_accuracy=0.4,

@@ -12,13 +12,13 @@ from fedtune import adapter as adapter_mod
 from fedtune import configurator as conf_mod
 from fedtune import fed as fed_mod
 from fedtune import session as session_mod
-from fedtune.adapter import AdapterConfig, AdapterPayload, TuningScheme
+from fedtune.adapter import AdapterConfig, TuningScheme
 from fedtune.errors import AggregationError
 from fedtune.model import PrefixStore
+from fedtune.tensor_nn import SeededRng
 
 from conftest import small_session_doc
 
-SCHEME = TuningScheme("adapter", AdapterConfig(1, 8, 8))
 SHAPES = {"a.w": (3, 4), "a.b": (5,)}
 
 
@@ -28,12 +28,11 @@ def list_fedavg(updates: list[fed_mod.ClientUpdate]) -> dict[str, np.ndarray]:
     total = sum(u.num_samples for u in ordered)
     base = ordered[0].payload
     merged = {}
-    for key in base.buffers:
-        anchor = base.buffers[key]
+    for key, anchor in base.items():
         acc = anchor.copy()
         for u in ordered:
             weight = u.num_samples / total
-            delta = u.payload.buffers[key] - anchor
+            delta = u.payload[key] - anchor
             if delta.any():
                 acc += weight * delta
         merged[key] = acc
@@ -47,9 +46,9 @@ def fold(updates) -> fed_mod.RunningMean:
     return mean
 
 
-def _update(cid: int, n: int = 4, scheme=SCHEME, shapes=SHAPES):
+def _update(cid: int, n: int = 4, shapes=SHAPES):
     buffers = {k: np.zeros(shape, np.float32) for k, shape in shapes.items()}
-    return fed_mod.ClientUpdate(cid, AdapterPayload(scheme, buffers), n)
+    return fed_mod.ClientUpdate(cid, buffers, n)
 
 
 _values = st.floats(-1e3, 1e3, width=32, allow_nan=False, allow_infinity=False)
@@ -67,7 +66,7 @@ def groups(draw):
     for i in range(size):
         if draw(st.booleans()):
             payloads[i] = {k: b.copy() for k, b in anchor.items()}
-    updates = [fed_mod.ClientUpdate(cid, AdapterPayload(SCHEME, p), n)
+    updates = [fed_mod.ClientUpdate(cid, p, n)
                for cid, n, p in zip(ids, counts, payloads)]
     return draw(st.permutations(updates))
 
@@ -82,23 +81,38 @@ class TestFoldEqualsListFormula:
         model_arrays = {k: np.empty(shape, np.float32) for k, shape in SHAPES.items()}
         mean = fed_mod.RunningMean(sum(u.num_samples for u in selection))
         for update in sorted(selection, key=lambda u: u.client_id):
-            for key, buf in update.payload.buffers.items():
+            for key, buf in update.payload.items():
                 np.copyto(model_arrays[key], buf)
             fed_mod.fedavg(mean, fed_mod.ClientUpdate(
-                update.client_id, AdapterPayload(SCHEME, model_arrays), update.num_samples))
+                update.client_id, model_arrays, update.num_samples))
             for buf in model_arrays.values():
                 buf.fill(np.nan)  # what the next client's load would do
         merged = mean.payload()
-        assert merged.scheme == SCHEME and list(merged.buffers) == list(expected)
+        assert list(merged) == list(expected)
         for key, buf in expected.items():
-            assert merged.buffers[key].tobytes() == buf.tobytes(), key
+            assert merged[key].tobytes() == buf.tobytes(), key
 
 
 class TestAggregationErrors:
-    def test_scheme_mismatch(self):
-        other = TuningScheme("adapter", AdapterConfig(1, 16, 8))
+    @pytest.mark.parametrize("other", [
+        TuningScheme("adapter", AdapterConfig(1, 16, 8)),   # one more unit: more names
+        TuningScheme("adapter", AdapterConfig(1, 16, 16)),  # same names, wider unit
+        TuningScheme("adapter", AdapterConfig(2, 8, 8)),    # one more layer: more names
+        TuningScheme("full"),
+    ])
+    def test_scheme_mismatch(self, tiny_model, other):
+        """On one backbone, another scheme's buffers differ in names or shapes."""
+        updates = [fed_mod.ClientUpdate(cid, adapter_mod.extract_payload(
+            adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1))), 4)
+            for cid, scheme in ((1, TuningScheme("adapter", AdapterConfig(1, 8, 8))),
+                                (2, other))]
         with pytest.raises(AggregationError, match="client 2 payload does not match"):
-            fold([_update(1), _update(2, scheme=other)])
+            fold(updates)
+
+    def test_shape_mismatch(self):
+        # same names as the anchor: (1,) against (5,) would broadcast into the sum
+        with pytest.raises(AggregationError, match="client 2 payload does not match"):
+            fold([_update(1), _update(2, shapes={"a.w": (3, 4), "a.b": (1,)})])
 
     def test_buffer_name_mismatch(self):
         with pytest.raises(AggregationError, match="client 2 payload does not match"):
@@ -133,61 +147,69 @@ class TestAggregationErrors:
 
 def _track(world, scheme):
     model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
-    return conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, adapter_mod.extract_payload(model, scheme),
-                               model)
+    return conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
 
 
 def _track_round(world, track, group, store=None):
     return fed_mod.run_track_round(
         track, group, world.server.registry, epochs=1,
         lr=world.config.learning_rate, cache_enabled=True,
-        depth_watermark=track.payload.scheme.tuning_depth(world.config.model.num_layers),
+        depth_watermark=track.scheme.tuning_depth(world.config.model.num_layers),
         store=store or PrefixStore(world.backbone))
 
 
 class TestTrackRound:
     def test_group_order_changes_only_the_listing(self, small_world):
         scheme = TuningScheme("adapter", AdapterConfig(2, 8, 8))
-        start = _track(small_world, scheme).payload
+        start = _trained_bytes(_track(small_world, scheme).model)
         results = []
         for group in ([5, 1, 7], [1, 7, 5]):
             world = session_mod.build_world(small_world.config)  # fresh client ledgers
             track = _track(world, scheme)
             # a fresh world draws the same adapters: both tracks start from one payload
-            assert list(track.payload.buffers) == list(start.buffers)
-            for key, buf in start.buffers.items():
-                assert track.payload.buffers[key].tobytes() == buf.tobytes(), key
+            assert _trained_bytes(track.model) == start
             stats = _track_round(world, track, group)
             assert stats.participants == group and list(stats.client_energy) == group
             results.append((track, stats))
         (a, sa), (b, sb) = results
-        for key, buf in a.payload.buffers.items():
-            assert buf.tobytes() == b.payload.buffers[key].tobytes(), key
+        assert _trained_bytes(a.model) == _trained_bytes(b.model)
         assert sa.client_energy == sb.client_energy
         assert sa.round_seconds == sb.round_seconds and sa.train_samples == sb.train_samples
 
-    def test_model_is_kept_and_holds_the_payload(self, small_world, monkeypatch):
-        calls = []
+    def test_model_is_kept_and_holds_the_mean(self, small_world, monkeypatch):
+        calls, means = [], []
 
         def counting_materialize(*args, _inner=adapter_mod.materialize, **kwargs):
             calls.append(args[1])
             return _inner(*args, **kwargs)
 
+        def recording_fedavg(mean, update, _inner=fed_mod.fedavg):
+            if not means or means[-1] is not mean:
+                means.append(mean)
+            _inner(mean, update)
+
         track = _track(small_world, TuningScheme("adapter", AdapterConfig(2, 8, 8)))
         model = track.model
         monkeypatch.setattr(adapter_mod, "materialize", counting_materialize)
+        monkeypatch.setattr(fed_mod, "fedavg", recording_fedavg)
         store = PrefixStore(small_world.backbone)
-        _track_round(small_world, track, [0, 3], store)
-        _track_round(small_world, track, [2, 4, 8], store)
-        assert track.model is model and calls == []
-        for p in model.trainable_parameters():
-            assert p.tensor.data is not track.payload.buffers[p.name]
-            assert p.tensor.data.tobytes() == track.payload.buffers[p.name].tobytes(), p.name
+        for group in ([0, 3], [2, 4, 8]):
+            _track_round(small_world, track, group, store)
+            mean = means[-1].payload()
+            assert _trained_bytes(model) == {name: buf.tobytes() for name, buf in mean.items()}
+            for p in model.trainable_parameters():
+                assert not np.shares_memory(p.tensor.data, mean[p.name]), p.name
+        assert track.model is model and calls == [] and len(means) == 2
 
     def test_duplicate_participant_raises(self, small_world):
         track = _track(small_world, TuningScheme("full"))
         with pytest.raises(AggregationError, match="ids must ascend"):
             _track_round(small_world, track, [2, 2])
+
+
+def _trained_bytes(model) -> dict[str, bytes]:
+    """The bytes of every trainable parameter of ``model``, by name."""
+    return {p.name: p.tensor.data.tobytes() for p in model.trainable_parameters()}
 
 
 def _round_peak(participants: int) -> tuple[int, int]:
@@ -203,7 +225,7 @@ def _round_peak(participants: int) -> tuple[int, int]:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, sum(b.nbytes for b in track.payload.buffers.values())
+    return peak, sum(p.tensor.data.nbytes for p in track.model.trainable_parameters())
 
 
 def test_round_memory_does_not_grow_with_participants():

@@ -29,6 +29,8 @@ from fedtune.tensor_nn import (
     sgd_step,
 )
 
+from conftest import blas_core_name
+
 
 def rand_param(rng, shape, name, trainable=True):
     return make_parameter(rng.normal(0.0, 1.0, shape), trainable, name)
@@ -181,7 +183,7 @@ class TestAttention:
         perm = np.array([3, 0, 4, 1, 2])
         out = multi_head_attention(Tensor(x), params, heads=2).data
         out_perm = multi_head_attention(Tensor(x[perm]), params, heads=2).data
-        assert np.array_equal(out[perm], out_perm)
+        assert np.array_equal(out[perm], out_perm), f"BLAS kernel {blas_core_name()}"
 
     def test_gradcheck_two_heads(self):
         rng = SeededRng(6)

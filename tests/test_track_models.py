@@ -20,9 +20,8 @@ from conftest import small_session_doc
 
 
 def _arrays(track) -> list[tuple[str, np.ndarray]]:
-    """Every trainable array of the track's model, and every buffer of its payload."""
-    return ([(f"model {p.name}", p.tensor.data) for p in track.model.trainable_parameters()]
-            + [(f"payload {name}", buf) for name, buf in track.payload.buffers.items()])
+    """Every trainable array of the track's model."""
+    return [(p.name, p.tensor.data) for p in track.model.trainable_parameters()]
 
 
 def _snapshot(track) -> dict[str, bytes]:
@@ -43,7 +42,7 @@ def redispatched():
                       cache_enabled=True, store=store)
     winner = first[1]
     assert winner.name == conf_mod.TRACK_DEEPER
-    state.base_depth, state.base_width = winner.config.depth, winner.config.width
+    state.base_depth, state.base_width = winner.scheme.adapter.depth, winner.scheme.adapter.width
     tracks = conf_mod.dispatch(state, winner, world.backbone, world.adapter_rng)
     return world, winner, tracks, store
 
@@ -52,10 +51,7 @@ def test_current_track_keeps_the_winners_model(redispatched):
     _, winner, tracks, _ = redispatched
     assert [t.name for t in tracks] == ["current", "deeper", "wider"]
     current = tracks[0]
-    assert current.model is winner.model
-    assert list(current.payload.buffers) == list(winner.payload.buffers)
-    for name, buf in winner.payload.buffers.items():
-        assert current.payload.buffers[name].tobytes() == buf.tobytes(), name
+    assert current.model is winner.model and current.scheme == winner.scheme
 
 
 def test_no_trainable_array_is_shared_between_tracks(redispatched):
@@ -73,7 +69,7 @@ def test_a_deeper_round_leaves_the_current_track_alone(redispatched):
     current, deeper, wider = tracks
     before = {t.name: _snapshot(t) for t in (current, wider)}
     trained_from = _snapshot(deeper)
-    depth = deeper.payload.scheme.tuning_depth(world.config.model.num_layers)
+    depth = deeper.scheme.tuning_depth(world.config.model.num_layers)
     fed_mod.run_track_round(deeper, [0, 1], world.server.registry, epochs=1,
                             lr=world.config.learning_rate, cache_enabled=True,
                             depth_watermark=depth, store=store)

@@ -35,8 +35,8 @@ DTYPE = np.float32  # of every model buffer
 # the test set's frozen prefix, in chunks of this size. At the mid shape (6
 # layers, hidden 64, seqlen 32) time per sample is lowest at 16-32 samples; a
 # 32-sample chunk's transient activations are 1/8 of a 256-sample chunk's.
-# Logits are the same bits as at 256 (see ``evaluate``), re-checked in
-# float32, which runs other BLAS kernels.
+# On OpenBLAS's SkylakeX (and Prescott) kernel, logits are the same bits as
+# at 256 (see ``evaluate``); on its Haswell and Zen kernels they are not.
 EVAL_CHUNK = 32
 
 
@@ -251,18 +251,24 @@ def _apply_body(model: ModelState, layer: int, h: Tensor) -> Tensor:
 
     The top layer runs only for the position the classifier reads
     (``_classify``): its queries and residual are the first token, [B, 1, n],
-    while its keys and values still come from every position of ``h``.
+    while its keys and values still come from every position of ``h``. Its
+    logits equal those of the whole-sequence layer bit for bit on OpenBLAS's
+    SkylakeX kernel, not on its Haswell, Zen or Prescott kernels, where the
+    one-row GEMMs round otherwise.
     """
     block = model.blocks[layer - 1]
     query = h
     if layer == model.spec.num_layers:
         query = tn.reshape(tn.first_token(h), (h.shape[0], 1, model.spec.hidden))
-    attn_out = tn.multi_head_attention(h, block.attn, model.spec.heads, query)
-    h = tn.layer_norm(tn.add(query, attn_out), block.ln1_gain, block.ln1_shift, LN_EPS)
-    ffn_out = tn.linear_forward(
-        tn.relu(tn.linear_forward(h, block.ffn_w1, block.ffn_b1)),
-        block.ffn_w2, block.ffn_b2)
-    return tn.layer_norm(tn.add(h, ffn_out), block.ln2_gain, block.ln2_shift, LN_EPS)
+    # nested, so each sublayer's output dies inside the add that reads it; with
+    # no graph to record, each add and layer norm writes into an input it consumes
+    h = tn.layer_norm(
+        tn.add(query, tn.multi_head_attention(h, block.attn, model.spec.heads, query)),
+        block.ln1_gain, block.ln1_shift, LN_EPS)
+    return tn.layer_norm(
+        tn.add(h, tn.linear_forward(tn.relu(tn.linear_forward(h, block.ffn_w1, block.ffn_b1)),
+                                    block.ffn_w2, block.ffn_b2)),
+        block.ln2_gain, block.ln2_shift, LN_EPS)
 
 
 def _apply_adapters(block: BlockParams, h: Tensor) -> Tensor:
@@ -326,7 +332,12 @@ def compute_boundary_activation(model: ModelState, tokens: np.ndarray, resume: i
 
     Layer ``resume``'s own adapters are not applied: ``forward_from_boundary``
     starts with them. Its shape is ``activation_shape``: at the top layer
-    D only the pooled token, [B, 1, n].
+    D only the pooled token, [B, 1, n]. The backbone is frozen, so no op
+    records a graph, and each add and layer norm writes into an array an
+    earlier op allocated (see the ``tensor_nn`` module docstring): a build
+    holds about one [B, S, ·] activation per sublayer, and its bits are
+    those of the same ops recording a graph. The result is a fresh array
+    that no other array shares (``base`` is ``None``).
     """
     _check_boundary(model, resume)
     h = _embed(model, tokens)
@@ -408,6 +419,9 @@ class PrefixStore:
     depths only grow, so the live resume points only fall and each chunk is
     built at most D times per session. Asking for a key with other tokens
     than its first (other data, or another chunking) is a ContractViolation.
+    Each chunk owns its memory and is read-only: ``forward_from_boundary``
+    wraps it in a ``Tensor`` that no op may write into, so a graph-free pass
+    resumed from it never consumes it.
     """
 
     def __init__(self, backbone: ModelState):
@@ -468,19 +482,23 @@ def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
              resume: int | None = None) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
-    Runs without building a backward graph, ``chunk`` samples at a time.
-    A sample's logits equal those of one whole-set forward bit for bit when
-    ``chunk`` is a multiple of the BLAS kernel's row block (32 is a multiple
-    of 4, 8 and 16) and no chunk holds a single sample; other chunkings take
-    other kernel paths and may move a logit's last bits. This was checked
-    again when the model moved to float32, which runs other BLAS kernels
-    (``test_eval_chunks_give_whole_set_logits``). With a ``store`` and a
+    Runs without building a backward graph, ``chunk`` samples at a time
+    (``chunk`` < 1 is an ``EvaluationError``), so every op may write into
+    the activation it consumes (see the ``tensor_nn`` module docstring);
+    the logits are the bits of the same ops recording a graph. Whether a
+    sample's logits equal those of one whole-set forward depends on the
+    BLAS kernel: on OpenBLAS's SkylakeX kernel, where it was established,
+    and its Prescott kernel they are equal bit for bit for 32-sample chunks
+    with no single-sample chunk (``test_eval_chunks_give_whole_set_logits``);
+    on its Haswell and Zen kernels that test fails. With a ``store`` and a
     ``resume`` point (see ``resume_layer``), each chunk resumes from the
     store's backbone output through that layer, keyed ``("test", start)``,
     instead of running the frozen prefix again; the accuracy is identical
     to the plain forward's. ``resume=None`` (full fine-tuning has no frozen
     prefix) always runs the plain forward.
     """
+    if chunk < 1:
+        raise EvaluationError(f"evaluation chunk must be at least 1 sample, got {chunk}")
     tokens = np.asarray(tokens)
     labels = np.asarray(labels, dtype=np.int64)
     if tokens.shape[0] == 0:

@@ -12,15 +12,31 @@ everything below is plain numpy.
 
 An op may return a view: ``reshape`` and ``transpose`` share memory with
 their input, forward and backward, and a gradient handed on may be a view
-of the upstream gradient. So a differentiable op writes in place only into
-arrays it allocated in the same call: never into its inputs, its upstream
-gradient or an array it has handed on, any of which may alias another
-node's data. ``bmm`` copies an operand to contiguous memory only when its
-last axis is not unit-stride (in attention, the transposed keys): numpy
-runs a one-row product, such as the pooled top layer's [B, h, 1, d] query,
-through a matrix-vector kernel, and against a transposed view that kernel
-sums in another order than against contiguous keys. Every other operand
-layout the model produces gives the same bits as its contiguous copy.
+of the upstream gradient. So an op writes in place only into arrays it
+allocated in the same call or, recording no graph, into an owned input it
+consumes: never into a parameter, its upstream gradient or an array it has
+handed on, any of which may alias another node's data. ``bmm`` copies an
+operand to contiguous memory only when its last axis is not unit-stride
+(in attention, the transposed keys): numpy runs a one-row product, such as
+the pooled top layer's [B, h, 1, d] query, through a matrix-vector kernel,
+and against a transposed view that kernel sums in another order than
+against contiguous keys. Every other operand layout the model produces
+gives the same bits as its contiguous copy.
+
+An op that records no graph returns the array it allocated as *owned*
+(``Tensor.owned``): no other tensor or closure shares it. Recording no
+graph, ``add``, ``relu``, ``layer_norm`` and ``softmax_lastdim`` write
+their result into an owned input of the result's shape and dtype, and that
+input is consumed: its ``data`` is deleted, so reading it again raises
+``AttributeError``. A view
+(``reshape``, ``transpose``) and a closure that saves an input's array
+(``linear_forward``, ``bmm``) clear that input's ownership, so a shared
+array is never written. A parameter, and an array a caller wraps in a
+``Tensor`` (such as a read-only ``model.PrefixStore`` chunk), is never
+owned. So a frozen layer body holds about one activation per sublayer.
+Each in-place op runs the same elementwise instructions on the same
+operands as its allocating form, so the bits are those of the same ops
+recording a graph; a recording op never writes into an input.
 
 A ``Tensor`` is a value; only a value that takes part in a graph has a
 ``Node``. A leaf's node (a parameter, or an input created with
@@ -139,15 +155,19 @@ class Tensor:
     (integers, bools, Python numbers and lists) is stored in double
     precision. No node links back to its tensor, so the array is freed when
     the last tensor or closure holding it goes.
+
+    ``owned`` marks an array a graph-free op allocated, which the next
+    graph-free op may consume (see the module docstring).
     """
 
-    __slots__ = ("data", "node")
+    __slots__ = ("data", "node", "owned")
 
     def __init__(self, data, requires_grad: bool = False):
         if type(data) is not np.ndarray:
             data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.node: Node | None = Node() if requires_grad else None
+        self.owned = False
 
     @property
     def requires_grad(self) -> bool:
@@ -264,6 +284,32 @@ def _grad_node(t: Tensor) -> Node | None:
     return node if node is not None and node.requires_grad else None
 
 
+def _owned(data: Array) -> Tensor:
+    """A graph-free op's output: an array the op allocated, which the next op may consume."""
+    out = Tensor(data)
+    out.owned = True
+    return out
+
+
+def _consume(t: Tensor, other: Array | None = None) -> Array | None:
+    """``t``'s array, for a graph-free op to write its result into, if ``t`` owns it.
+
+    A unary op's result has its input's shape and dtype. For an op on ``t``
+    and ``other``, ``other`` must have ``t``'s dtype and broadcast into
+    ``t`` over leading axes. ``t`` is consumed: its ``data`` is deleted, so
+    reading it again raises ``AttributeError``.
+    """
+    if not t.owned:
+        return None
+    data = t.data
+    if other is not None and (other.dtype != data.dtype or other.ndim > data.ndim
+                              or other.shape != data.shape[data.ndim - other.ndim:]):
+        return None
+    del t.data
+    t.owned = False
+    return data
+
+
 def _recorded(data: Array, parents: Iterable[Node | None], bwd: Callable[[Array], None]) -> Tensor:
     """An op's output: its array, with a node linking the parents that need a gradient."""
     out = Tensor(data)
@@ -297,12 +343,17 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """``a + b``; recording no graph, into ``a``'s or else ``b``'s owned array if it fits."""
     a, b = _tensor_of(a), _tensor_of(b)
-    out_data = a.data + b.data
+    a_data, b_data = a.data, b.data
     na, nb = _grad_node(a), _grad_node(b)
     if na is None and nb is None:
-        return Tensor(out_data)
-    a_shape, b_shape = a.data.shape, b.data.shape
+        out = _consume(a, b_data)
+        if out is None:
+            out = _consume(b, a_data)
+        return _owned(np.add(a_data, b_data, out=out))
+    out_data = a_data + b_data
+    a_shape, b_shape = a_data.shape, b_data.shape
 
     def bwd(dout: Array) -> None:
         if na is not None:
@@ -316,6 +367,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """``x`` in ``shape``: a view where numpy can give one (see the module docstring)."""
     x = _tensor_of(x)
     out_data = x.data.reshape(shape)
+    x.owned = False
     nx = _grad_node(x)
     if nx is None:
         return Tensor(out_data)
@@ -330,6 +382,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     """``x`` with its axes permuted, as a view, forward and backward."""
     x = _tensor_of(x)
     out_data = x.data.transpose(axes)
+    x.owned = False
     nx = _grad_node(x)
     if nx is None:
         return Tensor(out_data)
@@ -341,12 +394,14 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """``x`` with its negative entries zeroed; recording no graph, into ``x``'s owned array."""
     x = _tensor_of(x)
-    mask = x.data > 0.0
-    out_data = x.data * mask
+    x_data = x.data
+    mask = x_data > 0.0
     nx = _grad_node(x)
     if nx is None:
-        return Tensor(out_data)
+        return _owned(np.multiply(x_data, mask, out=_consume(x)))
+    out_data = x_data * mask
 
     def bwd(dout: Array) -> None:
         _accumulate(nx, dout * mask)
@@ -357,7 +412,10 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
     """Affine map ``x @ W + b`` over the last axis of ``x``.
 
     The closure keeps the flattened input only if the weight needs its
-    gradient, and the weight only if the input does.
+    gradient (then ``x`` is no longer owned: that may be its array), and the
+    weight only if the input does. The result is one fresh array (``base``
+    is ``None``), so a caller that keeps it, as ``model.PrefixStore`` does,
+    pins nothing larger.
     """
     x = _tensor_of(x)
     w, b = weight.tensor, bias.tensor
@@ -369,16 +427,18 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
         raise ShapeError(
             f"linear: bias shape {b.data.shape} incompatible with weight shape {w.data.shape}"
         )
-    lead = x.data.shape[:-1]
+    x_shape = x.data.shape
     x2 = np.ascontiguousarray(x.data.reshape(-1, w.data.shape[0]))
-    out2 = x2 @ w.data
+    out_data = np.empty((*x_shape[:-1], w.data.shape[1]), np.result_type(x2, w.data))
+    out2 = np.matmul(x2, w.data, out=out_data.reshape(-1, w.data.shape[1]))
     out2 += b.data
-    out_data = out2.reshape(*lead, w.data.shape[1])
     nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
     if nx is None and nw is None and nb is None:
-        return Tensor(out_data)
-    x_shape, out2_shape = x.data.shape, out2.shape
+        return _owned(out_data)
+    out2_shape = out2.shape
     saved_x2 = x2 if nw is not None else None
+    if saved_x2 is not None:
+        x.owned = False  # x2 may be x's own array
     saved_w = w.data if nx is not None else None
 
     def bwd(dout: Array) -> None:
@@ -399,24 +459,28 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
     ``np.add.reduce`` over the row divided by its length: the same sum
     ``.mean`` takes and the same correctly rounded quotient, without its
     per-call overhead. With no graph to record (the frozen prefix,
-    evaluation) the normalised rows take the gain and shift in place.
+    evaluation) the rows are centred in ``x``'s array if ``x`` is owned,
+    and the normalised rows take the gain and shift in place.
     The closure keeps the normalised rows and their inverse deviations,
     not the input.
     """
     x = _tensor_of(x)
     g, b = gain.tensor, shift.tensor
-    n = x.data.shape[-1]
-    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    nx, ng, nb = _grad_node(x), _grad_node(g), _grad_node(b)
+    graph_free = nx is None and ng is None and nb is None
+    x_data = x.data
+    n = x_data.shape[-1]
+    xhat = np.subtract(x_data, np.add.reduce(x_data, axis=-1, keepdims=True) / n,
+                       out=_consume(x) if graph_free else None)
     inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    nx, ng, nb = _grad_node(x), _grad_node(g), _grad_node(b)
-    if nx is None and ng is None and nb is None:
+    if graph_free:
         xhat *= g.data
         xhat += b.data
-        return Tensor(xhat)
+        return _owned(xhat)
     g_data = g.data
     out_data = xhat * g_data
     out_data += b.data
@@ -456,16 +520,17 @@ def softmax_lastdim(x: Tensor, factor: float = 1.0) -> Tensor:
     before the max is taken, and the input gradient after, with the same
     roundings as a separate scaling op, so the bits are those of
     softmax(scale(x)) forward and backward. The closure keeps the output,
-    not the scores.
+    not the scores. Recording no graph, it runs in ``x``'s owned array.
     """
     x = _tensor_of(x)
-    y = x.data * factor
+    x_data = x.data
+    nx = _grad_node(x)
+    y = np.multiply(x_data, factor, out=_consume(x) if nx is None else None)
     y -= _row_max(y)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    nx = _grad_node(x)
     if nx is None:
-        return Tensor(y)
+        return _owned(y)
 
     def bwd(dout: Array) -> None:
         dx = dout - (dout * y).sum(axis=-1, keepdims=True)
@@ -488,7 +553,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     numpy's matrix-vector kernel sums in another order against such a view
     than against contiguous memory (see the module docstring). The closure
     keeps the operands as multiplied, so a copied operand's source is not
-    kept.
+    kept, and the operands are no longer owned.
     """
     a, b = _tensor_of(a), _tensor_of(b)
     if a.data.shape[-1] != b.data.shape[-2]:
@@ -497,7 +562,8 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     out_data = a_data @ b_data
     na, nb = _grad_node(a), _grad_node(b)
     if na is None and nb is None:
-        return Tensor(out_data)
+        return _owned(out_data)
+    a.owned = b.owned = False
 
     def bwd(dout: Array) -> None:
         dout = _unit_stride_rows(dout)
@@ -520,7 +586,7 @@ def embedding(table: Parameter, ids: Array) -> Tensor:
     out_data = t.data[ids]
     nt = _grad_node(t)
     if nt is None:
-        return Tensor(out_data)
+        return _owned(out_data)
     table_shape, dtype = t.data.shape, t.data.dtype
 
     def bwd(dout: Array) -> None:
@@ -536,7 +602,7 @@ def first_token(x: Tensor) -> Tensor:
     out_data = x.data[:, 0, :].copy()
     nx = _grad_node(x)
     if nx is None:
-        return Tensor(out_data)
+        return _owned(out_data)
     x_shape, dtype = x.data.shape, x.data.dtype
 
     def bwd(dout: Array) -> None:
@@ -585,12 +651,19 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     def split_heads(t: Tensor) -> Tensor:
         return transpose(reshape(t, (batch, t.shape[1], heads, head_dim)), (0, 2, 1, 3))
 
+    # each intermediate is dropped once the next op has read it, and V is
+    # projected only after the softmax: a graph-free pass holds the scores
+    # (in place, the probabilities) and one [B, S, n] projection at a time
     q = split_heads(linear_forward(query, params.wq, params.bq))
     k = split_heads(linear_forward(x, params.wk, params.bk))
-    v = split_heads(linear_forward(x, params.wv, params.bv))
-    probs = softmax_lastdim(bmm(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    context = bmm(probs, v)
+    scores = bmm(q, transpose(k, (0, 1, 3, 2)))
+    del q, k
+    probs = softmax_lastdim(scores, 1.0 / math.sqrt(head_dim))
+    del scores
+    context = bmm(probs, split_heads(linear_forward(x, params.wv, params.bv)))
+    del probs
     merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, qlen, hidden))
+    del context
     return linear_forward(merged, params.wo, params.bo)
 
 
@@ -612,7 +685,7 @@ def cross_entropy_loss(logits: Tensor, labels: Array) -> Tensor:
     out_data = np.array(-picked.mean())
     nl = _grad_node(logits)
     if nl is None:
-        return Tensor(out_data)
+        return _owned(out_data)
 
     def bwd(dout: Array) -> None:
         dlogits = exp / sum_exp

@@ -341,3 +341,14 @@ class TestEvaluate:
         with pytest.raises(EvaluationError):
             evaluate(tiny_model, np.zeros((0, 5), dtype=np.int64), np.zeros(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_refused_before_any_forward(self, monkeypatch, tiny_model,
+                                                        tiny_tokens, chunk):
+        # -1 gave an empty range and accuracy 0.0; 0 a bare ValueError from range()
+        def no_forward(*args):
+            raise AssertionError("a forward ran")
+
+        monkeypatch.setattr(model_mod, "forward", no_forward)
+        with pytest.raises(EvaluationError, match="at least 1"):
+            evaluate(tiny_model, tiny_tokens, np.array([0, 1, 2]), chunk)
+

@@ -628,3 +628,110 @@ def test_no_op_writes_into_its_inputs_or_outputs(op):
     assert all(t.grad is not None for t in inputs)
     for a, a0 in zip(watched + [out.data, dout], before + [out_before, dout_before]):
         assert a.tobytes() == a0.tobytes()
+
+
+# graph-free, the ops that write their result into an owned input of the result's shape
+CONSUMING = {"add", "relu", "layer_norm", "softmax_lastdim", "softmax_lastdim_scaled"}
+
+
+@pytest.mark.parametrize("op", sorted(_op_cases(np.random.default_rng(0))[0]))
+def test_graph_free_op_writes_only_into_the_owned_input_it_consumes(op):
+    """Recording no graph, with owned inputs: an op writes into at most the input it consumes."""
+    rng = np.random.default_rng(1)
+    cases, params = _op_cases(rng)
+    arrays, fwd = cases[op]
+    for p in params:
+        p.tensor.requires_grad = False
+    inputs = [tn._owned(a) for a in arrays]
+    before = [a.copy() for a in arrays]
+    params_before = [p.data.copy() for p in params]
+    out = fwd(*inputs)
+    assert out.node is None
+    assert out.owned is (op not in ("reshape", "transpose"))
+    for p, p0 in zip(params, params_before):
+        assert p.data.tobytes() == p0.tobytes()
+    consumed = []
+    for i, (t, a, a0) in enumerate(zip(inputs, arrays, before)):
+        try:
+            t.data
+        except AttributeError:  # consumed: its data was deleted
+            consumed.append(i)
+            assert out.data is a  # the result was written into the consumed input
+        else:
+            assert a.tobytes() == a0.tobytes()
+            assert t.owned is (op not in ("reshape", "transpose"))  # a view shares the array
+    assert consumed == ([0] if op in CONSUMING else [])
+
+
+def _shared_inputs(rng):
+    """(name, make) per value no op may write into; ``make`` gives the tensor and its array."""
+    def arr(*shape):
+        return rng.normal(0.0, 1.0, shape or (2, 5, 6)).astype(np.float32)
+
+    def parameter():
+        p = make_parameter(arr(), False, "p")
+        return p, p.data
+
+    def store_chunk():
+        chunk = arr()
+        chunk.flags.writeable = False
+        return Tensor(chunk), chunk
+
+    def caller_array():
+        a = arr()
+        return Tensor(a), a
+
+    def view():
+        x = tn._owned(arr())
+        return tn.reshape(x, (10, 6)), x.data
+
+    def reshaped():
+        x = tn._owned(arr())
+        tn.reshape(x, (10, 6))
+        return x, x.data
+
+    def transposed():
+        x = tn._owned(arr())
+        tn.transpose(x, (0, 2, 1))
+        return x, x.data
+
+    def saved_by_linear():
+        x = tn._owned(arr())
+        linear_forward(x, make_parameter(arr(6, 4), True, "w"), make_parameter(arr(4), False, "b"))
+        return x, x.data
+
+    def saved_by_bmm():
+        x = tn._owned(arr())
+        tn.bmm(x, Tensor(arr(2, 6, 3), requires_grad=True))
+        return x, x.data
+
+    return {f.__name__: f for f in (parameter, store_chunk, caller_array, view, reshaped,
+                                    transposed, saved_by_linear, saved_by_bmm)}
+
+
+@pytest.mark.parametrize("op", sorted(CONSUMING))
+@pytest.mark.parametrize("source", sorted(_shared_inputs(np.random.default_rng(0))))
+def test_graph_free_op_never_writes_into_a_shared_array(op, source):
+    """Not a parameter, a read-only store chunk, a caller's array, a view or a saved array."""
+    rng = np.random.default_rng(2)
+    cases, params = _op_cases(rng)
+    for p in params:
+        p.tensor.requires_grad = False
+    fwd = cases[op][1]
+    x, array = _shared_inputs(rng)[source]()
+    before = array.copy()
+    others = [Tensor(a) for a in cases[op][0][1:]]
+    out = fwd(x, *others)
+    assert out.owned and not np.shares_memory(out.data, array)
+    assert array.tobytes() == before.tobytes()
+    assert x.data is not None  # not consumed
+
+
+def test_reading_a_consumed_tensor_raises():
+    x = tn._owned(np.random.default_rng(3).normal(0.0, 1.0, (2, 5, 6)).astype(np.float32))
+    array = x.data
+    out = tn.relu(x)
+    assert out.data is array and out.owned
+    for read in (lambda: x.data, lambda: x.shape, lambda: tn.relu(x), lambda: tn.add(out, x)):
+        with pytest.raises(AttributeError, match="'data'"):
+            read()

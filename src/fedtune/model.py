@@ -482,6 +482,8 @@ def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
              resume: int | None = None) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
+    ``labels`` holds one label per sample, shape ``[tokens.shape[0]]``;
+    any other shape is an ``EvaluationError``, raised before any forward.
     Runs without building a backward graph, ``chunk`` samples at a time
     (``chunk`` < 1 is an ``EvaluationError``), so every op may write into
     the activation it consumes (see the ``tensor_nn`` module docstring);
@@ -503,6 +505,9 @@ def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     if tokens.shape[0] == 0:
         raise EvaluationError("cannot evaluate an empty shard")
+    if labels.shape != (tokens.shape[0],):
+        raise EvaluationError(
+            f"labels shape {labels.shape} does not match {tokens.shape[0]} samples")
     resumed = store is not None and resume is not None
     correct = 0
     with _graph_free(model):

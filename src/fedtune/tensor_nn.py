@@ -51,13 +51,26 @@ residual sum before its layer norm, is freed as soon as the forward drops
 its last reference to it, as under the usual saved-tensor rule; a value a
 closure reads lives until that closure has run.
 
+A closure saves an array only when backward cannot rebuild it, bit for bit
+and by elementwise work alone, from arrays the graph already holds. A
+ReLU's closure keeps its output, which the linear map after it keeps
+anyway, and reads its mask off it (``out > 0``). A recording layer norm's
+node carries a ``recompute`` of its output: the forward's own two ops,
+``xhat * gain`` then ``+= shift``, on the normalised rows its closure
+keeps. A linear map that reads such an output keeps that recompute
+instead, and rebuilds its input only to form the weight gradient. So a
+training graph keeps each activation once. Bit identity rests on one
+invariant, which a linear map's saved weight relies on too: a
+parameter's array does not change between a forward pass and its
+backward (``sgd_step`` writes only after ``backward`` has run).
+
 A recorded graph is consumed once, as in the usual autograd rule: as
 ``Tensor.backward`` walks it, each node with parents gives up its gradient,
-its closure (and with it the arrays the closure saved) and its parent
-links once its closure has run. Peak memory during backward is thus close
-to one step's working set. Only leaves (parameters, and inputs created with
-``requires_grad``) keep their gradients; a second ``backward()`` through a
-consumed graph raises ``TrainingError``.
+its closure (and with it the arrays the closure saved), its recompute and
+its parent links once its closure has run. Peak memory during backward is
+thus close to one step's working set. Only leaves (parameters, and inputs
+created with ``requires_grad``) keep their gradients; a second
+``backward()`` through a consumed graph raises ``TrainingError``.
 """
 
 from __future__ import annotations
@@ -134,10 +147,13 @@ class Node:
     has no parents and holds the gradient that ``backward`` leaves there. An
     op's node holds its parents' nodes and its backward closure, which
     captures only the arrays and shapes it reads; ``parents`` becomes
-    ``None`` once ``Tensor.backward`` has consumed the node.
+    ``None`` once ``Tensor.backward`` has consumed the node. ``recompute``,
+    set only by a recording ``layer_norm``, rebuilds the value bit for bit
+    from arrays the node's closure already holds, so a consumer's closure
+    may keep it instead of the value (see the module docstring).
     """
 
-    __slots__ = ("requires_grad", "grad", "parents", "bwd")
+    __slots__ = ("requires_grad", "grad", "parents", "bwd", "recompute")
 
     def __init__(self, parents: tuple["Node", ...] = (),
                  bwd: Callable[[Array], None] | None = None):
@@ -145,6 +161,7 @@ class Node:
         self.grad: Array | None = None
         self.parents: tuple[Node, ...] | None = parents
         self.bwd = bwd
+        self.recompute: Callable[[], Array] | None = None
 
 
 class Tensor:
@@ -209,8 +226,8 @@ class Tensor:
         Leaves are not walked: they have no closure to run, and leaving
         them out keeps the order of every other node. The graph is
         consumed: once a node's closure has run, the node drops its
-        gradient, its closure and its parent links, so only leaves
-        (parameters, and inputs created with ``requires_grad``) hold
+        gradient, its closure, its recompute and its parent links, so only
+        leaves (parameters, and inputs created with ``requires_grad``) hold
         gradients afterwards. Calling ``backward()`` again through a
         consumed node raises ``TrainingError``; rebuild the graph with a
         fresh forward pass instead.
@@ -242,7 +259,7 @@ class Tensor:
                 continue
             if node.grad is not None:
                 node.bwd(node.grad)
-            node.grad = node.bwd = node.parents = None
+            node.grad = node.bwd = node.parents = node.recompute = None
 
 
 @dataclass
@@ -394,7 +411,13 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """``x`` with its negative entries zeroed; recording no graph, into ``x``'s owned array."""
+    """``x`` with its negative entries zeroed; recording no graph, into ``x``'s owned array.
+
+    The closure keeps the output, which the linear map after it keeps too,
+    not the mask: backward reads the mask as ``out > 0``. ``x * (x > 0)``
+    is positive exactly where ``x`` is, NaN and infinities included, so
+    that is the forward's mask bit for bit.
+    """
     x = _tensor_of(x)
     x_data = x.data
     mask = x_data > 0.0
@@ -404,7 +427,7 @@ def relu(x: Tensor) -> Tensor:
     out_data = x_data * mask
 
     def bwd(dout: Array) -> None:
-        _accumulate(nx, dout * mask)
+        _accumulate(nx, dout * (out_data > 0.0))
     return _recorded(out_data, (nx,), bwd)
 
 
@@ -413,9 +436,11 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
 
     The closure keeps the flattened input only if the weight needs its
     gradient (then ``x`` is no longer owned: that may be its array), and the
-    weight only if the input does. The result is one fresh array (``base``
-    is ``None``), so a caller that keeps it, as ``model.PrefixStore`` does,
-    pins nothing larger.
+    weight only if the input does. An input whose node can recompute it (a
+    recording ``layer_norm``'s output) is not kept: the closure keeps the
+    recompute and rebuilds the input, bit for bit, only to form the weight
+    gradient. The result is one fresh array (``base`` is ``None``), so a
+    caller that keeps it, as ``model.PrefixStore`` does, pins nothing larger.
     """
     x = _tensor_of(x)
     w, b = weight.tensor, bias.tensor
@@ -435,8 +460,9 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
     nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
     if nx is None and nw is None and nb is None:
         return _owned(out_data)
-    out2_shape = out2.shape
-    saved_x2 = x2 if nw is not None else None
+    out2_shape, x2_shape = out2.shape, x2.shape
+    rebuild_x = nx.recompute if nx is not None and nw is not None else None
+    saved_x2 = x2 if nw is not None and rebuild_x is None else None
     if saved_x2 is not None:
         x.owned = False  # x2 may be x's own array
     saved_w = w.data if nx is not None else None
@@ -444,7 +470,8 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
     def bwd(dout: Array) -> None:
         d2 = np.ascontiguousarray(dout.reshape(out2_shape))
         if nw is not None:
-            _accumulate(nw, saved_x2.T @ d2)
+            rows = saved_x2 if rebuild_x is None else rebuild_x().reshape(x2_shape)
+            _accumulate(nw, rows.T @ d2)
         if nb is not None:
             _accumulate(nb, d2.sum(axis=0))
         if nx is not None:
@@ -462,7 +489,9 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
     evaluation) the rows are centred in ``x``'s array if ``x`` is owned,
     and the normalised rows take the gain and shift in place.
     The closure keeps the normalised rows and their inverse deviations,
-    not the input.
+    not the input. Recording, the node's ``recompute`` rebuilds the output
+    from the normalised rows, gain and shift by the forward's own two ops,
+    so a linear map that reads the output need not keep it.
     """
     x = _tensor_of(x)
     g, b = gain.tensor, shift.tensor
@@ -481,9 +510,12 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
         xhat *= g.data
         xhat += b.data
         return _owned(xhat)
-    g_data = g.data
-    out_data = xhat * g_data
-    out_data += b.data
+    g_data, b_data = g.data, b.data
+
+    def recompute() -> Array:
+        out = xhat * g_data
+        out += b_data
+        return out
 
     def bwd(dout: Array) -> None:
         if ng is not None:
@@ -499,7 +531,9 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
             dxhat -= along_xhat
             dxhat *= inv
             _accumulate(nx, dxhat)
-    return _recorded(out_data, (nx, ng, nb), bwd)
+    out = _recorded(recompute(), (nx, ng, nb), bwd)
+    out.node.recompute = recompute
+    return out
 
 
 def _row_max(a: Array) -> Array:

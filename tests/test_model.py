@@ -352,3 +352,20 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="at least 1"):
             evaluate(tiny_model, tiny_tokens, np.array([0, 1, 2]), chunk)
 
+    @pytest.mark.parametrize("shape", [(20, 1), (1,), (19,), (50,)])
+    def test_labels_of_another_shape_refused_before_any_forward(self, monkeypatch, shape):
+        # (20, 1) broadcast to 20 x 20 and scored above 1.0, (1,) scored every
+        # sample against one label, 19 and 50 labels raised a bare numpy
+        # broadcast ValueError
+        spec = ModelSpec(num_layers=2, hidden=8, heads=2, ffn_dim=16,
+                         vocab=12, seqlen=5, num_labels=3)
+        model = build_model(spec, 1)
+        tokens = SeededRng(3).integers(0, spec.vocab, size=(20, spec.seqlen))
+
+        def no_forward(*args):
+            raise AssertionError("a forward ran")
+
+        monkeypatch.setattr(model_mod, "forward", no_forward)
+        with pytest.raises(EvaluationError, match="labels shape"):
+            evaluate(model, tokens, np.zeros(shape, dtype=np.int64))
+

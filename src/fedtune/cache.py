@@ -38,6 +38,14 @@ it has its entries cleared and their chunks released from the store before
 anyone trains (``expire``), selected or not: those entries could never hit
 again.
 
+The ledger decides what the emulated device recomputes; it does not decide
+when the host builds. After ``expire`` and client selection, ``fed.run_round``
+has the store build every batch its cached tracks' groups will ask for
+(``PrefixStore.prefetch``), stacking same-shape batches into shared passes.
+A recompute then takes the chunk that prefetch built, and is counted and
+priced as a recompute all the same, so the counts and the emulated clock do
+not depend on where the host built the chunk.
+
 The ledger counts client-side lookups only. Evaluation reads the same
 store for the global test set, but not through ``fetch_or_recompute``, so
 the hit and recompute counts here and in the trace stay client-side counts.
@@ -92,6 +100,12 @@ def expire(cache: ActivationCache, store: PrefixStore, depth_watermark: int) -> 
     cache.entries.clear()
 
 
+def resume_point(model: ModelState, depth_watermark: int) -> tuple[int, int]:
+    """The device boundary b at ``depth_watermark``, and the resume point the host serves there."""
+    boundary = model.spec.num_layers - depth_watermark
+    return boundary, model_mod.resume_layer(model, boundary)
+
+
 def fetch_or_recompute(
     cache: ActivationCache,
     store: PrefixStore,
@@ -121,8 +135,7 @@ def fetch_or_recompute(
     if d_prev is not None and depth_watermark < d_prev:
         raise ContractViolation(
             f"depth watermark {depth_watermark} fell below the stored depth {d_prev}")
-    boundary = model.spec.num_layers - depth_watermark
-    resume = model_mod.resume_layer(model, boundary)
+    boundary, resume = resume_point(model, depth_watermark)
     entry = cache.entries.get(key)
     if entry is not None:
         if depth_watermark == d_prev:

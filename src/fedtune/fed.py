@@ -321,7 +321,11 @@ def run_round(
     groups (``split_budget``), and each track runs ``run_track_round`` with
     its group, moving its ``clock`` by its own emulated round time.
     ``store`` is the session's frozen-prefix store, which the clients'
-    caches refer into.
+    caches refer into. After the ledgers expire and the clients are
+    selected, the store builds every batch of every selected client of a
+    cached track at that track's resume point, in one ``prefetch`` per
+    resume point, so same-shape batches share passes; the ledgers then find
+    those chunks built, and count hits and recomputes as before.
     """
     if not tracks:
         raise SelectionError("run_round requires at least one track")
@@ -333,14 +337,23 @@ def run_round(
         # a ledger stored below the watermark can never hit again
         cache_mod.expire(client.cache, store, max_depth)
     selected = select_clients(server.registry, total_participants, server.rng_select)
-    budgets = split_budget(total_participants, len(tracks))
-    report_tracks: list[TrackRoundStats] = []
-    cursor = 0
-    for track, group_size in zip(tracks, budgets):
-        report_tracks.append(run_track_round(
-            track, selected[cursor:cursor + group_size], server.registry,
-            epochs=epochs, lr=lr, cache_enabled=cache_enabled,
-            depth_watermark=max_depth, store=store))
+    groups, cursor = [], 0
+    for group_size in split_budget(total_participants, len(tracks)):
+        groups.append(selected[cursor:cursor + group_size])
         cursor += group_size
+    if cache_enabled:
+        wanted: dict[int, list] = {}
+        for track, group in zip(tracks, groups):
+            if track.scheme.boundary_layer(num_layers) is not None:
+                _, resume = cache_mod.resume_point(track.model, max_depth)
+                wanted.setdefault(resume, []).extend(
+                    ((cid, batch.batch_id), batch.tokens)
+                    for cid in group for batch in server.registry[cid].train_batches)
+        for resume, items in wanted.items():
+            store.prefetch(resume, items)
+    report_tracks = [
+        run_track_round(track, group, server.registry, epochs=epochs, lr=lr,
+                        cache_enabled=cache_enabled, depth_watermark=max_depth, store=store)
+        for track, group in zip(tracks, groups)]
     server.round_index = round_index
     return RoundReport(round_index, max_depth, report_tracks)

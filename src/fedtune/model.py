@@ -14,7 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +38,12 @@ DTYPE = np.float32  # of every model buffer
 # On OpenBLAS's SkylakeX (and Prescott) kernel, logits are the same bits as
 # at 256 (see ``evaluate``); on its Haswell and Zen kernels they are not.
 EVAL_CHUNK = 32
+# Samples one ``PrefixStore.prefetch`` pass stacks. A pass costs about 40 numpy
+# calls per layer whatever its size: at the mid shape, two 8-sample batches in
+# one pass took about 0.85 of the time of two passes, four took no less per
+# sample than two, and 32 samples per pass raised the ``autofed`` session's
+# memory peak by 0.12 MB (later rounds' passes sit on a larger store).
+PREFETCH_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -234,32 +240,35 @@ def build_model(spec: ModelSpec, seed: int) -> ModelState:
 # ---------------------------------------------------------------------------
 
 def _embed(model: ModelState, tokens: np.ndarray) -> Tensor:
+    """Token plus position embeddings of [..., B, S] tokens (leading axes: a graph-free stack)."""
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 2:
+    if tokens.ndim < 2:
         raise DataError(f"tokens must be [batch, seqlen], got shape {tokens.shape}")
-    if tokens.shape[1] > model.spec.seqlen:
+    if tokens.shape[-1] > model.spec.seqlen:
         raise DataError(
-            f"sequence length {tokens.shape[1]} exceeds model seqlen {model.spec.seqlen}"
+            f"sequence length {tokens.shape[-1]} exceeds model seqlen {model.spec.seqlen}"
         )
     tok = tn.embedding(model.tok_embed, tokens)
-    pos = tn.embedding(model.pos_embed, np.arange(tokens.shape[1]))
+    pos = tn.embedding(model.pos_embed, np.arange(tokens.shape[-1]))
     return tn.add(tok, pos)
 
 
 def _apply_body(model: ModelState, layer: int, h: Tensor) -> Tensor:
     """The frozen backbone of layer ``layer``: attention and FFN, each with add & norm.
 
-    The top layer runs only for the position the classifier reads
-    (``_classify``): its queries and residual are the first token, [B, 1, n],
-    while its keys and values still come from every position of ``h``. Its
-    logits equal those of the whole-sequence layer bit for bit on OpenBLAS's
-    SkylakeX kernel, not on its Haswell, Zen or Prescott kernels, where the
-    one-row GEMMs round otherwise.
+    ``h`` is [B, S, n], or recording no graph a stack [..., B, S, n] of
+    batches, each computed as on its own. The top layer runs only for the
+    position the classifier reads (``_classify``): its queries and residual
+    are the first token, [B, 1, n], while its keys and values still come
+    from every position of ``h``. Its logits equal those of the
+    whole-sequence layer bit for bit on OpenBLAS's SkylakeX kernel, not on
+    its Haswell, Zen or Prescott kernels, where the one-row GEMMs round
+    otherwise.
     """
     block = model.blocks[layer - 1]
     query = h
     if layer == model.spec.num_layers:
-        query = tn.reshape(tn.first_token(h), (h.shape[0], 1, model.spec.hidden))
+        query = tn.reshape(tn.first_token(h), (*h.shape[:-2], 1, model.spec.hidden))
     # nested, so each sublayer's output dies inside the add that reads it; with
     # no graph to record, each add and layer norm writes into an input it consumes
     h = tn.layer_norm(
@@ -336,8 +345,12 @@ def compute_boundary_activation(model: ModelState, tokens: np.ndarray, resume: i
     records a graph, and each add and layer norm writes into an array an
     earlier op allocated (see the ``tensor_nn`` module docstring): a build
     holds about one [B, S, ·] activation per sublayer, and its bits are
-    those of the same ops recording a graph. The result is a fresh array
-    that no other array shares (``base`` is ``None``).
+    those of the same ops recording a graph. ``tokens`` may stack
+    same-shape chunks on leading axes, [..., B, S]: one pass then builds
+    them all, [..., B, S or 1, n], and each chunk's output has the bits of
+    its own pass, since every GEMM runs per chunk (``tn.linear_forward``).
+    The result is a fresh array that no other array shares (``base`` is
+    ``None``).
     """
     _check_boundary(model, resume)
     h = _embed(model, tokens)
@@ -415,13 +428,14 @@ class PrefixStore:
     ``cache.fetch_or_recompute``, or ``EVAL_CHUNK`` test samples, keyed
     ``("test", start)`` by ``evaluate``. A chunk keeps the shape it is
     trained or evaluated with, so resuming from it is bit-identical to a
-    full ``forward``. It is built from the embedding on first use; tuning
-    depths only grow, so the live resume points only fall and each chunk is
-    built at most D times per session. Asking for a key with other tokens
-    than its first (other data, or another chunking) is a ContractViolation.
-    Each chunk owns its memory and is read-only: ``forward_from_boundary``
-    wraps it in a ``Tensor`` that no op may write into, so a graph-free pass
-    resumed from it never consumes it.
+    full ``forward``. It is built from the embedding by the round's
+    ``prefetch``, or on first use; tuning depths only grow, so the live
+    resume points only fall and each chunk is built at most D times per
+    session. Asking for a key with other tokens than its first (other data,
+    or another chunking) is a ContractViolation. Each chunk owns its memory
+    and is read-only: ``forward_from_boundary`` wraps it in a ``Tensor``
+    that no op may write into, so a graph-free pass resumed from it never
+    consumes it.
     """
 
     def __init__(self, backbone: ModelState):
@@ -434,17 +448,51 @@ class PrefixStore:
     def resume_points(self) -> list[int]:
         return sorted(self._acts)
 
-    def activation(self, resume: int, key: Hashable, tokens: np.ndarray) -> np.ndarray:
-        """Backbone output through layer ``resume`` for the chunk ``key``, built on first use."""
+    def _check_tokens(self, key: Hashable, tokens: np.ndarray) -> None:
         known = self._tokens.setdefault(key, tokens)
         if known is not tokens and not np.array_equal(known, tokens):
             raise ContractViolation(f"prefix store chunk {key!r} was built for other tokens")
+
+    def _keep(self, resume: int, key: Hashable, act: np.ndarray) -> np.ndarray:
+        act.flags.writeable = False
+        self._acts.setdefault(resume, {})[key] = act
+        return act
+
+    def activation(self, resume: int, key: Hashable, tokens: np.ndarray) -> np.ndarray:
+        """Backbone output through layer ``resume`` for the chunk ``key``, built on first use."""
+        self._check_tokens(key, tokens)
         act = self._acts.get(resume, {}).get(key)
         if act is None:
-            act = compute_boundary_activation(self.backbone, tokens, resume)
-            act.flags.writeable = False
-            self._acts.setdefault(resume, {})[key] = act
+            act = self._keep(resume, key, compute_boundary_activation(self.backbone, tokens, resume))
         return act
+
+    def prefetch(self, resume: int, items: Iterable[tuple[Hashable, np.ndarray]]) -> None:
+        """Build, at ``resume``, the chunks of ``items`` ((key, tokens) pairs) the store lacks.
+
+        Every key's tokens are checked as ``activation`` checks them before
+        anything is built. Missing chunks of one shape share a pass, at most
+        ``PREFETCH_SAMPLES`` samples of them (a larger chunk has a pass of
+        its own), and each chunk keeps its own pass's bits
+        (``compute_boundary_activation``). Each is kept as its own copy, so
+        it owns its memory as a chunk built on first use does.
+        """
+        items = list(items)
+        for key, tokens in items:
+            self._check_tokens(key, tokens)
+        held = self._acts.get(resume, {})
+        missing: dict[tuple[int, ...], dict[Hashable, np.ndarray]] = {}
+        for key, tokens in items:
+            if key not in held:
+                missing.setdefault(tokens.shape, {})[key] = tokens
+        for shape, chunks in missing.items():
+            keys = list(chunks)
+            per_pass = max(1, PREFETCH_SAMPLES // max(shape[0], 1))
+            for start in range(0, len(keys), per_pass):
+                part = keys[start:start + per_pass]
+                acts = compute_boundary_activation(
+                    self.backbone, np.stack([chunks[key] for key in part]), resume)
+                for key, act in zip(part, acts):
+                    self._keep(resume, key, act.copy())
 
     def retain(self, resume_points: set[int]) -> None:
         """Drop every resume point not in ``resume_points``; builds nothing."""

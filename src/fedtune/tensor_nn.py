@@ -15,13 +15,26 @@ their input, forward and backward, and a gradient handed on may be a view
 of the upstream gradient. So an op writes in place only into arrays it
 allocated in the same call or, recording no graph, into an owned input it
 consumes: never into a parameter, its upstream gradient or an array it has
-handed on, any of which may alias another node's data. ``bmm`` copies an
-operand to contiguous memory only when its last axis is not unit-stride
-(in attention, the transposed keys): numpy runs a one-row product, such as
-the pooled top layer's [B, h, 1, d] query, through a matrix-vector kernel,
-and against a transposed view that kernel sums in another order than
-against contiguous keys. Every other operand layout the model produces
-gives the same bits as its contiguous copy.
+handed on, any of which may alias another node's data. Recording no
+graph, ``bmm`` multiplies the transposed keys of attention as the strided
+view they are: a product whose left operand has several rows runs through
+the matrix-matrix kernel, which gives the bits of the keys' contiguous copy
+(checked on OpenBLAS's SkylakeX, Haswell, Zen and Prescott kernels). A
+strided right operand is copied to contiguous memory first against a
+one-row left operand, such as the pooled top layer's [B, h, 1, d] query,
+because numpy runs that product through a matrix-vector kernel, which sums
+a strided view in another order than contiguous keys; and in a recording
+``bmm``, because the query gradient formed against the view's transpose
+differs from the copy's in the last bits on SkylakeX. A left operand or an
+upstream gradient whose last axis is not unit-stride is always copied.
+
+Recording no graph, an op takes leading *stack* axes in front of its usual
+operand: several same-shape batches in one pass, as ``model.PrefixStore``
+builds them. ``linear_forward`` treats the last three axes as one [B, S, k]
+batch and runs one GEMM per stacked batch over that batch's rows, exactly
+the BLAS call of the batch on its own; every other op works row by row or
+over the last axes, so each stacked batch keeps the bits of its own pass.
+A recording ``linear_forward`` refuses a stacked input.
 
 An op that records no graph returns the array it allocated as *owned*
 (``Tensor.owned``): no other tensor or closure shares it. Recording no
@@ -434,6 +447,13 @@ def relu(x: Tensor) -> Tensor:
 def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
     """Affine map ``x @ W + b`` over the last axis of ``x``.
 
+    The last three axes of ``x`` are one [B, S, k] batch (or ``x`` is one
+    [B, k] batch), multiplied as one GEMM over its rows. Recording no graph,
+    ``x`` may stack such batches on leading axes: one GEMM per stacked
+    batch, each the call that batch makes on its own, so a stacked pass
+    gives every batch its own bits (see the module docstring). Recording a
+    graph, a stacked input is a ``ShapeError``.
+
     The closure keeps the flattened input only if the weight needs its
     gradient (then ``x`` is no longer owned: that may be its array), and the
     weight only if the input does. An input whose node can recompute it (a
@@ -453,13 +473,19 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
             f"linear: bias shape {b.data.shape} incompatible with weight shape {w.data.shape}"
         )
     x_shape = x.data.shape
-    x2 = np.ascontiguousarray(x.data.reshape(-1, w.data.shape[0]))
-    out_data = np.empty((*x_shape[:-1], w.data.shape[1]), np.result_type(x2, w.data))
-    out2 = np.matmul(x2, w.data, out=out_data.reshape(-1, w.data.shape[1]))
-    out2 += b.data
     nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
+    stack = x_shape[:-3]
+    if stack and not (nx is None and nw is None and nb is None):
+        raise ShapeError(f"linear: a recording pass takes one batch, got a stack {x_shape}")
+    # [stack, rows of one batch, k]: numpy's matmul runs one GEMM per stacked batch
+    x3 = np.ascontiguousarray(x.data.reshape(
+        math.prod(stack), math.prod(x_shape[len(stack):-1]), w.data.shape[0]))
+    out_data = np.empty((*x_shape[:-1], w.data.shape[1]), np.result_type(x3, w.data))
+    out3 = np.matmul(x3, w.data, out=out_data.reshape(*x3.shape[:2], w.data.shape[1]))
+    out3 += b.data
     if nx is None and nw is None and nb is None:
         return _owned(out_data)
+    x2, out2 = x3[0], out3[0]
     out2_shape, x2_shape = out2.shape, x2.shape
     rebuild_x = nx.recompute if nx is not None and nw is not None else None
     saved_x2 = x2 if nw is not None and rebuild_x is None else None
@@ -580,22 +606,28 @@ def _unit_stride_rows(a: Array) -> Array:
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product over the last two axes.
+    """Batched matrix product over the last two axes, over any leading axes.
 
-    An operand whose last axis is not unit-stride is copied to contiguous
-    memory first, forward and backward: with a one-row left operand,
-    numpy's matrix-vector kernel sums in another order against such a view
-    than against contiguous memory (see the module docstring). The closure
-    keeps the operands as multiplied, so a copied operand's source is not
-    kept, and the operands are no longer owned.
+    Recording no graph, a right operand whose last axis is not unit-stride,
+    such as attention's transposed keys, is multiplied as that view when the
+    left operand has several rows: the matrix-matrix kernel gives the bits
+    of its contiguous copy without the copy. Against a one-row left operand,
+    or recording a graph, it is copied to contiguous memory first, so that
+    the product and the gradients have the copy's bits (see the module
+    docstring). A left operand and an upstream gradient whose last axis is
+    not unit-stride are always copied. The closure keeps the operands as
+    multiplied, so a copied operand's source is not kept, and the operands
+    are no longer owned.
     """
     a, b = _tensor_of(a), _tensor_of(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"bmm: shapes {a.data.shape} and {b.data.shape} do not align")
-    a_data, b_data = _unit_stride_rows(a.data), _unit_stride_rows(b.data)
-    out_data = a_data @ b_data
     na, nb = _grad_node(a), _grad_node(b)
-    if na is None and nb is None:
+    graph_free = na is None and nb is None
+    a_data = _unit_stride_rows(a.data)
+    b_data = b.data if graph_free and a_data.shape[-2] > 1 else _unit_stride_rows(b.data)
+    out_data = a_data @ b_data
+    if graph_free:
         return _owned(out_data)
     a.owned = b.owned = False
 
@@ -631,9 +663,9 @@ def embedding(table: Parameter, ids: Array) -> Tensor:
 
 
 def first_token(x: Tensor) -> Tensor:
-    """Pool a [B, S, n] sequence batch down to its first position."""
+    """Pool a [..., B, S, n] sequence batch down to its first position, [..., B, n]."""
     x = _tensor_of(x)
-    out_data = x.data[:, 0, :].copy()
+    out_data = x.data[..., 0, :].copy()
     nx = _grad_node(x)
     if nx is None:
         return _owned(out_data)
@@ -641,7 +673,7 @@ def first_token(x: Tensor) -> Tensor:
 
     def bwd(dout: Array) -> None:
         dx = np.zeros(x_shape, dtype)
-        dx[:, 0, :] = dout
+        dx[..., 0, :] = dout
         _accumulate(nx, dx)
     return _recorded(out_data, (nx,), bwd)
 
@@ -663,40 +695,53 @@ class AttentionParams:
         return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv, self.wo, self.bo]
 
 
+def _axes_swapped(ndim: int, axis: int) -> tuple[int, ...]:
+    """The axes of an ``ndim``-axis array with ``axis`` (counted from the end) and the next swapped."""
+    axes = list(range(ndim))
+    axes[axis], axes[axis + 1] = axes[axis + 1], axes[axis]
+    return tuple(axes)
+
+
 def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
                          query: Tensor | None = None) -> Tensor:
     """Scaled dot-product attention over [B, S, n], no mask.
 
     Keys and values come from every position of ``x``; queries come from
     ``query`` ([B, Sq, n], default ``x``: self-attention), and the output
-    has its shape.
+    has its shape. Recording no graph, both may stack batches on the same
+    leading axes, [..., B, S, n], each batch attending only within itself
+    and keeping the bits of its own pass (see the module docstring). The
+    transposed keys are multiplied as a view (see ``bmm``).
     """
     x = _tensor_of(x)
     query = x if query is None else _tensor_of(query)
-    batch, _, hidden = x.data.shape
-    qlen = query.data.shape[1]
-    if query.data.shape != (batch, qlen, hidden):
+    if x.data.ndim < 3:
+        raise ShapeError(f"attention: input shape {x.data.shape} is not [B, S, n]")
+    *batch, _, hidden = x.data.shape
+    qlen = query.data.shape[-2]
+    if query.data.shape != (*batch, qlen, hidden):
         raise ShapeError(f"attention: query shape {query.data.shape} does not match "
                          f"input shape {x.data.shape}")
     if hidden % heads != 0:
         raise ConfigurationError(f"hidden size {hidden} not divisible by {heads} heads")
     head_dim = hidden // heads
+    heads_first = _axes_swapped(len(batch) + 3, -3)  # [..., S, h, d] <-> [..., h, S, d]
 
     def split_heads(t: Tensor) -> Tensor:
-        return transpose(reshape(t, (batch, t.shape[1], heads, head_dim)), (0, 2, 1, 3))
+        return transpose(reshape(t, (*t.shape[:-1], heads, head_dim)), heads_first)
 
     # each intermediate is dropped once the next op has read it, and V is
     # projected only after the softmax: a graph-free pass holds the scores
     # (in place, the probabilities) and one [B, S, n] projection at a time
     q = split_heads(linear_forward(query, params.wq, params.bq))
     k = split_heads(linear_forward(x, params.wk, params.bk))
-    scores = bmm(q, transpose(k, (0, 1, 3, 2)))
+    scores = bmm(q, transpose(k, _axes_swapped(len(batch) + 3, -2)))
     del q, k
     probs = softmax_lastdim(scores, 1.0 / math.sqrt(head_dim))
     del scores
     context = bmm(probs, split_heads(linear_forward(x, params.wv, params.bv)))
     del probs
-    merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, qlen, hidden))
+    merged = reshape(transpose(context, heads_first), (*batch, qlen, hidden))
     del context
     return linear_forward(merged, params.wo, params.bo)
 

@@ -41,6 +41,11 @@ class RecordingStore(PrefixStore):
         return act
 
 
+def chunks_built(builds) -> int:
+    """Chunks the recorded calls built: a call on stacked [G, B, S] tokens builds G."""
+    return sum(tokens.shape[0] if tokens.ndim == 3 else 1 for tokens, _ in builds)
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Calls of ``compute_boundary_activation``, as (tokens, resume)."""
@@ -87,12 +92,21 @@ def climbing_run(monkeypatch, tmp_path, builds):
     store_activation = RecordingStore.activation
 
     def counting_activation(self, resume, key, tokens):
-        before = len(builds)
+        before = chunks_built(builds)
         act = store_activation(self, resume, key, tokens)
-        per_key[key] += len(builds) - before
+        per_key[key] += chunks_built(builds) - before
         return act
 
+    store_prefetch = RecordingStore.prefetch
+
+    def counting_prefetch(self, resume, items):
+        held = set(self._acts.get(resume, {}))
+        store_prefetch(self, resume, items)
+        for key in set(self._acts.get(resume, {})) - held:
+            per_key[key] += 1
+
     monkeypatch.setattr(RecordingStore, "activation", counting_activation)
+    monkeypatch.setattr(RecordingStore, "prefetch", counting_prefetch)
     after_eval = []
 
     def recording_evaluate_tracks(tracks, backbone, store, *args,
@@ -121,7 +135,7 @@ class TestSessionStore:
     def test_embedding_builds_bounded_by_depth(self, climbing_run, builds):
         """Every chunk, training batch or test chunk, is built at most D times."""
         cfg, _, _, per_key, _ = climbing_run
-        assert sum(per_key.values()) == len(builds)
+        assert sum(per_key.values()) == chunks_built(builds)
         assert {k[0] for k in per_key} > {"test"}  # client keys are (client id, batch id)
         assert 1 <= max(per_key.values()) <= cfg.model.num_layers
         assert per_key[("test", 0)] == cfg.model.num_layers
@@ -165,7 +179,7 @@ class TestLedger:
                                    cache_enabled=True, store=store)
         built = len(builds)
         clients = [world.server.registry[cid] for cid in report.tracks[0].participants]
-        assert built == sum(len(c.train_batches) for c in clients)
+        assert chunks_built(builds) == sum(len(c.train_batches) for c in clients)
         for client in clients:
             assert sorted(client.cache.entries) == sorted(
                 (client.id, b.batch_id) for b in client.train_batches)
@@ -319,6 +333,83 @@ class TestStoreUnit:
                                               SeededRng(0))
         with pytest.raises(ContractViolation):
             PrefixStore(adapted)
+
+
+class TestPrefetch:
+    @pytest.fixture
+    def backbone(self):
+        return build_model(ModelSpec(num_layers=4, hidden=8, heads=2, ffn_dim=16,
+                                     vocab=12, seqlen=5, num_labels=3), 1)
+
+    @staticmethod
+    def chunks(sizes):
+        rng = SeededRng(3)
+        return [((9, i), rng.integers(0, 12, size=(n, 5))) for i, n in enumerate(sizes)]
+
+    def test_builds_only_the_missing_chunks_each_once(self, backbone, builds):
+        store = PrefixStore(backbone)
+        items = self.chunks([4] * 5)
+        first = store.activation(2, *items[0])
+        store.prefetch(2, items + items[1:2])  # one chunk held, one asked for twice
+        assert chunks_built(builds) == 5 and len(builds) == 2  # first use, then one pass of 4
+        store.prefetch(2, items)
+        assert store.activation(2, *items[0]) is first
+        assert chunks_built(builds) == 5 and store.resume_points() == [2]
+        for key, tokens in items:
+            act = store.activation(2, key, tokens)
+            assert act.base is None and act.flags.owndata and not act.flags.writeable
+            assert act.tobytes() == model_mod.compute_boundary_activation(
+                backbone, tokens, 2).tobytes()
+
+    def test_other_tokens_raise_before_anything_is_built(self, backbone, builds):
+        store = PrefixStore(backbone)
+        items = self.chunks([4, 4])
+        (key, tokens), other = items
+        store.activation(2, key, tokens)
+        with pytest.raises(ContractViolation, match="other tokens"):
+            store.prefetch(2, [other, (key, tokens[::-1])])
+        with pytest.raises(ContractViolation, match="other tokens"):
+            store.prefetch(3, [other, (key, tokens[:3])])
+        assert len(builds) == 1 and list(store._acts[2]) == [key]
+
+    def test_no_pass_stacks_more_than_16_samples(self, backbone, builds):
+        assert model_mod.PREFETCH_SAMPLES == 16
+        sizes = [1] * 20 + [7] * 5 + [8] * 3 + [32]
+        store = PrefixStore(backbone)
+        store.prefetch(0, self.chunks(sizes))
+        # same-shape chunks share passes as full as 16 samples allow; a larger one is alone
+        assert sorted(tokens.shape for tokens, _ in builds) == [
+            (1, 7, 5), (1, 8, 5), (1, 32, 5), (2, 7, 5), (2, 7, 5), (2, 8, 5),
+            (4, 1, 5), (16, 1, 5)]
+        assert chunks_built(builds) == len(store._acts[0]) == len(sizes)
+
+    @pytest.mark.parametrize("cache_enabled", [True, False])
+    def test_a_round_builds_its_chunks_in_one_prefetch(self, small_world, builds, monkeypatch,
+                                                       cache_enabled):
+        world, cfg = small_world, small_world.config
+        scheme = TuningScheme("adapter", AdapterConfig(2, 8, 8))
+        model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
+        track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
+        store = PrefixStore(world.backbone)
+        in_prefetch = []
+
+        def counting_prefetch(resume, items, _inner=store.prefetch):
+            before = chunks_built(builds)
+            _inner(resume, items)
+            in_prefetch.append(chunks_built(builds) - before)
+
+        monkeypatch.setattr(store, "prefetch", counting_prefetch)
+        report = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
+                                   backbone=world.backbone, epochs=2, lr=cfg.learning_rate,
+                                   cache_enabled=cache_enabled, store=store)
+        stats = report.tracks[0]
+        if cache_enabled:
+            # the ledgers count a recompute per batch in the first epoch, as before
+            assert in_prefetch == [chunks_built(builds)] and len(builds) < chunks_built(builds)
+            assert stats.cache_recomputes == stats.cache_hits == chunks_built(builds)
+        else:
+            assert in_prefetch == [] and builds == [] and store.resume_points() == []
+            assert stats.cache_recomputes == stats.cache_hits == 0
 
 
 class TestGraphFree:

@@ -31,19 +31,19 @@ LN_EPS = 1e-5
 EMBED_INIT_STD = 1.0
 ADAPTER_INIT_STD = 0.02  # also used for the classifier head
 DTYPE = np.float32  # of every model buffer
-# Samples per evaluation chunk: ``evaluate`` runs, and ``PrefixStore`` keeps
-# the test set's frozen prefix, in chunks of this size. At the mid shape (6
-# layers, hidden 64, seqlen 32) time per sample is lowest at 16-32 samples; a
-# 32-sample chunk's transient activations are 1/8 of a 256-sample chunk's.
-# On OpenBLAS's SkylakeX (and Prescott) kernel, logits are the same bits as
-# at 256 (see ``evaluate``); on its Haswell and Zen kernels they are not.
-EVAL_CHUNK = 32
-# Samples one ``PrefixStore.prefetch`` pass stacks. A pass costs about 40 numpy
-# calls per layer whatever its size: at the mid shape, two 8-sample batches in
-# one pass took about 0.85 of the time of two passes, four took no less per
-# sample than two, and 32 samples per pass raised the ``autofed`` session's
-# memory peak by 0.12 MB (later rounds' passes sit on a larger store).
-PREFETCH_SAMPLES = 16
+# Samples in one graph-free pass: ``evaluate`` runs, and ``PrefixStore`` builds
+# and keeps, the test set in chunks of this size, and ``PrefixStore.prefetch``
+# stacks training batches into passes of at most this many samples. A pass
+# costs about 40 numpy calls per layer whatever its size: at the mid shape (6
+# layers, hidden 64, seqlen 32), two 8-sample batches in one pass took about
+# 0.85 of the time of two passes, and four took no less per sample than two.
+# The session's largest transient is one such pass: 32-sample test chunks set
+# the ``autofed`` peak (2.683 MB of tracemalloc at seed 2); in 16-sample
+# chunks ``evaluate`` peaks at 2.024 MB, under a prefetch pass's 2.183 MB. On
+# OpenBLAS's SkylakeX and Prescott kernels, 16-sample chunks give the logits
+# of 32-sample chunks bit for bit (see ``evaluate``); on its Haswell and Zen
+# kernels they do not.
+PASS_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -425,7 +425,7 @@ class PrefixStore:
     Holds the read-only backbone output through a resume point ``r`` (0 =
     embedding output; see ``resume_layer``) for caller-keyed chunks: one
     client's training batch, keyed ``(client_id, batch_id)`` by
-    ``cache.fetch_or_recompute``, or ``EVAL_CHUNK`` test samples, keyed
+    ``cache.fetch_or_recompute``, or ``PASS_SAMPLES`` test samples, keyed
     ``("test", start)`` by ``evaluate``. A chunk keeps the shape it is
     trained or evaluated with, so resuming from it is bit-identical to a
     full ``forward``. It is built from the embedding by the round's
@@ -471,7 +471,7 @@ class PrefixStore:
 
         Every key's tokens are checked as ``activation`` checks them before
         anything is built. Missing chunks of one shape share a pass, at most
-        ``PREFETCH_SAMPLES`` samples of them (a larger chunk has a pass of
+        ``PASS_SAMPLES`` samples of them (a larger chunk has a pass of
         its own), and each chunk keeps its own pass's bits
         (``compute_boundary_activation``). Each is kept as its own copy, so
         it owns its memory as a chunk built on first use does.
@@ -486,7 +486,7 @@ class PrefixStore:
                 missing.setdefault(tokens.shape, {})[key] = tokens
         for shape, chunks in missing.items():
             keys = list(chunks)
-            per_pass = max(1, PREFETCH_SAMPLES // max(shape[0], 1))
+            per_pass = max(1, PASS_SAMPLES // max(shape[0], 1))
             for start in range(0, len(keys), per_pass):
                 part = keys[start:start + per_pass]
                 acts = compute_boundary_activation(
@@ -526,7 +526,7 @@ def _graph_free(model: ModelState):
 
 
 def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
-             chunk: int = EVAL_CHUNK, *, store: PrefixStore | None = None,
+             chunk: int = PASS_SAMPLES, *, store: PrefixStore | None = None,
              resume: int | None = None) -> float:
     """Fraction of samples whose argmax logit matches the label.
 
@@ -536,11 +536,15 @@ def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
     (``chunk`` < 1 is an ``EvaluationError``), so every op may write into
     the activation it consumes (see the ``tensor_nn`` module docstring);
     the logits are the bits of the same ops recording a graph. Whether a
-    sample's logits equal those of one whole-set forward depends on the
-    BLAS kernel: on OpenBLAS's SkylakeX kernel, where it was established,
-    and its Prescott kernel they are equal bit for bit for 32-sample chunks
-    with no single-sample chunk (``test_eval_chunks_give_whole_set_logits``);
-    on its Haswell and Zen kernels that test fails. With a ``store`` and a
+    sample's logits depend on its chunk depends on the BLAS kernel. On
+    OpenBLAS's SkylakeX kernel, where it was established, and its Prescott
+    kernel, the default ``PASS_SAMPLES``-sample chunks give the logits of
+    32-sample chunks bit for bit: on a mid-shape backbone with drawn
+    layer-norm gains, shifts and biases, a 32-sample build equals two
+    16-sample builds at every resume point, and so do the logits. Where
+    32-sample chunks give a whole-set forward's logits, so do 16-sample ones
+    with no single-sample chunk (``test_eval_chunks_give_whole_set_logits``).
+    On its Haswell and Zen kernels none of these holds. With a ``store`` and a
     ``resume`` point (see ``resume_layer``), each chunk resumes from the
     store's backbone output through that layer, keyed ``("test", start)``,
     instead of running the frozen prefix again; the accuracy is identical

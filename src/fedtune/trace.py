@@ -12,24 +12,21 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-import numpy as np
-
 from .errors import TraceParseError
 
 TRACE_VERSION = 1
 
 
 def _jsonable(value):
+    """``value`` as JSON reads it back: keys become strings, tuples lists.
+
+    Events hold plain Python values. A numpy value is not converted, so
+    ``json.dumps`` refuses it and names its type.
+    """
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     return value
 
 

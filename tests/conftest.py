@@ -46,6 +46,21 @@ def tiny_tokens():
     return np.array([[0, 1, 2, 3, 4], [0, 5, 6, 7, 8], [0, 9, 10, 11, 1]])
 
 
+def drawn_backbone(spec: ModelSpec, seed: int) -> model_mod.ModelState:
+    """``build_model``'s backbone with every layer-norm gain and shift and every bias drawn.
+
+    ``build_model`` starts gains at 1 and shifts and biases at 0, where a
+    slip in how they are applied can change no bit; each 1-D parameter here
+    is moved by N(0, 0.2).
+    """
+    model = model_mod.build_model(spec, seed)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        if p.data.ndim == 1:
+            p.data[:] = p.data + rng.normal(0.0, 0.2, p.data.shape)
+    return model
+
+
 def small_session_doc(**overrides) -> dict:
     """A fast-but-real session configuration for integration tests."""
     doc = {

@@ -1,6 +1,10 @@
 """Session config schema and CLI error handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -13,6 +17,7 @@ from fedtune.session import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK
 from conftest import small_session_doc
 
 TASK = small_session_doc()["task"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestUnknownKeys:
@@ -344,3 +349,27 @@ class TestExitCodes:
         assert cli.main(["report", str(trace), "--out", str(out)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
+
+
+def test_only_a_yaml_config_imports_yaml(tmp_path):
+    """PyYAML (about 0.9 MB of RSS) is imported by ``load_config`` alone.
+
+    ``import fedtune`` and a session built by ``config_from_dict`` leave it
+    out of ``sys.modules``; loading a YAML file brings it in and parses it.
+    """
+    doc = small_session_doc(max_rounds=1)
+    path = tmp_path / "session.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    script = (
+        "import sys\n"
+        "import fedtune\n"
+        "from fedtune import cli, session\n"
+        f"cfg = session.config_from_dict({doc!r})\n"
+        f"session.run_session_config(cfg, {str(tmp_path / 't.jsonl')!r})\n"
+        "print('yaml' in sys.modules)\n"
+        f"print(session.load_config({str(path)!r}) == cfg, 'yaml' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert out.stdout.split() == ["False", "True", "True"]

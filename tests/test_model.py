@@ -300,8 +300,8 @@ class TestEvaluate:
     def test_eval_chunks_give_whole_set_logits(self, small, count):
         model, tokens, _ = small
         tokens = tokens[:count]
-        chunk = model_mod.EVAL_CHUNK
-        assert chunk == 32 and count % chunk != 1
+        chunk = model_mod.PASS_SAMPLES
+        assert chunk == 16 and count % chunk != 1
         chunked = np.concatenate([forward(model, tokens[s:s + chunk]).data
                                   for s in range(0, count, chunk)])
         assert np.array_equal(chunked, forward(model, tokens).data), \

@@ -10,7 +10,7 @@ from fedtune import model as model_mod
 from fedtune import tensor_nn as tn
 from fedtune.adapter import AdapterConfig, TuningScheme
 from fedtune.errors import ContractViolation, ProtocolError
-from fedtune.model import EVAL_CHUNK, ModelSpec, PrefixStore, build_model, forward
+from fedtune.model import PASS_SAMPLES, ModelSpec, PrefixStore, build_model, forward
 from fedtune.tensor_nn import SeededRng
 
 F32 = np.dtype(np.float32)
@@ -95,8 +95,8 @@ class TestSessionDtypes:
         assert all(e.activations.dtype == F32 for e in entries)
         assert store.resume_points() == [2]
         tokens = world.test_tokens
-        chunks = [store.activation(2, ("test", s), tokens[s:s + EVAL_CHUNK])
-                  for s in range(0, tokens.shape[0], EVAL_CHUNK)]
+        chunks = [store.activation(2, ("test", s), tokens[s:s + PASS_SAMPLES])
+                  for s in range(0, tokens.shape[0], PASS_SAMPLES)]
         assert all(chunk.dtype == F32 for chunk in chunks)
 
     def test_float64_graph_stays_float64_through_backward(self, tiny_model, tiny_tokens):

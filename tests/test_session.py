@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fedtune import session as session_mod
@@ -182,3 +183,20 @@ def test_non_object_trace_line_names_the_line(line, tmp_path):
         trace_mod.read_trace(str(path))
     with pytest.raises(TraceParseError, match="line 2"):
         session_mod.report([str(path)])
+
+
+def test_emitted_events_are_the_trace_read_back(tmp_path):
+    path = tmp_path / "t.jsonl"
+    with trace_mod.TraceWriter(str(path)) as writer:
+        writer.emit({"evt": "round", "client_energy": {3: 1.5, 1: 0.25}, "participants": (3, 1)})
+    expected = {"evt": "round", "client_energy": {"3": 1.5, "1": 0.25}, "participants": [3, 1]}
+    assert writer.events == trace_mod.read_trace(str(path)) == [expected]
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1: np.float32(0.5)}, [np.arange(2)]])
+def test_a_numpy_value_in_an_event_fails_loudly(value, tmp_path):
+    """Emitters hand over plain Python values; a numpy one is refused, not converted."""
+    with trace_mod.TraceWriter(str(tmp_path / "t.jsonl")) as writer:
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            writer.emit({"evt": "round", "round": value})
+        assert writer.events == []

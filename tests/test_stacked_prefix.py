@@ -21,10 +21,10 @@ import pytest
 
 import fedtune
 from fedtune import tensor_nn as tn
-from fedtune.model import PREFETCH_SAMPLES, ModelSpec, build_model, compute_boundary_activation
+from fedtune.model import PASS_SAMPLES, ModelSpec, compute_boundary_activation
 from fedtune.tensor_nn import Tensor
 
-from conftest import blas_core_name
+from conftest import blas_core_name, drawn_backbone
 
 MID = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128, vocab=200, seqlen=32, num_labels=4)
 # the pooled top layer at the mid shape: [B, h, S, d] heads
@@ -33,18 +33,13 @@ BATCH, HEADS, SEQLEN, HEAD_DIM = 8, 4, 32, 16
 
 @pytest.fixture(scope="module")
 def backbone():
-    model = build_model(MID, 4)
-    rng = np.random.default_rng(4)
-    for p in model.parameters():
-        if p.data.ndim == 1:
-            p.data[:] = p.data + rng.normal(0.0, 0.2, p.data.shape)
-    return model
+    return drawn_backbone(MID, 4)
 
 
 # the batch sizes autofed worlds hold, each stacked as prefetch stacks it
 @pytest.mark.parametrize("batch", [8, 7, 1])
 def test_stacked_pass_equals_one_pass_per_chunk(backbone, batch):
-    stack = PREFETCH_SAMPLES // batch
+    stack = PASS_SAMPLES // batch
     tokens = tn.SeededRng(batch).integers(0, MID.vocab, size=(stack, batch, MID.seqlen))
     for resume in range(MID.num_layers + 1):
         stacked = compute_boundary_activation(backbone, tokens, resume)

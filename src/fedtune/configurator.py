@@ -13,23 +13,21 @@ holds the track's latest FedAvg mean between rounds; what a track trains
 is stated once, by its scheme, and decisions read the winner's
 ``scheme.adapter``.
 
-``run_session`` is the one session loop of every mode. The fixed baselines
-(a fixed adapter, full fine-tuning, layer freezing) are this loop with one
-``current`` track and no configurator state, so they never decide. The loop
-keeps no totals: it emits events, and the session's summary is derived from
-them (``session._summary``).
+This module holds the decision logic alone: ``dispatch``,
+``should_decide``, ``decide_winner`` and ``evaluate_tracks``. The session
+loop that applies it is ``session.step``, which advances one
+``session.Session`` value a round at a time in every mode; the fixed
+baselines have no configurator state and never decide.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import adapter as adapter_mod
-from . import fed as fed_mod
 from . import model as model_mod
 from .adapter import AdapterConfig, TuningScheme
 from .errors import DecisionError
-from .fed import ServerState
 from .model import ModelState
 from .tensor_nn import SeededRng
 
@@ -160,100 +158,3 @@ def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
     store.retain({r for r in resumes if r is not None})
     return [model_mod.evaluate(track.model, test_tokens, test_labels, store=store, resume=resume)
             for track, resume in zip(tracks, resumes)]
-
-
-def _emit_dispatch(writer, iteration: int, clock: float, tracks: list[TrialTrack],
-                   num_layers: int) -> None:
-    shapes = [t.depth_width(num_layers) for t in tracks]
-    writer.emit({
-        "evt": "dispatch",
-        "iteration": iteration,
-        "clock": clock,
-        "base_depth": shapes[0][0],
-        "base_width": shapes[0][1],
-        "tracks": [{"track": t.name, "depth": d, "width": w}
-                   for t, (d, w) in zip(tracks, shapes)],
-    })
-
-
-def run_session(
-    state: ConfiguratorState | None,
-    tracks: list[TrialTrack],
-    server: ServerState,
-    backbone: ModelState,
-    *,
-    test_tokens,
-    test_labels,
-    participants_total: int,
-    epochs: int,
-    lr: float,
-    cache_enabled: bool,
-    target_accuracy: float | None,
-    max_rounds: int,
-    adapter_rng: SeededRng,
-    writer,
-) -> None:
-    """Run ``tracks`` until the target accuracy or the round budget.
-
-    Every round advances all live tracks once (each on its own emulated
-    clock), then the server scores each track on the global test set with
-    ``evaluate_tracks``. The session ends after the round in which some
-    track first meets ``target_accuracy``. With a configurator ``state``,
-    ``tracks`` is its first ``dispatch`` and decisions happen when the
-    current track's clock passes the trial interval; without one, the
-    tracks are never replaced. The loop keeps no totals, no best accuracy
-    and no time to target: ``writer`` receives every event they derive from.
-    One ``model.PrefixStore`` per session holds every frozen-prefix
-    activation on the host: the clients' training batches and the test
-    set's chunks. Each client's ``ActivationCache`` is a ledger that refers
-    into it and decides, as the emulated device would, which batches hit
-    and which are recomputed. Each chunk is built from the embedding at
-    most D times because depths only grow.
-    """
-    num_layers = backbone.spec.num_layers
-    store = model_mod.PrefixStore(backbone)
-    iteration = 0
-    _emit_dispatch(writer, iteration, 0.0, tracks, num_layers)
-
-    for _ in range(max_rounds):
-        report = fed_mod.run_round(
-            server, tracks, participants_total,
-            backbone=backbone, epochs=epochs, lr=lr, cache_enabled=cache_enabled,
-            store=store)
-        for track, stat in zip(tracks, report.tracks):
-            writer.emit({"evt": "round", "round": report.round_index,
-                         "max_depth": report.max_depth, "clock": track.clock,
-                         **asdict(stat)})
-
-        accuracies = evaluate_tracks(tracks, backbone, store, test_tokens, test_labels)
-        for track, acc in zip(tracks, accuracies):
-            track.accuracy = acc
-            writer.emit({"evt": "eval", "round": report.round_index, "track": track.name,
-                         "clock": track.clock, "accuracy": acc})
-        if target_accuracy is not None and max(accuracies) >= target_accuracy:
-            return
-        if state is None:
-            continue
-
-        if state.trial_intvl is None:
-            # derive the interval so the start-up track gets a few rounds
-            # between decisions at the bundled profiles
-            state.trial_intvl = 3.0 * report.tracks[0].round_seconds
-        current = tracks[0]
-        if should_decide(state, current.clock):
-            winner = decide_winner(tracks)
-            new = winner.scheme.adapter
-            decision_clock = max(t.clock for t in tracks)
-            writer.emit({
-                "evt": "decision", "round": report.round_index, "clock": decision_clock,
-                "winner": winner.name,
-                "accuracies": {t.name: t.accuracy for t in tracks},
-                "new_depth": new.depth, "new_width": new.width,
-            })
-            iteration += 1
-            state.base_depth, state.base_width = new.depth, new.width
-            state.t_trial = decision_clock
-            state.trial_intvl *= state.params.intvl_growth
-            tracks = dispatch(state, winner, backbone, adapter_rng,
-                              start_clock=decision_clock)
-            _emit_dispatch(writer, iteration, decision_clock, tracks, num_layers)

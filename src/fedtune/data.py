@@ -56,7 +56,6 @@ class LabeledDataset:
 class Shard:
     """One client's local data after the 80/20 split."""
 
-    client_id: int
     train_tokens: np.ndarray
     train_labels: np.ndarray
     test_tokens: np.ndarray
@@ -210,7 +209,6 @@ def split_train_test(dataset: LabeledDataset, indices: np.ndarray, client_id: in
     if train_idx.size == 0:
         raise SplitError(f"client {client_id}: no training samples after split")
     return Shard(
-        client_id=client_id,
         train_tokens=dataset.tokens[train_idx],
         train_labels=dataset.labels[train_idx],
         test_tokens=dataset.tokens[test_idx],

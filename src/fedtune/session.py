@@ -3,9 +3,11 @@
 A session is a pure function of (config, seed): the synthetic task, the
 non-IID partition, the frozen backbone, client selection, and every
 training step derive from named substreams of the session seed, so the
-emitted trace is byte-identical across runs. Every mode runs the one loop
-in ``configurator.run_session``: ``autofed`` from the configurator's first
-dispatch, the fixed baselines from one track built by ``_fixed_scheme``.
+emitted trace is byte-identical across runs. A running session is one
+``Session`` value, which ``step`` advances a round at a time in every mode:
+``autofed`` from the configurator's first dispatch, the fixed baselines
+from one track built by ``_fixed_scheme`` (``start_session``). The
+configurator's decision logic lives in ``configurator.py``.
 
 The trace is the session's one record. Its closing summary is a function of
 the events before it (``_summary``), and ``report`` derives it again from
@@ -27,6 +29,7 @@ from . import adapter as adapter_mod
 from . import configurator as conf_mod
 from . import costmodel
 from . import data as data_mod
+from . import fed as fed_mod
 from . import model as model_mod
 from . import trace as trace_mod
 from .adapter import AdapterConfig, TuningScheme
@@ -338,13 +341,92 @@ class SessionResult:
     events: list[dict]
 
 
-def _initial_tracks(world: World, state: ConfiguratorState | None) -> list[TrialTrack]:
-    """The configurator's first dispatch, or the one track of a fixed mode."""
+@dataclass
+class Session:
+    """A running session: its world, live tracks, configurator state, store and dispatch count.
+
+    ``state`` is None in a fixed mode. ``store`` holds every frozen-prefix
+    activation on the host: the clients' training batches, whose caches are
+    ledgers that refer into it, and the test set's chunks. ``iteration``
+    counts the dispatches after the first. Nothing else carries across
+    rounds, so ``copy.deepcopy`` forks a session: the fork writes the trace
+    the session itself would have written.
+    """
+
+    world: World
+    tracks: list[TrialTrack]
+    state: ConfiguratorState | None
+    store: model_mod.PrefixStore
+    iteration: int = 0
+
+
+def start_session(world: World) -> Session:
+    """The session before its first round, with its first dispatch or fixed track."""
+    cfg = world.config
+    state = ConfiguratorState(cfg.configurator) if cfg.mode == "autofed" else None
     if state is not None:
-        return conf_mod.dispatch(state, None, world.backbone, world.adapter_rng)
-    scheme = _fixed_scheme(world.config)
-    model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
-    return [TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)]
+        tracks = conf_mod.dispatch(state, None, world.backbone, world.adapter_rng)
+    else:
+        scheme = _fixed_scheme(cfg)
+        model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
+        tracks = [TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)]
+    return Session(world, tracks, state, model_mod.PrefixStore(world.backbone))
+
+
+def _emit_dispatch(writer, session: Session, clock: float) -> None:
+    shapes = [t.depth_width(session.world.backbone.spec.num_layers) for t in session.tracks]
+    writer.emit({"evt": "dispatch", "iteration": session.iteration, "clock": clock,
+                 "base_depth": shapes[0][0], "base_width": shapes[0][1],
+                 "tracks": [{"track": t.name, "depth": d, "width": w}
+                            for t, (d, w) in zip(session.tracks, shapes)]})
+
+
+def step(session: Session, writer) -> bool:
+    """One round of every live track, their evaluation, then a decision if one is due.
+
+    Each track advances its own emulated clock and is scored on the global
+    test set. Returns True once some track meets the target accuracy. A
+    decision is due when the current track's clock passes the trial
+    interval; ``configurator.dispatch`` then replaces the tracks. Nothing is
+    totalled here: ``writer`` receives every event the summary derives from.
+    """
+    world, state, cfg = session.world, session.state, session.world.config
+    report = fed_mod.run_round(
+        world.server, session.tracks, cfg.participants_total(),
+        backbone=world.backbone, epochs=cfg.local_epochs, lr=cfg.learning_rate,
+        cache_enabled=cfg.cache_enabled, store=session.store)
+    for track, stat in zip(session.tracks, report.tracks):
+        writer.emit({"evt": "round", "round": report.round_index,
+                     "max_depth": report.max_depth, "clock": track.clock, **asdict(stat)})
+    accuracies = conf_mod.evaluate_tracks(session.tracks, world.backbone, session.store,
+                                          world.test_tokens, world.test_labels)
+    for track, acc in zip(session.tracks, accuracies):
+        track.accuracy = acc
+        writer.emit({"evt": "eval", "round": report.round_index, "track": track.name,
+                     "clock": track.clock, "accuracy": acc})
+    if cfg.target_accuracy is not None and max(accuracies) >= cfg.target_accuracy:
+        return True
+    if state is None:
+        return False
+    if state.trial_intvl is None:
+        # derive the interval so the start-up track gets a few rounds
+        # between decisions at the bundled profiles
+        state.trial_intvl = 3.0 * report.tracks[0].round_seconds
+    if not conf_mod.should_decide(state, session.tracks[0].clock):
+        return False
+    winner = conf_mod.decide_winner(session.tracks)
+    new, clock = winner.scheme.adapter, max(t.clock for t in session.tracks)
+    writer.emit({"evt": "decision", "round": report.round_index, "clock": clock,
+                 "winner": winner.name, "accuracies": {t.name: t.accuracy for t in session.tracks},
+                 "new_depth": new.depth, "new_width": new.width})
+    session.iteration += 1
+    state.base_depth, state.base_width = new.depth, new.width
+    state.t_trial = clock
+    state.trial_intvl *= state.params.intvl_growth
+    session.tracks = conf_mod.dispatch(state, winner, world.backbone, world.adapter_rng,
+                                       start_clock=clock)
+    _emit_dispatch(writer, session, clock)
+    return False
 
 
 def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
@@ -371,18 +453,11 @@ def run_session_config(cfg: SessionConfig, trace_path: str) -> SessionResult:
         world = build_world(cfg)
         writer.emit({"evt": "session", "version": trace_mod.TRACE_VERSION,
                      "config": cfg.to_dict()})
-        state = ConfiguratorState(cfg.configurator) if cfg.mode == "autofed" else None
-        conf_mod.run_session(
-            state, _initial_tracks(world, state), world.server, world.backbone,
-            test_tokens=world.test_tokens, test_labels=world.test_labels,
-            participants_total=cfg.participants_total(),
-            epochs=cfg.local_epochs, lr=cfg.learning_rate,
-            cache_enabled=cfg.cache_enabled,
-            target_accuracy=cfg.target_accuracy,
-            max_rounds=cfg.max_rounds,
-            adapter_rng=world.adapter_rng,
-            writer=writer,
-        )
+        session = start_session(world)
+        _emit_dispatch(writer, session, 0.0)
+        for _ in range(cfg.max_rounds):
+            if step(session, writer):
+                break
         summary = _summary(writer.events)
         writer.emit(summary)
     missed = cfg.target_accuracy is not None and not summary["reached"]
@@ -488,12 +563,28 @@ def sweep(cfg: SessionConfig, grid: list[tuple[int, int]], out_dir: str,
     return rows
 
 
+def _check_round(path: str, e: dict) -> None:
+    """Refuse a round whose client energies are not its participants' or do not sum to its own.
+
+    ``energy_j`` is their sum in ``participants`` order, not in the trace's sorted key order.
+    """
+    energies, group = e["client_energy"], e["participants"]
+    where = f"{path}: round {e['round']} of track '{e['track']}'"
+    if sorted(energies) != sorted(str(cid) for cid in group):
+        raise TraceParseError(
+            f"{where}: client_energy keys {sorted(energies)} are not its participants {group}")
+    if sum(energies[str(cid)] for cid in group) != e["energy_j"]:
+        raise TraceParseError(f"{where}: energy_j {e['energy_j']!r} is not the sum of its "
+                              f"client energies in participants order")
+
+
 def report(paths: list[str]) -> dict:
     """Totals across traces, each derived from its events and checked against its summary.
 
-    A trace must open with its ``session`` event and close with its one
-    ``summary``; a summary field that differs from the one ``_summary``
-    derives from the events before it is a TraceParseError naming that field.
+    A trace must open with a ``session`` event of this ``TRACE_VERSION`` and
+    close with its one ``summary``; a summary field that differs from the
+    one ``_summary`` derives from the events before it is a TraceParseError
+    naming that field, as is a round that fails ``_check_round``.
     """
     sessions = []
     totals = {"traffic_bytes": 0, "energy_j": 0.0, "rounds": 0}
@@ -501,11 +592,17 @@ def report(paths: list[str]) -> dict:
         events = trace_mod.read_trace(path)
         if not events or events[0].get("evt") != "session":
             raise TraceParseError(f"{path}: expected a leading session event")
+        if (version := events[0].get("version")) != trace_mod.TRACE_VERSION:
+            raise TraceParseError(f"{path}: trace version {version!r}, expected "
+                                  f"{trace_mod.TRACE_VERSION}")
         if trace_mod.events_of_kind(events, "summary") != events[-1:]:
             raise TraceParseError(f"{path}: expected exactly one summary event, at the end")
         *body, summary = events
+        rounds = trace_mod.events_of_kind(body, "round")
         try:
             derived = _summary(body)
+            for e in rounds:
+                _check_round(path, e)
         except (KeyError, TypeError) as err:
             raise TraceParseError(f"{path}: malformed event: {err!r}") from None
         for key in [*derived, *sorted(set(summary) - set(derived))]:
@@ -514,10 +611,10 @@ def report(paths: list[str]) -> dict:
                     f"{path}: summary field '{key}' disagrees with the events "
                     f"(events {derived.get(key)!r} vs summary {summary.get(key)!r})")
         per_client: dict[str, dict] = {}
-        for e in trace_mod.events_of_kind(body, "round"):
-            for cid, joules in e.get("client_energy", {}).items():
-                entry = per_client.setdefault(str(cid), {"traffic_bytes": 0,
-                                                         "energy_j": 0.0, "rounds": 0})
+        for e in rounds:
+            for cid, joules in e["client_energy"].items():
+                entry = per_client.setdefault(cid, {"traffic_bytes": 0, "energy_j": 0.0,
+                                                    "rounds": 0})
                 entry["traffic_bytes"] += costmodel.traffic_bytes(e["payload_bytes"], 1)
                 entry["energy_j"] += joules
                 entry["rounds"] += 1

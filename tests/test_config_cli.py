@@ -343,6 +343,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(trace) in err
 
+    def test_report_of_another_trace_version_exits_2(self, tmp_path, capsys):
+        _, _, trace = self.run_cli(tmp_path, capsys)
+        lines = trace.read_text().splitlines()
+        lines[0] = lines[0].replace('"version":1', '"version":2')
+        trace.write_text("\n".join(lines) + "\n")
+        assert cli.main(["report", str(trace)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: trace version 2, expected 1")
+
     def test_report_into_a_missing_directory_exits_2(self, tmp_path, capsys):
         _, _, trace = self.run_cli(tmp_path, capsys)
         out = tmp_path / "missing" / "r.json"

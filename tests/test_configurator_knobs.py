@@ -105,8 +105,7 @@ def test_monolithic_adapters_choose_one_unit_or_a_stack(monolithic, units, scala
     doc = dict(fixed_depth=2, fixed_width=16, monolithic_adapters=monolithic,
                configurator={"width_step": 8}, max_rounds=1)
     cfg = session_mod.config_from_dict(small_session_doc(**doc))
-    world = session_mod.build_world(cfg)
-    [track] = session_mod._initial_tracks(world, None)
+    [track] = session_mod.start_session(session_mod.build_world(cfg)).tracks
     assert _units(track.model) == {2: units, 3: units}
     [round_event] = trace_mod.events_of_kind(_events(tmp_path, **doc), "round")
     assert round_event["payload_bytes"] == costmodel.payload_bytes(scalars)

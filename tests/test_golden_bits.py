@@ -27,9 +27,9 @@ import numpy as np
 import pytest
 
 from fedtune import adapter as adapter_mod
-from fedtune import configurator as conf_mod
 from fedtune import model as model_mod
 from fedtune import session as session_mod
+from fedtune import trace as trace_mod
 from fedtune.model import ModelSpec, PrefixStore, evaluate
 from fedtune.tensor_nn import SeededRng
 
@@ -134,17 +134,13 @@ def test_drawn_backbone_evaluate_chunk_logits_are_pinned(drawn, recorded_logits)
 
 
 @pytest.mark.parametrize("name", sorted(TRAINED_GOLDEN))
-def test_trained_buffers_are_pinned(name, monkeypatch, tmp_path):
-    tracks = []
-
-    def keeping_tracks(state, initial, *args, _inner=conf_mod.run_session, **kwargs):
-        tracks.extend(initial)
-        return _inner(state, initial, *args, **kwargs)
-
-    monkeypatch.setattr(conf_mod, "run_session", keeping_tracks)
+def test_trained_buffers_are_pinned(name, tmp_path):
     cfg = session_mod.config_from_dict(TRAINED_DOCS[name])
-    session_mod.run_session_config(cfg, str(tmp_path / f"{name}.trace.jsonl"))
-    [track] = tracks
+    session = session_mod.start_session(session_mod.build_world(cfg))
+    with trace_mod.TraceWriter(str(tmp_path / f"{name}.trace.jsonl")) as writer:
+        for _ in range(cfg.max_rounds):
+            assert not session_mod.step(session, writer)
+    [track] = session.tracks
     payload = adapter_mod.extract_payload(track.model)
     assert _sha256(payload[n] for n in sorted(payload)) == _pinned(TRAINED_GOLDEN[name]), \
         f"BLAS kernel {blas_core_name()}"

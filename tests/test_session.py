@@ -1,6 +1,9 @@
 """Invariants of the one session loop, its traces and their report."""
 
+import copy
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +26,41 @@ MODE_DOCS = {
 
 def _run(doc: dict, path) -> session_mod.SessionResult:
     return session_mod.run_session_config(session_mod.config_from_dict(doc), str(path))
+
+
+FORKED = {
+    # 8 rounds, a decision after each
+    "climbing": small_session_doc(mode="autofed", max_rounds=8,
+                                  configurator={"start_depth": 1, "trial_intvl_s": 0.5}),
+    "fixed_adapter": MODE_DOCS["fixed_adapter"],
+}
+FORKED["climbing_uncached"] = {**FORKED["climbing"], "cache_enabled": False}
+
+
+@pytest.mark.parametrize("name", sorted(FORKED))
+def test_a_deep_copy_forks_a_session(name, tmp_path):
+    """A ``Session`` forked after any round writes the rest of its trace, byte for byte.
+
+    The session runs to its end before any fork continues, and every fork
+    writes to a writer of its own: state kept in the writer or anywhere
+    outside the ``Session`` (a dispatch count, say) makes a fork's trace differ.
+    """
+    cfg = session_mod.config_from_dict(FORKED[name])
+    session = session_mod.start_session(session_mod.build_world(cfg))
+    forks = []
+    with trace_mod.TraceWriter(str(tmp_path / "whole.jsonl")) as writer:
+        for _ in range(cfg.max_rounds):
+            assert not session_mod.step(session, writer)
+            forks.append((len(writer.events), copy.deepcopy(session)))
+    whole = (tmp_path / "whole.jsonl").read_bytes().splitlines(keepends=True)
+    if name.startswith("climbing"):
+        assert sum(b'"evt":"decision"' in line for line in whole) == cfg.max_rounds
+    for done, (emitted, fork) in enumerate(forks, start=1):
+        path = tmp_path / f"fork{done}.jsonl"
+        with trace_mod.TraceWriter(str(path)) as writer:
+            for _ in range(done, cfg.max_rounds):
+                assert not session_mod.step(fork, writer)
+        assert path.read_bytes() == b"".join(whole[emitted:]), f"forked after round {done}"
 
 
 def test_cache_does_not_change_accuracies(tmp_path):
@@ -149,17 +187,80 @@ def test_report_refuses_a_misshapen_trace(edit, message, targeted, tmp_path):
         session_mod.report([str(path)])
 
 
-def test_report_names_a_malformed_event(targeted, tmp_path):
-    _, source = targeted
+def _edited(source, tmp_path, kind: str, edit) -> str:
+    """A copy of the trace at ``source`` whose first event of ``kind`` went through ``edit``."""
     lines = source.read_text().splitlines()
-    index = next(i for i, line in enumerate(lines) if '"evt":"round"' in line)
+    index = next(i for i, line in enumerate(lines) if f'"evt":"{kind}"' in line)
     event = json.loads(lines[index])
-    del event["energy_j"]
+    edit(event)
     lines[index] = json.dumps(event)
     path = tmp_path / "edited.jsonl"
     path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", None])
+def test_report_refuses_another_trace_version(version, targeted, tmp_path):
+    def edit(event):
+        event["version"] = version
+        if version is None:
+            del event["version"]
+    path = _edited(targeted[1], tmp_path, "session", edit)
+    with pytest.raises(TraceParseError, match=re.escape(
+            f"{path}: trace version {version!r}, expected {trace_mod.TRACE_VERSION}")):
+        session_mod.report([path])
+
+
+def _first_client(event) -> str:
+    return str(event["participants"][0])
+
+
+def _nudge_first_client(event):
+    """Its energy one ulp higher."""
+    energies = event["client_energy"]
+    energies[_first_client(event)] = math.nextafter(energies[_first_client(event)], math.inf)
+
+
+def _rename_first_client(event):
+    event["client_energy"]["99"] = event["client_energy"].pop(_first_client(event))
+
+
+def _drop_first_client(event):
+    del event["client_energy"][_first_client(event)]
+
+
+def _repeat_first_participant(event):
+    event["participants"].append(event["participants"][0])
+
+
+ROUND_TAMPERS = {
+    "nudge_a_client": (_nudge_first_client, "energy_j .* is not the sum of its client energies"),
+    "rename_a_client": (_rename_first_client, "client_energy keys .* are not its participants"),
+    "drop_a_client": (_drop_first_client, "client_energy keys .* are not its participants"),
+    "repeat_a_participant": (_repeat_first_participant,
+                             "client_energy keys .* are not its participants"),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(ROUND_TAMPERS))
+def test_report_refuses_a_round_whose_energies_do_not_add_up(tamper, targeted, tmp_path):
+    edit, message = ROUND_TAMPERS[tamper]
+    path = _edited(targeted[1], tmp_path, "round", edit)
+    with pytest.raises(TraceParseError, match=re.escape(f"{path}: round 1 of track 'current': ")
+                       + message):
+        session_mod.report([path])
+
+
+def test_report_names_a_malformed_event(targeted, tmp_path):
+    path = _edited(targeted[1], tmp_path, "round", lambda event: event.pop("energy_j"))
     with pytest.raises(TraceParseError, match="malformed event: KeyError\\('energy_j'\\)"):
-        session_mod.report([str(path)])
+        session_mod.report([path])
+
+
+def test_report_refuses_a_round_without_client_energy(targeted, tmp_path):
+    path = _edited(targeted[1], tmp_path, "round", lambda event: event.pop("client_energy"))
+    with pytest.raises(TraceParseError, match="malformed event: KeyError\\('client_energy'\\)"):
+        session_mod.report([path])
 
 
 def test_truncated_trace_names_the_line(tmp_path):

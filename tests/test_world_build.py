@@ -104,7 +104,7 @@ def reference_partition_noniid(dataset, num_clients, a, rng, min_per_client=5,
     raise PartitionError("retries exhausted")
 
 
-def reference_split_train_test(dataset, indices, client_id, rng, ratio=0.8):
+def reference_split_train_test(dataset, indices, rng, ratio=0.8):
     if indices.size < 5:
         raise SplitError("too small")
     labels = dataset.labels[indices]
@@ -121,7 +121,6 @@ def reference_split_train_test(dataset, indices, client_id, rng, ratio=0.8):
     if train_idx.size == 0:
         raise SplitError("no training samples")
     return data_mod.Shard(
-        client_id=client_id,
         train_tokens=dataset.tokens[train_idx].copy(),
         train_labels=dataset.labels[train_idx].copy(),
         test_tokens=dataset.tokens[test_idx].copy(),
@@ -212,7 +211,7 @@ def test_split_matches_the_reference(seed, data, ratio):
     indices = np.array(sorted(chosen), dtype=np.int64)
     rng, ref_rng = SeededRng(seed), SeededRng(seed)
     got = data_mod.split_train_test(dataset, indices, 4, rng, ratio)
-    want = reference_split_train_test(dataset, indices, 4, ref_rng, ratio)
+    want = reference_split_train_test(dataset, indices, ref_rng, ratio)
     for name in ("train_tokens", "train_labels", "test_tokens", "test_labels"):
         _assert_same_array(getattr(got, name), getattr(want, name))
     assert rng.uniform(0.0, 1.0) == ref_rng.uniform(0.0, 1.0)
@@ -238,7 +237,7 @@ def test_tiny_shard_holds_out_one_sample():
         [np.flatnonzero(dataset.labels == y)[:n] for y, n in ((0, 2), (1, 2), (2, 1))]))
     rng, ref_rng = SeededRng(5), SeededRng(5)
     got = data_mod.split_train_test(dataset, indices, 0, rng)
-    want = reference_split_train_test(dataset, indices, 0, ref_rng)
+    want = reference_split_train_test(dataset, indices, ref_rng)
     assert got.test_labels.size == 1 and got.train_labels.size == 4
     for name in ("train_tokens", "train_labels", "test_tokens", "test_labels"):
         _assert_same_array(getattr(got, name), getattr(want, name))

@@ -85,50 +85,28 @@ def _shallow_clone(model: ModelState) -> ModelState:
     return _map_params(model, _own, blocks=blocks)
 
 
-def insert_adapters(model: ModelState, config: AdapterConfig, rng: SeededRng) -> ModelState:
-    """Insert fresh stacks into the top ``config.depth`` layers."""
-    spec = model.spec
-    if config.depth > spec.num_layers:
-        raise ConfigurationError(
-            f"adapter depth {config.depth} exceeds model depth {spec.num_layers}")
-    if model.adapter_depth() != 0:
-        raise ConfigurationError("model already carries adapters; use deepen/widen")
-    out = _shallow_clone(model)
-    for layer in range(spec.num_layers - config.depth + 1, spec.num_layers + 1):
-        stack = [make_meta_adapter(spec.hidden, config.step, layer, idx, rng)
-                 for idx in range(config.stack_size)]
-        out.blocks[layer - 1].adapters = stack
-    return out
-
-
 def deepen(model: ModelState, depth_step: int, rng: SeededRng,
-           unit: AdapterConfig | None = None) -> ModelState:
-    """Extend the adapted range downward; existing stacks keep their bytes.
+           unit: AdapterConfig) -> ModelState:
+    """Extend the adapted range downward by ``depth_step`` layers; existing stacks keep their bytes.
 
-    The new stacks have the unit width and stack size of the existing
-    ones. A depth-0 model has none to copy, so it takes them from ``unit``,
-    the configuration being deepened.
+    Each new layer gets ``unit.stack_size`` fresh units of width
+    ``unit.step``, drawn from ``rng`` layer by layer upward. ``unit`` is the
+    configuration being deepened, so the new stacks have its shape; on an
+    adapter-free backbone this builds that configuration's stacks
+    (``materialize``).
     """
     spec = model.spec
-    adapted = model.adapted_layers()
-    depth = len(adapted)
+    depth = len(model.adapted_layers())
     if depth + depth_step > spec.num_layers:
         raise ConfigurationError(
             f"cannot deepen past the model: depth {depth} + step {depth_step} "
             f"> {spec.num_layers}")
-    if depth > 0:
-        stack = model.blocks[adapted[0] - 1].adapters
-        stack_size, step = len(stack), stack[0].width
-    elif unit is not None:
-        stack_size, step = unit.stack_size, unit.step
-    else:
-        raise ConfigurationError("deepening a model without adapters needs the unit config")
     out = _shallow_clone(model)
     top_new = spec.num_layers - depth
     for layer in range(top_new - depth_step + 1, top_new + 1):
         out.blocks[layer - 1].adapters = [
-            make_meta_adapter(spec.hidden, step, layer, idx, rng)
-            for idx in range(stack_size)
+            make_meta_adapter(spec.hidden, unit.step, layer, idx, rng)
+            for idx in range(unit.stack_size)
         ]
     return out
 
@@ -179,11 +157,24 @@ class TuningScheme:
             return num_layers
         return num_layers - self.frozen_layers
 
-    def boundary_layer(self, num_layers: int) -> int | None:
-        """Deepest frozen layer whose output may be cached, or None."""
+    def resume_layer(self, num_layers: int, depth: int) -> int | None:
+        """Where the host resumes the forward pass at cache depth ``depth``; None without a prefix.
+
+        The device boundary is b = num_layers - depth, the deepest frozen
+        layer. Under adapters the backbone of layer b+1 is frozen too (its
+        adapters sit after its second layer norm), so the host resumes
+        there, at the lowest adapter's input; at b = num_layers (depth 0)
+        there is no layer above. Under layer freezing layer b+1 is
+        trainable, so it resumes at b. Full fine-tuning freezes nothing.
+        ``model._check_boundary`` refuses a point the model's trainable
+        flags contradict.
+        """
         if self.kind == "full":
             return None
-        return num_layers - self.tuning_depth(num_layers)
+        boundary = num_layers - depth
+        if self.kind == "adapter" and boundary < num_layers:
+            return boundary + 1
+        return boundary
 
 
 def extract_payload(model: ModelState) -> dict[str, np.ndarray]:
@@ -202,12 +193,12 @@ def materialize(backbone: ModelState, scheme: TuningScheme,
     the next dispatch; payloads are loaded into it (``load_payload``).
     """
     spec = backbone.spec
-    if backbone.adapter_depth() != 0:
+    if backbone.adapted_layers():
         raise ProtocolError("backbone must be adapter-free")
     if scheme.kind == "adapter":
         if rng is None:
             raise ConfigurationError("fresh adapter materialization needs an rng")
-        return insert_adapters(backbone, scheme.adapter, rng)
+        return deepen(backbone, scheme.adapter.depth, rng, scheme.adapter)
     out = _shallow_clone(backbone)
     first = 0
     if scheme.kind == "full":

@@ -22,9 +22,10 @@ is a ContractViolation.
 The host keeps more than the device boundary's output. Adapters sit after
 a layer's second layer norm, so the whole backbone of layer b+1 is frozen
 too: the entry refers to the backbone output through layer b+1, the lowest
-adapter's input (``model.resume_layer``; under layer freezing, where layer
-b+1 is trainable, it is the output of layer b). An entry records that
-resume point; one stored for another counts as an integrity failure and is
+adapter's input, where the track's scheme resumes at the watermark
+(``TuningScheme.resume_layer``; under layer freezing, where layer b+1 is
+trainable, it is the output of layer b). An entry records that resume
+point; one stored for another counts as an integrity failure and is
 recomputed. The emulated clock still charges layer b+1's body on every
 batch (``costmodel.batch_time_from_boundary`` is priced with b), as for the
 paper's adapters inside the layer; that is a stated departure of the host
@@ -100,12 +101,6 @@ def expire(cache: ActivationCache, store: PrefixStore, depth_watermark: int) -> 
     cache.entries.clear()
 
 
-def resume_point(model: ModelState, depth_watermark: int) -> tuple[int, int]:
-    """The device boundary b at ``depth_watermark``, and the resume point the host serves there."""
-    boundary = model.spec.num_layers - depth_watermark
-    return boundary, model_mod.resume_layer(model, boundary)
-
-
 def fetch_or_recompute(
     cache: ActivationCache,
     store: PrefixStore,
@@ -113,16 +108,18 @@ def fetch_or_recompute(
     key: Hashable,
     tokens: np.ndarray,
     depth_watermark: int,
+    resume: int,
 ) -> tuple[int, np.ndarray, bool]:
     """Serve a cached activation or recompute it at the watermark boundary.
 
     ``key`` names the batch in the ledger and in ``store``
-    (``(client_id, batch_id)``). Returns (boundary, activations,
-    recomputed): the device boundary b the batch is priced with, and the
-    backbone output through ``model.resume_layer(model, b)``, where
-    training resumes. A hit requires that an entry exists, that the
-    watermark equals the depth the cache was stored at, and that the entry
-    was stored for this resume point with the shape
+    (``(client_id, batch_id)``); ``resume`` is where the track's scheme
+    resumes at the watermark (``TuningScheme.resume_layer``). Returns
+    (boundary, activations, recomputed): the device boundary
+    b = D - ``depth_watermark`` the batch is priced with, and the backbone
+    output through layer ``resume``, where training resumes. A hit requires
+    that an entry exists, that the watermark equals the depth the cache was
+    stored at, and that the entry was stored for ``resume`` with the shape
     ``model.activation_shape`` gives it; an entry failing the last check
     counts as an integrity failure and is recomputed. A watermark below
     the stored depth is a ContractViolation, raised before the cache is
@@ -135,7 +132,7 @@ def fetch_or_recompute(
     if d_prev is not None and depth_watermark < d_prev:
         raise ContractViolation(
             f"depth watermark {depth_watermark} fell below the stored depth {d_prev}")
-    boundary, resume = resume_point(model, depth_watermark)
+    boundary = model.spec.num_layers - depth_watermark
     entry = cache.entries.get(key)
     if entry is not None:
         if depth_watermark == d_prev:

@@ -10,8 +10,9 @@ model depth.
 
 A trial track is the ``TuningScheme`` it trains plus its model, which
 holds the track's latest FedAvg mean between rounds; what a track trains
-is stated once, by its scheme, and decisions read the winner's
-``scheme.adapter``.
+is stated once, by its scheme. Decisions read the winner's
+``scheme.adapter``, and the winner's scheme is the floor the next
+dispatch grows from; no other copy of the current shape is kept.
 
 This module holds the decision logic alone: ``dispatch``,
 ``should_decide``, ``decide_winner`` and ``evaluate_tracks``. The session
@@ -66,18 +67,17 @@ class ConfiguratorParams:
 
 @dataclass
 class ConfiguratorState:
-    """Search progress from ``params``: the current floor and trial interval."""
+    """Search progress from ``params``: the last decision's clock and the trial interval.
+
+    The current shape is not kept here: it is the current track's scheme.
+    """
 
     params: ConfiguratorParams
     t_trial: float = 0.0
     trial_intvl: float | None = field(init=False)
-    base_depth: int = field(init=False)
-    base_width: int = field(init=False)
 
     def __post_init__(self):
         self.trial_intvl = self.params.trial_intvl_s
-        self.base_depth = self.params.start_depth
-        self.base_width = self.params.start_width
 
 
 def _adapter_scheme(depth: int, width: int, step: int) -> TuningScheme:
@@ -85,7 +85,7 @@ def _adapter_scheme(depth: int, width: int, step: int) -> TuningScheme:
 
 
 def dispatch(
-    state: ConfiguratorState,
+    params: ConfiguratorParams,
     winner: TrialTrack | None,
     backbone: ModelState,
     rng: SeededRng,
@@ -93,26 +93,25 @@ def dispatch(
 ) -> list[TrialTrack]:
     """Derive the current/deeper/wider trial tracks from the winner.
 
-    The current track takes the winner's model, which holds the winner's
-    aggregated mean; without a winner (the session's first dispatch) it
-    is materialized fresh. The deeper and wider tracks take models derived
-    from it, which carry its trained weights byte-identically in arrays of
-    their own; only the newly added stacks are freshly initialized.
-    Impossible directions (deeper past the model, wider at depth 0) are
-    omitted.
+    The current track takes the winner's scheme and model, which holds the
+    winner's aggregated mean; without a winner (the session's first
+    dispatch) it is materialized fresh at the start shape of ``params``.
+    The deeper and wider tracks take models derived from it, which carry
+    its trained weights byte-identically in arrays of their own; only the
+    newly added stacks are freshly initialized. Impossible directions
+    (deeper past the model, wider at depth 0) are omitted.
     """
     num_layers = backbone.spec.num_layers
-    d, w, step = state.base_depth, state.base_width, state.params.width_step
-    depth_step = state.params.depth_step
-    scheme = _adapter_scheme(d, w, step)
     if winner is None:
+        scheme = _adapter_scheme(params.start_depth, params.start_width, params.width_step)
         base = adapter_mod.materialize(backbone, scheme, rng=rng)
     else:
-        base = winner.model
+        scheme, base = winner.scheme, winner.model
+    d, w, step = scheme.adapter.depth, scheme.adapter.width, scheme.adapter.step
     variants = [(TRACK_CURRENT, scheme, base)]
-    if d + depth_step <= num_layers:
-        variants.append((TRACK_DEEPER, _adapter_scheme(d + depth_step, w, step),
-                         adapter_mod.deepen(base, depth_step, rng, scheme.adapter)))
+    if d + params.depth_step <= num_layers:
+        variants.append((TRACK_DEEPER, _adapter_scheme(d + params.depth_step, w, step),
+                         adapter_mod.deepen(base, params.depth_step, rng, scheme.adapter)))
     if d >= 1:
         variants.append((TRACK_WIDER, _adapter_scheme(d, w + step, step),
                          adapter_mod.widen(base, step, rng)))
@@ -139,22 +138,22 @@ def decide_winner(tracks: list[TrialTrack]) -> TrialTrack:
     return min(contenders, key=lambda t: (t.scheme.adapter.depth, t.scheme.adapter.width))
 
 
-def evaluate_tracks(tracks: list[TrialTrack], backbone: ModelState,
-                    store: model_mod.PrefixStore, test_tokens, test_labels) -> list[float]:
+def evaluate_tracks(tracks: list[TrialTrack], store: model_mod.PrefixStore,
+                    test_tokens, test_labels) -> list[float]:
     """Accuracy of every live track on the global test set, in track order.
 
     Each track is scored on its ``model``, which ``fed.run_track_round``
-    left holding the track's aggregated mean. The store first drops every
-    resume point none of these tracks resumes from (each resumes at the
-    lowest adapter's input, see ``model.resume_layer``); evaluation then
-    builds the test chunks it lacks. A track without a frozen prefix (full
+    left holding the track's aggregated mean, and resumes where its scheme
+    resumes at its own tuning depth (``TuningScheme.resume_layer``: under
+    adapters, the lowest adapter's input). The store first drops every
+    resume point none of these tracks resumes from; evaluation then builds
+    the test chunks it lacks. A track without a frozen prefix (full
     fine-tuning) runs the plain forward.
     """
-    num_layers = backbone.spec.num_layers
     resumes = []
     for track in tracks:
-        boundary = track.scheme.boundary_layer(num_layers)
-        resumes.append(None if boundary is None else model_mod.resume_layer(track.model, boundary))
+        num_layers = track.model.spec.num_layers
+        resumes.append(track.scheme.resume_layer(num_layers, track.scheme.tuning_depth(num_layers)))
     store.retain({r for r in resumes if r is not None})
     return [model_mod.evaluate(track.model, test_tokens, test_labels, store=store, resume=resume)
             for track, resume in zip(tracks, resumes)]

@@ -85,14 +85,15 @@ def batch_time_from_boundary(profile: DeviceProfile, num_layers: int, tuning_dep
 
     ``boundary`` is the device boundary b, the deepest frozen layer. The
     host resumes higher, at the lowest adapter's input: the backbone of
-    layer b+1 is frozen too, so the host store keeps its output in place
-    of the boundary's (``model.resume_layer``, ``model.PrefixStore``). The
-    emulated device is still charged layer b+1's body on every batch, as
-    for the paper's adapters inside the layer. That is a stated departure;
-    pricing the resume point instead would change every emulated time and
-    energy. Likewise the host runs the top layer only for the pooled first
-    token the classifier reads (``model.forward_from_boundary``), while
-    every layer here is priced for the whole sequence.
+    layer b+1 is frozen too, so the host store keeps its output in place of
+    the boundary's (``adapter.TuningScheme.resume_layer``,
+    ``model.PrefixStore``). The emulated device is still charged layer
+    b+1's body on every batch, as for the paper's adapters inside the
+    layer. That is a stated departure; pricing the resume point instead
+    would change every emulated time and energy. Likewise the host runs the
+    top layer only for the pooled first token the classifier reads
+    (``model.forward_from_boundary``), while every layer here is priced for
+    the whole sequence.
     """
     if not 0 <= tuning_depth <= num_layers:
         raise ConfigurationError(

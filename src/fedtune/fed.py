@@ -142,7 +142,8 @@ def local_train(
         raise TrainingError(f"client {client.id} has no training data")
     num_layers = model.spec.num_layers
     depth = scheme.tuning_depth(num_layers)
-    use_cache = cache_enabled and scheme.boundary_layer(num_layers) is not None
+    resume = scheme.resume_layer(num_layers, depth_watermark)
+    use_cache = cache_enabled and resume is not None
     stats = LocalStats()
     trainable = model.trainable_parameters()
     for _ in range(epochs):
@@ -150,9 +151,8 @@ def local_train(
             if use_cache:
                 boundary, act, recomputed = cache_mod.fetch_or_recompute(
                     client.cache, store, model, (client.id, batch.batch_id),
-                    batch.tokens, depth_watermark)
-                logits = model_mod.forward_from_boundary(
-                    model, model_mod.resume_layer(model, boundary), act)
+                    batch.tokens, depth_watermark, resume)
+                logits = model_mod.forward_from_boundary(model, resume, act)
                 if recomputed:
                     stats.cache_recomputes += 1
                 else:
@@ -307,7 +307,6 @@ def run_round(
     tracks: list,
     total_participants: int,
     *,
-    backbone: ModelState,
     epochs: int,
     lr: float,
     cache_enabled: bool,
@@ -330,7 +329,7 @@ def run_round(
     if not tracks:
         raise SelectionError("run_round requires at least one track")
     round_index = server.round_index + 1
-    num_layers = backbone.spec.num_layers
+    num_layers = tracks[0].model.spec.num_layers
     max_depth = max(t.scheme.tuning_depth(num_layers) for t in tracks)
 
     for client in server.registry.values():
@@ -344,8 +343,8 @@ def run_round(
     if cache_enabled:
         wanted: dict[int, list] = {}
         for track, group in zip(tracks, groups):
-            if track.scheme.boundary_layer(num_layers) is not None:
-                _, resume = cache_mod.resume_point(track.model, max_depth)
+            resume = track.scheme.resume_layer(num_layers, max_depth)
+            if resume is not None:
                 wanted.setdefault(resume, []).extend(
                     ((cid, batch.batch_id), batch.tokens)
                     for cid in group for batch in server.registry[cid].train_batches)

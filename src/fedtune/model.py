@@ -158,9 +158,6 @@ class ModelState:
                    if any(p.trainable for meta in block.adapters for p in meta.all())}
         return min(self.trainable_backbone_layers | adapted, default=None)
 
-    def adapter_depth(self) -> int:
-        return sum(1 for block in self.blocks if block.adapters)
-
     def adapted_layers(self) -> list[int]:
         """1-indexed layers carrying adapters."""
         return [i + 1 for i, block in enumerate(self.blocks) if block.adapters]
@@ -310,22 +307,6 @@ def forward(model: ModelState, tokens: np.ndarray) -> Tensor:
     return _classify(model, _run_blocks(model, _embed(model, tokens), 1))
 
 
-def resume_layer(model: ModelState, boundary: int) -> int:
-    """Where the host resumes the forward pass above the device boundary ``boundary``.
-
-    The boundary is the deepest frozen layer of the scheme (see
-    ``TuningScheme.boundary_layer``). When the layer above it has a frozen
-    backbone, as under every adapter scheme, only its adapters are
-    trainable, so the resume point is that layer: the host keeps its
-    backbone output, the lowest adapter's input. Otherwise (layer freezing,
-    or a boundary at the top) the resume point is the boundary itself.
-    """
-    if 0 <= boundary < model.spec.num_layers and \
-            boundary + 1 not in model.trainable_backbone_layers:
-        return boundary + 1
-    return boundary
-
-
 def activation_shape(model: ModelState, resume: int, batch: int,
                      seqlen: int) -> tuple[int, int, int]:
     """Shape of the backbone output through layer ``resume`` for a [batch, seqlen] chunk.
@@ -387,9 +368,10 @@ def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray
     then layers ``resume + 1`` to D and the classifier. Under an adapter
     scheme the resume point is the lowest adapted layer, one above the
     device boundary, so no frozen layer body runs again on the host (see
-    ``resume_layer``). The emulated clock still charges that layer's body
-    on every batch, as for the paper's adapters inside the layer
-    (``costmodel.batch_time_from_boundary`` is priced at the boundary).
+    ``adapter.TuningScheme.resume_layer``). The emulated clock still
+    charges that layer's body on every batch, as for the paper's adapters
+    inside the layer (``costmodel.batch_time_from_boundary`` is priced at
+    the boundary).
     Bit-identical to ``forward`` when ``cached_act`` equals the true
     backbone output of the same chunk, because the remaining computation
     is the same instruction sequence either way.
@@ -423,7 +405,8 @@ class PrefixStore:
     """The session's one host store of frozen-prefix activations.
 
     Holds the read-only backbone output through a resume point ``r`` (0 =
-    embedding output; see ``resume_layer``) for caller-keyed chunks: one
+    embedding output; a track's scheme names it, see
+    ``adapter.TuningScheme.resume_layer``) for caller-keyed chunks: one
     client's training batch, keyed ``(client_id, batch_id)`` by
     ``cache.fetch_or_recompute``, or ``PASS_SAMPLES`` test samples, keyed
     ``("test", start)`` by ``evaluate``. A chunk keeps the shape it is
@@ -439,7 +422,7 @@ class PrefixStore:
     """
 
     def __init__(self, backbone: ModelState):
-        if backbone.adapter_depth() != 0:
+        if backbone.adapted_layers():
             raise ContractViolation("the prefix store needs the adapter-free backbone")
         self.backbone = backbone
         self._tokens: dict[Hashable, np.ndarray] = {}
@@ -545,10 +528,11 @@ def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,
     32-sample chunks give a whole-set forward's logits, so do 16-sample ones
     with no single-sample chunk (``test_eval_chunks_give_whole_set_logits``).
     On its Haswell and Zen kernels none of these holds. With a ``store`` and a
-    ``resume`` point (see ``resume_layer``), each chunk resumes from the
-    store's backbone output through that layer, keyed ``("test", start)``,
-    instead of running the frozen prefix again; the accuracy is identical
-    to the plain forward's. ``resume=None`` (full fine-tuning has no frozen
+    ``resume`` point (the one the track's scheme names,
+    ``TuningScheme.resume_layer``), each chunk resumes from the store's
+    backbone output through that layer, keyed ``("test", start)``, instead
+    of running the frozen prefix again; the accuracy is identical to the
+    plain forward's. ``resume=None`` (full fine-tuning has no frozen
     prefix) always runs the plain forward.
     """
     if chunk < 1:

@@ -365,7 +365,7 @@ def start_session(world: World) -> Session:
     cfg = world.config
     state = ConfiguratorState(cfg.configurator) if cfg.mode == "autofed" else None
     if state is not None:
-        tracks = conf_mod.dispatch(state, None, world.backbone, world.adapter_rng)
+        tracks = conf_mod.dispatch(state.params, None, world.backbone, world.adapter_rng)
     else:
         scheme = _fixed_scheme(cfg)
         model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
@@ -393,12 +393,12 @@ def step(session: Session, writer) -> bool:
     world, state, cfg = session.world, session.state, session.world.config
     report = fed_mod.run_round(
         world.server, session.tracks, cfg.participants_total(),
-        backbone=world.backbone, epochs=cfg.local_epochs, lr=cfg.learning_rate,
+        epochs=cfg.local_epochs, lr=cfg.learning_rate,
         cache_enabled=cfg.cache_enabled, store=session.store)
     for track, stat in zip(session.tracks, report.tracks):
         writer.emit({"evt": "round", "round": report.round_index,
                      "max_depth": report.max_depth, "clock": track.clock, **asdict(stat)})
-    accuracies = conf_mod.evaluate_tracks(session.tracks, world.backbone, session.store,
+    accuracies = conf_mod.evaluate_tracks(session.tracks, session.store,
                                           world.test_tokens, world.test_labels)
     for track, acc in zip(session.tracks, accuracies):
         track.accuracy = acc
@@ -420,11 +420,10 @@ def step(session: Session, writer) -> bool:
                  "winner": winner.name, "accuracies": {t.name: t.accuracy for t in session.tracks},
                  "new_depth": new.depth, "new_width": new.width})
     session.iteration += 1
-    state.base_depth, state.base_width = new.depth, new.width
     state.t_trial = clock
     state.trial_intvl *= state.params.intvl_growth
-    session.tracks = conf_mod.dispatch(state, winner, world.backbone, world.adapter_rng,
-                                       start_clock=clock)
+    session.tracks = conf_mod.dispatch(state.params, winner, world.backbone,
+                                       world.adapter_rng, start_clock=clock)
     _emit_dispatch(writer, session, clock)
     return False
 

@@ -1,10 +1,14 @@
 import ctypes
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedtune
 from fedtune import adapter as adapter_mod
 from fedtune import model as model_mod
 from fedtune import session as session_mod
@@ -27,6 +31,37 @@ def blas_core_name() -> str:
         return "unknown"
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
+
+
+# prints the kernel it runs on, then runs the named tests unless that is argv[1]'s
+_KERNEL_CHILD = """
+import sys
+import pytest
+from conftest import blas_core_name
+print(blas_core_name(), flush=True)
+if blas_core_name() != sys.argv[1]:
+    sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
+"""
+
+
+def run_under_kernel(core: str, tests: list[str]) -> None:
+    """Run ``tests`` (pytest paths or node ids) in a child process under ``OPENBLAS_CORETYPE=core``.
+
+    Skips when the variable takes no effect here, that is when the child
+    runs the kernel this process runs; otherwise fails, with the child's
+    output, unless every test passes.
+    """
+    src = str(Path(fedtune.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _KERNEL_CHILD, blas_core_name(), *tests],
+                         cwd=Path(__file__).resolve().parent, env=env,
+                         capture_output=True, text=True)
+    kernel = run.stdout.partition("\n")[0]
+    if kernel == blas_core_name():
+        pytest.skip(f"OPENBLAS_CORETYPE={core} took no effect here: the child runs the "
+                    f"{kernel} kernel, as this process does")
+    assert run.returncode == 0, f"{core} ({kernel} kernel):\n{run.stdout[-3000:]}{run.stderr}"
 
 
 @pytest.fixture

@@ -28,8 +28,7 @@ def _first_dispatch(**configurator) -> list[tuple]:
     cfg = session_mod.config_from_dict(small_session_doc(mode="autofed",
                                                          configurator=configurator))
     world = session_mod.build_world(cfg)
-    tracks = conf_mod.dispatch(conf_mod.ConfiguratorState(cfg.configurator), None,
-                               world.backbone, world.adapter_rng)
+    tracks = conf_mod.dispatch(cfg.configurator, None, world.backbone, world.adapter_rng)
     return [(t.name, *t.depth_width(cfg.model.num_layers), _units(t.model)) for t in tracks]
 
 

@@ -110,9 +110,8 @@ def climbing_run(monkeypatch, tmp_path, builds):
     monkeypatch.setattr(RecordingStore, "prefetch", counting_prefetch)
     after_eval = []
 
-    def recording_evaluate_tracks(tracks, backbone, store, *args,
-                                  _inner=conf_mod.evaluate_tracks):
-        accs = _inner(tracks, backbone, store, *args)
+    def recording_evaluate_tracks(tracks, store, *args, _inner=conf_mod.evaluate_tracks):
+        accs = _inner(tracks, store, *args)
         after_eval.append(store.resume_points())
         return accs
 
@@ -179,8 +178,8 @@ class TestLedger:
         track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
         store = PrefixStore(world.backbone)
         report = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
-                                   backbone=world.backbone, epochs=1, lr=cfg.learning_rate,
-                                   cache_enabled=True, store=store)
+                                   epochs=1, lr=cfg.learning_rate, cache_enabled=True,
+                                   store=store)
         built = len(builds)
         clients = [world.server.registry[cid] for cid in report.tracks[0].participants]
         assert chunks_built(builds) == sum(len(c.train_batches) for c in clients)
@@ -199,7 +198,7 @@ class TestLedger:
         checked = []
 
         def checking_run_round(server, tracks, *args, _inner=fed_mod.run_round, **kwargs):
-            num_layers = kwargs["backbone"].spec.num_layers
+            num_layers = tracks[0].model.spec.num_layers
             depth = max(t.scheme.tuning_depth(num_layers) for t in tracks)
             stale = [c.id for c in server.registry.values()
                      if c.cache.entries and c.cache.depth_at_store < depth]
@@ -234,12 +233,12 @@ class TestLedger:
         model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(1))
         store, cache = PrefixStore(backbone), cache_mod.ActivationCache()
         store.activation(3, ("test", 0), tokens)  # the resume point stays live
-        _, act, _ = cache_mod.fetch_or_recompute(cache, store, model, (7, 0), tokens, 1)
+        _, act, _ = cache_mod.fetch_or_recompute(cache, store, model, (7, 0), tokens, 1, 3)
         cache.depth_at_store = 1
         old = weakref.ref(act)
         del act
         boundary, fresh, recomputed = cache_mod.fetch_or_recompute(
-            cache, store, model, (7, 0), tokens, 2)
+            cache, store, model, (7, 0), tokens, 2, 2)
         gc.collect()
         assert (boundary, recomputed, cache.entries[(7, 0)].resume) == (1, True, 2)
         assert old() is None and fresh is cache.entries[(7, 0)].activations
@@ -262,7 +261,7 @@ class TestLedger:
         scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
         model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(1))
         store, cache = PrefixStore(backbone), cache_mod.ActivationCache()
-        cache_mod.fetch_or_recompute(cache, store, model, (7, 0), tokens, 1)
+        cache_mod.fetch_or_recompute(cache, store, model, (7, 0), tokens, 1, 3)
         with pytest.raises(ContractViolation, match="other tokens"):
             store.activation(3, (7, 0), tokens[::-1])
         with pytest.raises(ContractViolation, match="other tokens"):
@@ -270,7 +269,7 @@ class TestLedger:
         # a second client's cache asking for the first client's key
         with pytest.raises(ContractViolation, match="other tokens"):
             cache_mod.fetch_or_recompute(cache_mod.ActivationCache(), store, model, (7, 0),
-                                         tokens + 1, 1)
+                                         tokens + 1, 1, 3)
         assert store.activation(3, (7, 0), tokens.copy()) is cache.entries[(7, 0)].activations
 
 
@@ -292,7 +291,7 @@ class TestStoreUnit:
         for depth in (1, 3):
             scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
             model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(depth))
-            resume = model_mod.resume_layer(model, scheme.boundary_layer(spec.num_layers))
+            resume = scheme.resume_layer(spec.num_layers, depth)
             assert resume == spec.num_layers - depth + 1
             assert evaluate(model, tokens, labels, 3, store=store, resume=resume) == \
                 evaluate(model, tokens, labels, 3)
@@ -333,8 +332,8 @@ class TestStoreUnit:
             evaluate(backbone, tokens, labels, 2, store=store, resume=4)
 
     def test_adapted_model_rejected_as_backbone(self, spec):
-        adapted = adapter_mod.insert_adapters(build_model(spec, 1), AdapterConfig(1, 8, 8),
-                                              SeededRng(0))
+        adapted = adapter_mod.materialize(
+            build_model(spec, 1), TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(0))
         with pytest.raises(ContractViolation):
             PrefixStore(adapted)
 
@@ -404,7 +403,7 @@ class TestPrefetch:
 
         monkeypatch.setattr(store, "prefetch", counting_prefetch)
         report = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
-                                   backbone=world.backbone, epochs=2, lr=cfg.learning_rate,
+                                   epochs=2, lr=cfg.learning_rate,
                                    cache_enabled=cache_enabled, store=store)
         stats = report.tracks[0]
         if cache_enabled:
@@ -418,7 +417,8 @@ class TestPrefetch:
 
 class TestGraphFree:
     def test_flags_and_grads_untouched_and_no_graph(self, monkeypatch, tiny_model, tiny_tokens):
-        model = adapter_mod.insert_adapters(tiny_model, AdapterConfig(1, 8, 8), SeededRng(2))
+        model = adapter_mod.materialize(
+            tiny_model, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(2))
         sentinel = np.full(model.cls_w.data.shape, 7.0)
         model.cls_w.tensor.grad = sentinel
         before = [(p.tensor.requires_grad, p.trainable, p.tensor.grad)
@@ -464,7 +464,8 @@ def test_first_store_resumed_evaluate_peaks_at_one_pass():
     spec = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128, vocab=200, seqlen=32,
                      num_labels=4)
     backbone = build_model(spec, 4)
-    model = adapter_mod.insert_adapters(backbone, AdapterConfig(1, 8, 8), SeededRng(1))
+    model = adapter_mod.materialize(
+        backbone, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(1))
     rng = SeededRng(5)
     tokens = rng.integers(0, spec.vocab, size=(164, spec.seqlen))
     labels = rng.integers(0, spec.num_labels, size=164)

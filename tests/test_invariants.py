@@ -45,11 +45,12 @@ def test_fedavg_of_identical_payloads_is_bit_exact(tiny_model):
 def test_deepen_and_widen_keep_trained_bytes():
     spec = ModelSpec(num_layers=3, hidden=8, heads=2, ffn_dim=16,
                      vocab=12, seqlen=5, num_labels=3)
-    model = _trained(adapter_mod.insert_adapters(build_model(spec, 3), AdapterConfig(1, 16, 8),
-                                                 SeededRng(1)), 2)
+    unit = AdapterConfig(1, 16, 8)
+    model = _trained(adapter_mod.materialize(build_model(spec, 3), TuningScheme("adapter", unit),
+                                             rng=SeededRng(1)), 2)
     trained = _stack_bytes(model)
 
-    deeper = adapter_mod.deepen(model, 1, SeededRng(5))
+    deeper = adapter_mod.deepen(model, 1, SeededRng(5), unit)
     assert deeper.adapted_layers() == [2, 3]
     after = _stack_bytes(deeper)
     assert {k: after[k] for k in trained} == trained

@@ -73,13 +73,14 @@ class TestForward:
         a = build_model(tiny_spec, 5)
         b = build_model(tiny_spec, 5)
         # inserting a depth-0 config consumes no randomness and adds nothing
-        b = adapter_mod.insert_adapters(b, AdapterConfig(0, 8, 8), SeededRng(99))
+        b = adapter_mod.materialize(b, TuningScheme("adapter", AdapterConfig(0, 8, 8)),
+                                    rng=SeededRng(99))
         assert np.array_equal(forward(a, tiny_tokens).data, forward(b, tiny_tokens).data)
 
     def test_zero_up_projection_is_residual_noop(self, tiny_model, tiny_tokens):
         base = forward(tiny_model, tiny_tokens).data
-        adapted = adapter_mod.insert_adapters(
-            tiny_model, AdapterConfig(2, 8, 8), SeededRng(11))
+        adapted = adapter_mod.materialize(
+            tiny_model, TuningScheme("adapter", AdapterConfig(2, 8, 8)), rng=SeededRng(11))
         for block in adapted.blocks:
             for meta in block.adapters:
                 meta.w_up.tensor.data[:] = 0.0
@@ -120,7 +121,8 @@ class TestForward:
 class TestBoundary:
     @pytest.fixture
     def adapted(self, tiny_model):
-        return adapter_mod.insert_adapters(tiny_model, AdapterConfig(1, 8, 8), SeededRng(7))
+        return adapter_mod.materialize(
+            tiny_model, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(7))
 
     def test_boundary_zero_equals_full_forward(self, adapted, tiny_tokens):
         act = model_mod.compute_boundary_activation(adapted, tiny_tokens, 0)
@@ -131,8 +133,8 @@ class TestBoundary:
     def test_mid_boundary_bit_identical(self, tiny_tokens):
         spec = ModelSpec(num_layers=6, hidden=8, heads=2, ffn_dim=16,
                          vocab=12, seqlen=5, num_labels=3)
-        model = adapter_mod.insert_adapters(
-            build_model(spec, 3), AdapterConfig(2, 8, 8), SeededRng(1))
+        model = adapter_mod.materialize(
+            build_model(spec, 3), TuningScheme("adapter", AdapterConfig(2, 8, 8)), rng=SeededRng(1))
         act = model_mod.compute_boundary_activation(model, tiny_tokens, 4)
         assert np.array_equal(forward(model, tiny_tokens).data,
                               forward_from_boundary(model, 4, act).data)
@@ -155,7 +157,8 @@ class TestBoundary:
 
     def test_boundary_above_lowest_adapter_rejected(self, tiny_model, tiny_tokens):
         # adapters on both layers: resuming at layer 2 would skip layer 1's
-        adapted = adapter_mod.insert_adapters(tiny_model, AdapterConfig(2, 8, 8), SeededRng(7))
+        adapted = adapter_mod.materialize(
+            tiny_model, TuningScheme("adapter", AdapterConfig(2, 8, 8)), rng=SeededRng(7))
         act = model_mod.compute_boundary_activation(adapted, tiny_tokens, 1)
         with pytest.raises(ContractViolation):
             forward_from_boundary(adapted, 2, act)
@@ -175,25 +178,42 @@ class TestResumePoint:
     def tokens(self):
         return SeededRng(5).integers(0, 24, size=(6, 8))
 
-    @pytest.mark.parametrize("depth", range(4))
-    def test_adapter_resume_bit_identical_at_every_depth(self, small_spec, tokens, depth):
-        scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
-        model = adapter_mod.materialize(build_model(small_spec, 2), scheme, rng=SeededRng(depth))
-        boundary = scheme.boundary_layer(small_spec.num_layers)
-        resume = model_mod.resume_layer(model, boundary)
-        assert resume == min(boundary + 1, small_spec.num_layers)
+    @staticmethod
+    def check_resume_rule(scheme, spec, tokens, expected):
+        """The scheme's resume point is ``expected``; its model takes it and refuses one higher.
+
+        Taking it means resumed logits with ``forward``'s bits. One layer
+        higher would skip a trainable layer (or leave the model), which the
+        model's trainable flags refuse; a rule one layer too low passes the
+        bit check but not the refusal.
+        """
+        model = adapter_mod.materialize(build_model(spec, 2), scheme, rng=SeededRng(1))
+        depth = scheme.tuning_depth(spec.num_layers)
+        resume = scheme.resume_layer(spec.num_layers, depth)
+        assert resume == expected
         act = model_mod.compute_boundary_activation(model, tokens, resume)
         assert np.array_equal(forward_from_boundary(model, resume, act).data,
                               forward(model, tokens).data)
+        with pytest.raises(ContractViolation):
+            model_mod.compute_boundary_activation(model, tokens, resume + 1)
+        with pytest.raises(ContractViolation):
+            forward_from_boundary(model, resume + 1, act)
+
+    @pytest.mark.parametrize("depth", range(4))
+    def test_adapter_resume_bit_identical_at_every_depth(self, small_spec, tokens, depth):
+        # the lowest adapter's input, one above the boundary b = D - depth; b itself at depth 0
+        scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
+        num_layers = small_spec.num_layers
+        self.check_resume_rule(scheme, small_spec, tokens, min(num_layers - depth + 1, num_layers))
 
     def test_layer_freeze_resumes_at_boundary(self, small_spec, tokens):
-        scheme = TuningScheme("freeze", frozen_layers=1)
-        model = adapter_mod.materialize(build_model(small_spec, 2), scheme)
-        boundary = scheme.boundary_layer(small_spec.num_layers)
-        assert boundary == 1 and model_mod.resume_layer(model, boundary) == 1
-        act = model_mod.compute_boundary_activation(model, tokens, 1)
-        assert np.array_equal(forward_from_boundary(model, 1, act).data,
-                              forward(model, tokens).data)
+        for frozen in range(small_spec.num_layers):
+            scheme = TuningScheme("freeze", frozen_layers=frozen)
+            self.check_resume_rule(scheme, small_spec, tokens, frozen)
+
+    def test_full_fine_tuning_has_no_resume_point(self, small_spec):
+        scheme = TuningScheme("full")
+        assert {scheme.resume_layer(small_spec.num_layers, d) for d in range(4)} == {None}
 
     def test_trainable_backbone_at_resume_point_rejected(self, small_spec, tokens):
         model = adapter_mod.materialize(build_model(small_spec, 2),
@@ -221,15 +241,15 @@ class TestResumePoint:
     def test_cache_entry_for_other_resume_point_recomputed(self, depth1, tokens):
         model, cache, store = depth1
         boundary, act, recomputed = cache_mod.fetch_or_recompute(
-            cache, store, model, KEY, tokens, 1)
+            cache, store, model, KEY, tokens, 1, 3)
         assert (boundary, recomputed, cache.entries[KEY].resume) == (2, True, 3)
         cache.depth_at_store = 1
-        _, hit, recomputed = cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1)
+        _, hit, recomputed = cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1, 3)
         assert hit is act and not recomputed
         stale = model_mod.compute_boundary_activation(model, tokens, 2)
         cache.entries[KEY] = cache_mod.CacheEntry(2, stale)
         boundary, again, recomputed = cache_mod.fetch_or_recompute(
-            cache, store, model, KEY, tokens, 1)
+            cache, store, model, KEY, tokens, 1, 3)
         assert (boundary, recomputed, cache.integrity_failures) == (2, True, 1)
         assert cache.entries[KEY].resume == 3 and np.array_equal(again, act)
 
@@ -237,20 +257,20 @@ class TestResumePoint:
     def stored(self, depth1, tokens):
         """The depth-1 model with a ledger stored at watermark 1 (boundary 2, resume 3)."""
         model, cache, store = depth1
-        _, act, _ = cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1)
+        _, act, _ = cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1, 3)
         cache.depth_at_store = 1
         return model, cache, store, act
 
     def test_equal_watermark_hits(self, stored, tokens):
         model, cache, store, act = stored
         boundary, served, recomputed = cache_mod.fetch_or_recompute(
-            cache, store, model, KEY, tokens, 1)
+            cache, store, model, KEY, tokens, 1, 3)
         assert (boundary, recomputed, served is act) == (2, False, True)
 
     def test_higher_watermark_recomputes_at_new_resume_point(self, stored, tokens):
         model, cache, store, act = stored
         boundary, fresh, recomputed = cache_mod.fetch_or_recompute(
-            cache, store, model, KEY, tokens, 2)
+            cache, store, model, KEY, tokens, 2, 2)
         assert (boundary, recomputed, cache.entries[KEY].resume) == (1, True, 2)
         assert cache.entries[KEY].activations is fresh and cache.integrity_failures == 0
         assert np.array_equal(fresh, model_mod.compute_boundary_activation(model, tokens, 2))
@@ -262,9 +282,9 @@ class TestResumePoint:
         cache.depth_at_store = 2
         entry = cache.entries[KEY]
         with pytest.raises(ContractViolation, match="watermark"):
-            cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1)
+            cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1, 3)
         with pytest.raises(ContractViolation, match="watermark"):
-            cache_mod.fetch_or_recompute(cache, store, model, (0, 1), tokens, 1)
+            cache_mod.fetch_or_recompute(cache, store, model, (0, 1), tokens, 1, 3)
         assert list(cache.entries) == [KEY] and cache.entries[KEY] is entry
         assert entry.resume == 3 and entry.activations is act
         assert (cache.depth_at_store, cache.integrity_failures) == (2, 0)
@@ -272,8 +292,8 @@ class TestResumePoint:
 
     def test_cached_activation_is_read_only(self, stored, tokens):
         model, cache, store, act = stored
-        boundary, served, recomputed = cache_mod.fetch_or_recompute(
-            cache, store, model, KEY, tokens, 1)
+        _, served, recomputed = cache_mod.fetch_or_recompute(
+            cache, store, model, KEY, tokens, 1, 3)
         assert served is act and not recomputed
         with pytest.raises(ValueError, match="read-only"):
             served[0, 0, 0] = 0.0
@@ -281,7 +301,7 @@ class TestResumePoint:
         # a training step from the served activation writes only parameters
         trainable = model.trainable_parameters()
         before = [p.data.copy() for p in trainable]
-        logits = forward_from_boundary(model, model_mod.resume_layer(model, boundary), served)
+        logits = forward_from_boundary(model, 3, served)
         tn.cross_entropy_loss(logits, np.arange(tokens.shape[0]) % 3).backward()
         tn.sgd_step(trainable, 0.1)
         assert any(not np.array_equal(p.data, b) for p, b in zip(trainable, before))

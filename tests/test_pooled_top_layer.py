@@ -39,7 +39,8 @@ def unpooled_forward(model, tokens):
 
 @pytest.fixture(scope="module")
 def mid_adapted():
-    return adapter_mod.insert_adapters(build_model(MID, 1), AdapterConfig(2, 16, 8), SeededRng(3))
+    return adapter_mod.materialize(
+        build_model(MID, 1), TuningScheme("adapter", AdapterConfig(2, 16, 8)), rng=SeededRng(3))
 
 
 @pytest.mark.parametrize("batch", [2, 7, 8, 32])

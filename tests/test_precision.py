@@ -60,11 +60,9 @@ class TestSessionDtypes:
         for scheme in (TuningScheme("full"), TuningScheme("adapter", AdapterConfig(2, 8, 8))):
             track = _track(world, scheme)
             fed_mod.run_round(world.server, [track], cfg.participants_per_group,
-                              backbone=world.backbone, epochs=1, lr=cfg.learning_rate,
-                              cache_enabled=True, store=store)
+                              epochs=1, lr=cfg.learning_rate, cache_enabled=True, store=store)
             tracks.append(track)
-        conf_mod.evaluate_tracks(tracks, world.backbone, store,
-                                 world.test_tokens, world.test_labels)
+        conf_mod.evaluate_tracks(tracks, store, world.test_tokens, world.test_labels)
         merged = [mean.payload() for mean in means]
         # the folded means are the values the tracks' models carry on
         assert len(merged) == len(tracks)
@@ -75,7 +73,7 @@ class TestSessionDtypes:
 
     def test_parameters_and_gradients_are_float32(self, recorded):
         world, models, grads, *_ = recorded
-        assert {m.adapter_depth() for m in models} == {0, 2} and grads
+        assert {len(m.adapted_layers()) for m in models} == {0, 2} and grads
         for model in [world.backbone, *models]:
             for p in model.parameters():
                 assert p.data.dtype == F32, p.name
@@ -100,8 +98,8 @@ class TestSessionDtypes:
         assert all(chunk.dtype == F32 for chunk in chunks)
 
     def test_float64_graph_stays_float64_through_backward(self, tiny_model, tiny_tokens):
-        model = _as_float64(adapter_mod.insert_adapters(
-            tiny_model, AdapterConfig(1, 8, 8), SeededRng(7)))
+        model = _as_float64(adapter_mod.materialize(
+            tiny_model, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(7)))
         logits = forward(model, tiny_tokens)
         loss = tn.cross_entropy_loss(logits, np.array([0, 1, 2]))
         assert logits.data.dtype == loss.data.dtype == np.float64

@@ -11,20 +11,16 @@ in how they are applied cannot keep the bits. The last test re-runs these
 equalities in child processes under other OpenBLAS kernels.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fedtune
 from fedtune import tensor_nn as tn
 from fedtune.model import PASS_SAMPLES, ModelSpec, compute_boundary_activation
 from fedtune.tensor_nn import Tensor
 
-from conftest import blas_core_name, drawn_backbone
+from conftest import blas_core_name, drawn_backbone, run_under_kernel
 
 MID = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128, vocab=200, seqlen=32, num_labels=4)
 # the pooled top layer at the mid shape: [B, h, S, d] heads
@@ -135,30 +131,8 @@ CHECKED_ON_EVERY_KERNEL = (
 )
 
 
-# prints the kernel it runs on, then runs the named tests unless that is argv[1]'s
-CHILD = """
-import sys
-import pytest
-from conftest import blas_core_name
-print(blas_core_name(), flush=True)
-if blas_core_name() != sys.argv[1]:
-    sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
-"""
-
-
 @pytest.mark.parametrize("core", ["Haswell", "Zen", "Prescott"])
 def test_equalities_hold_under_another_kernel(core):
     """The tests above, in a child process under ``OPENBLAS_CORETYPE=core``."""
-    src = str(Path(fedtune.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     here = Path(__file__).resolve()
-    run = subprocess.run(
-        [sys.executable, "-c", CHILD, blas_core_name(),
-         *(f"{here}::{name}" for name in CHECKED_ON_EVERY_KERNEL)],
-        cwd=here.parent, env=env, capture_output=True, text=True)
-    kernel = run.stdout.partition("\n")[0]
-    if kernel == blas_core_name():
-        pytest.skip(f"OPENBLAS_CORETYPE={core} took no effect here: the child runs the "
-                    f"{kernel} kernel, as this process does")
-    assert run.returncode == 0, f"{core} ({kernel} kernel):\n{run.stdout[-3000:]}{run.stderr}"
+    run_under_kernel(core, [f"{here}::{name}" for name in CHECKED_ON_EVERY_KERNEL])

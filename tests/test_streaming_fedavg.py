@@ -220,7 +220,7 @@ def _round_peak(participants: int) -> tuple[int, int]:
     store = PrefixStore(world.backbone)
     tracemalloc.start()
     try:
-        fed_mod.run_round(world.server, [track], participants, backbone=world.backbone,
+        fed_mod.run_round(world.server, [track], participants,
                           epochs=1, lr=cfg.learning_rate, cache_enabled=True, store=store)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

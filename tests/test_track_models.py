@@ -34,16 +34,13 @@ def redispatched():
     cfg = session_mod.config_from_dict(small_session_doc(
         mode="autofed", configurator={"start_depth": 1}))
     world = session_mod.build_world(cfg)
-    state = conf_mod.ConfiguratorState(cfg.configurator)
-    first = conf_mod.dispatch(state, None, world.backbone, world.adapter_rng)
+    first = conf_mod.dispatch(cfg.configurator, None, world.backbone, world.adapter_rng)
     store = PrefixStore(world.backbone)
     fed_mod.run_round(world.server, first, cfg.participants_total(),
-                      backbone=world.backbone, epochs=1, lr=cfg.learning_rate,
-                      cache_enabled=True, store=store)
+                      epochs=1, lr=cfg.learning_rate, cache_enabled=True, store=store)
     winner = first[1]
     assert winner.name == conf_mod.TRACK_DEEPER
-    state.base_depth, state.base_width = winner.scheme.adapter.depth, winner.scheme.adapter.width
-    tracks = conf_mod.dispatch(state, winner, world.backbone, world.adapter_rng)
+    tracks = conf_mod.dispatch(cfg.configurator, winner, world.backbone, world.adapter_rng)
     return world, winner, tracks, store
 
 

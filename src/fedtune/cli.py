@@ -26,8 +26,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = session_mod.load_config(args.config, seed=args.seed)
     out = args.out or f"session_seed{cfg.seed}_{cfg.mode}.trace.jsonl"
     result = session_mod.run_session_config(cfg, out)
-    summary = dict(result.summary)
-    summary.pop("evt", None)
+    summary = {key: value for key, value in result.summary.items() if key != "evt"}
     print(json.dumps({"trace": out, **summary}, sort_keys=True))
     return result.exit_code
 

@@ -47,11 +47,6 @@ class TrialTrack:
     clock: float = 0.0
     accuracy: float | None = None  # the latest evaluation; None before the first
 
-    def depth_width(self, num_layers: int) -> tuple[int, int]:
-        """Tuning depth and adapter width (0 without adapters) of the scheme."""
-        adapter = self.scheme.adapter
-        return self.scheme.tuning_depth(num_layers), (adapter.width if adapter else 0)
-
 
 @dataclass
 class ConfiguratorParams:

@@ -58,4 +58,4 @@ class SplitError(FedTuneError):
 
 
 class TraceParseError(FedTuneError):
-    """Malformed trace file; message includes the line number."""
+    """An event or trace file that does not match ``trace.EVENTS``; names the line or field."""

@@ -81,26 +81,6 @@ class LocalStats:
     compute_seconds: float = 0.0
 
 
-@dataclass
-class TrackRoundStats:
-    track: str
-    participants: list[int]
-    payload_bytes: int
-    round_seconds: float
-    energy_j: float
-    cache_hits: int
-    cache_recomputes: int
-    train_samples: int
-    client_energy: dict[int, float] = field(default_factory=dict)
-
-
-@dataclass
-class RoundReport:
-    round_index: int
-    max_depth: int
-    tracks: list[TrackRoundStats]
-
-
 def select_clients(registry: dict[int, ClientState], k: int, rng: SeededRng) -> list[int]:
     """Uniform sample of k distinct client ids, deterministic under rng."""
     ids = sorted(registry)
@@ -248,10 +228,11 @@ def run_track_round(
     epochs: int,
     lr: float,
     cache_enabled: bool,
+    round_index: int,
     depth_watermark: int,
     store: PrefixStore,
-) -> TrackRoundStats:
-    """One round of one track with a given group: train, aggregate, advance its clock.
+) -> dict:
+    """Round ``round_index`` of one track with a given group: train, aggregate, advance its clock.
 
     ``track`` is a configurator.TrialTrack; between rounds its model holds
     the track's latest mean. The round copies the start values out once and
@@ -260,7 +241,8 @@ def run_track_round(
     values, and each trained payload is folded into the round's
     ``RunningMean`` through ``fedavg`` before the next client loads. The
     mean is loaded into the model, the one ``configurator.evaluate_tracks``
-    scores. The stats list the group in the order given.
+    scores. Returns the track's ``round`` trace event, which lists the
+    group in the order given; ``max_depth`` is the watermark.
     """
     model = track.model
     start = adapter_mod.extract_payload(model)
@@ -279,27 +261,21 @@ def run_track_round(
     adapter_mod.load_payload(model, mean.payload())
 
     round_seconds = 0.0
-    energy = 0.0
-    client_energy: dict[int, float] = {}
+    client_energy: dict[str, float] = {}  # in group order, which energy_j sums in
     for cid in group:
         client, stats = registry[cid], local[cid]
         down_s, up_s = costmodel.transfer_seconds(payload_size, client.net)
         round_seconds = max(round_seconds, down_s + stats.compute_seconds + up_s)
-        joules = costmodel.energy_joules(stats.compute_seconds, down_s + up_s, client.device)
-        energy += joules
-        client_energy[cid] = joules
+        client_energy[str(cid)] = costmodel.energy_joules(
+            stats.compute_seconds, down_s + up_s, client.device)
     track.clock += round_seconds
-    return TrackRoundStats(
-        track=track.name,
-        participants=group,
-        payload_bytes=payload_size,
-        round_seconds=round_seconds,
-        energy_j=energy,
-        cache_hits=sum(s.cache_hits for s in local.values()),
-        cache_recomputes=sum(s.cache_recomputes for s in local.values()),
-        train_samples=mean.total_samples,
-        client_energy=client_energy,
-    )
+    return {"evt": "round", "round": round_index, "track": track.name,
+            "max_depth": depth_watermark, "clock": track.clock, "participants": group,
+            "payload_bytes": payload_size, "round_seconds": round_seconds,
+            "energy_j": sum(client_energy.values()),
+            "cache_hits": sum(s.cache_hits for s in local.values()),
+            "cache_recomputes": sum(s.cache_recomputes for s in local.values()),
+            "train_samples": mean.total_samples, "client_energy": client_energy}
 
 
 def run_round(
@@ -311,7 +287,7 @@ def run_round(
     lr: float,
     cache_enabled: bool,
     store: PrefixStore,
-) -> RoundReport:
+) -> list[dict]:
     """One synchronous round: select, split, and run every live track's round.
 
     ``tracks`` are configurator.TrialTrack objects: one for a fixed
@@ -324,7 +300,8 @@ def run_round(
     selected, the store builds every batch of every selected client of a
     cached track at that track's resume point, in one ``prefetch`` per
     resume point, so same-shape batches share passes; the ledgers then find
-    those chunks built, and count hits and recomputes as before.
+    those chunks built, and count hits and recomputes as before. Returns
+    each track's ``round`` event, in track order.
     """
     if not tracks:
         raise SelectionError("run_round requires at least one track")
@@ -350,9 +327,10 @@ def run_round(
                     for cid in group for batch in server.registry[cid].train_batches)
         for resume, items in wanted.items():
             store.prefetch(resume, items)
-    report_tracks = [
+    events = [
         run_track_round(track, group, server.registry, epochs=epochs, lr=lr,
-                        cache_enabled=cache_enabled, depth_watermark=max_depth, store=store)
+                        cache_enabled=cache_enabled, round_index=round_index,
+                        depth_watermark=max_depth, store=store)
         for track, group in zip(tracks, groups)]
     server.round_index = round_index
-    return RoundReport(round_index, max_depth, report_tracks)
+    return events

@@ -374,11 +374,12 @@ def start_session(world: World) -> Session:
 
 
 def _emit_dispatch(writer, session: Session, clock: float) -> None:
-    shapes = [t.depth_width(session.world.backbone.spec.num_layers) for t in session.tracks]
+    num_layers = session.world.backbone.spec.num_layers
+    tracks = [{"track": t.name, "depth": t.scheme.tuning_depth(num_layers),
+               "width": t.scheme.adapter.width if t.scheme.adapter else 0} for t in session.tracks]
     writer.emit({"evt": "dispatch", "iteration": session.iteration, "clock": clock,
-                 "base_depth": shapes[0][0], "base_width": shapes[0][1],
-                 "tracks": [{"track": t.name, "depth": d, "width": w}
-                            for t, (d, w) in zip(session.tracks, shapes)]})
+                 "base_depth": tracks[0]["depth"], "base_width": tracks[0]["width"],
+                 "tracks": tracks})
 
 
 def step(session: Session, writer) -> bool:
@@ -391,18 +392,17 @@ def step(session: Session, writer) -> bool:
     totalled here: ``writer`` receives every event the summary derives from.
     """
     world, state, cfg = session.world, session.state, session.world.config
-    report = fed_mod.run_round(
+    rounds = fed_mod.run_round(
         world.server, session.tracks, cfg.participants_total(),
         epochs=cfg.local_epochs, lr=cfg.learning_rate,
         cache_enabled=cfg.cache_enabled, store=session.store)
-    for track, stat in zip(session.tracks, report.tracks):
-        writer.emit({"evt": "round", "round": report.round_index,
-                     "max_depth": report.max_depth, "clock": track.clock, **asdict(stat)})
+    for event in rounds:
+        writer.emit(event)
     accuracies = conf_mod.evaluate_tracks(session.tracks, session.store,
                                           world.test_tokens, world.test_labels)
     for track, acc in zip(session.tracks, accuracies):
         track.accuracy = acc
-        writer.emit({"evt": "eval", "round": report.round_index, "track": track.name,
+        writer.emit({"evt": "eval", "round": world.server.round_index, "track": track.name,
                      "clock": track.clock, "accuracy": acc})
     if cfg.target_accuracy is not None and max(accuracies) >= cfg.target_accuracy:
         return True
@@ -411,12 +411,12 @@ def step(session: Session, writer) -> bool:
     if state.trial_intvl is None:
         # derive the interval so the start-up track gets a few rounds
         # between decisions at the bundled profiles
-        state.trial_intvl = 3.0 * report.tracks[0].round_seconds
+        state.trial_intvl = 3.0 * rounds[0]["round_seconds"]
     if not conf_mod.should_decide(state, session.tracks[0].clock):
         return False
     winner = conf_mod.decide_winner(session.tracks)
     new, clock = winner.scheme.adapter, max(t.clock for t in session.tracks)
-    writer.emit({"evt": "decision", "round": report.round_index, "clock": clock,
+    writer.emit({"evt": "decision", "round": world.server.round_index, "clock": clock,
                  "winner": winner.name, "accuracies": {t.name: t.accuracy for t in session.tracks},
                  "new_depth": new.depth, "new_width": new.width})
     session.iteration += 1
@@ -473,14 +473,14 @@ def _summary(events: list[dict]) -> dict:
     """The summary event that closes a trace whose earlier events are ``events``.
 
     ``mode``, ``seed`` and ``target_accuracy`` come from the leading
-    ``session`` event's config; every other field is derived from the
-    ``round``, ``eval`` and ``dispatch`` events. The target is reached when
-    some evaluation meets it, at the earliest such clock.
+    ``session`` event's config (``config_from_dict``); every other field is
+    derived from the ``round``, ``eval`` and ``dispatch`` events. The target
+    is reached when some evaluation meets it, at the earliest such clock.
     """
-    cfg = events[0]["config"]
+    cfg = config_from_dict(events[0]["config"])
     rounds = trace_mod.events_of_kind(events, "round")
     evals = trace_mod.events_of_kind(events, "eval")
-    target = cfg["target_accuracy"]
+    target = cfg.target_accuracy
     time_to_target = None if target is None else _earliest_clock(events, target)
     configs_visited = []
     for e in trace_mod.events_of_kind(events, "dispatch"):
@@ -489,8 +489,8 @@ def _summary(events: list[dict]) -> dict:
             configs_visited.append(shape)
     return {
         "evt": "summary",
-        "mode": cfg["mode"],
-        "seed": cfg["seed"],
+        "mode": cfg.mode,
+        "seed": cfg.seed,
         "reached": time_to_target is not None,
         "target_accuracy": target,
         "time_to_target": time_to_target,
@@ -580,50 +580,33 @@ def _check_round(path: str, e: dict) -> None:
 def report(paths: list[str]) -> dict:
     """Totals across traces, each derived from its events and checked against its summary.
 
-    A trace must open with a ``session`` event of this ``TRACE_VERSION`` and
-    close with its one ``summary``; a summary field that differs from the
-    one ``_summary`` derives from the events before it is a TraceParseError
-    naming that field, as is a round that fails ``_check_round``.
+    ``trace.read_trace`` checks every event against the trace format. A
+    config that ``config_from_dict`` refuses, a summary field that differs
+    from the one ``_summary`` derives from the events before it, and a
+    round that fails ``_check_round`` are TraceParseErrors naming the field.
     """
     sessions = []
     totals = {"traffic_bytes": 0, "energy_j": 0.0, "rounds": 0}
     for path in paths:
-        events = trace_mod.read_trace(path)
-        if not events or events[0].get("evt") != "session":
-            raise TraceParseError(f"{path}: expected a leading session event")
-        if (version := events[0].get("version")) != trace_mod.TRACE_VERSION:
-            raise TraceParseError(f"{path}: trace version {version!r}, expected "
-                                  f"{trace_mod.TRACE_VERSION}")
-        if trace_mod.events_of_kind(events, "summary") != events[-1:]:
-            raise TraceParseError(f"{path}: expected exactly one summary event, at the end")
-        *body, summary = events
-        rounds = trace_mod.events_of_kind(body, "round")
+        *body, summary = trace_mod.read_trace(path)
         try:
             derived = _summary(body)
-            for e in rounds:
-                _check_round(path, e)
-        except (KeyError, TypeError) as err:
-            raise TraceParseError(f"{path}: malformed event: {err!r}") from None
-        for key in [*derived, *sorted(set(summary) - set(derived))]:
-            if summary.get(key) != derived.get(key):
-                raise TraceParseError(
-                    f"{path}: summary field '{key}' disagrees with the events "
-                    f"(events {derived.get(key)!r} vs summary {summary.get(key)!r})")
+        except ConfigurationError as err:
+            raise TraceParseError(f"{path}: session field 'config': {err}") from None
         per_client: dict[str, dict] = {}
-        for e in rounds:
+        for e in trace_mod.events_of_kind(body, "round"):
+            _check_round(path, e)
             for cid, joules in e["client_energy"].items():
                 entry = per_client.setdefault(cid, {"traffic_bytes": 0, "energy_j": 0.0,
                                                     "rounds": 0})
                 entry["traffic_bytes"] += costmodel.traffic_bytes(e["payload_bytes"], 1)
                 entry["energy_j"] += joules
                 entry["rounds"] += 1
-        sessions.append({
-            "path": path,
-            **{key: derived[key] for key in (
-                "mode", "seed", "reached", "time_to_target", "rounds", "best_accuracy",
-                "traffic_bytes", "energy_j", "depth_increases", "configs_visited")},
-            "per_client": per_client,
-        })
+        if wrong := next((key for key in derived if summary[key] != derived[key]), None):
+            raise TraceParseError(f"{path}: summary field '{wrong}' disagrees with the events "
+                                  f"(events {derived[wrong]!r} vs summary {summary[wrong]!r})")
+        sessions.append({"path": path, **{k: v for k, v in derived.items() if k != "evt"},
+                         "per_client": per_client})
         for key in totals:
             totals[key] += derived[key]
     return {"sessions": sessions, "totals": totals}

@@ -15,6 +15,19 @@ from fedtune import session as session_mod
 from fedtune.model import ModelSpec
 from fedtune.tensor_nn import SeededRng
 
+F32_EPS = float(np.finfo(np.float32).eps)
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS, or None where it cannot be loaded."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    try:
+        return ctypes.CDLL(str(libs[0]))
+    except (IndexError, OSError):
+        return None
+
 
 @functools.cache
 def blas_core_name() -> str:
@@ -23,14 +36,45 @@ def blas_core_name() -> str:
     The bit-identity tests compare GEMMs of different shapes, whose last
     bits depend on the kernel; their failure messages name it.
     """
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
-        "libscipy_openblas64_*.so"))
-    try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
+    corename = getattr(_openblas(), "scipy_openblas_get_corename64_", None)
+    if corename is None:
         return "unknown"
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
+
+
+def blas_threads(count: int | None = None) -> int:
+    """The number of threads numpy's OpenBLAS runs on (0 where unknown), after setting ``count``.
+
+    Some kernels round a GEMM split across threads apart from one run on a
+    single thread, so a pinned digest holds at one thread count
+    (``test_golden_bits.py``).
+    """
+    lib = _openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        return 0
+    set_threads, get_threads = (lib.scipy_openblas_set_num_threads64_,
+                                lib.scipy_openblas_get_num_threads64_)
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    if count is not None:
+        set_threads(count)
+    return get_threads()
+
+
+def assert_equal_on_skylakex(got: np.ndarray, want: np.ndarray, atol: float) -> None:
+    """``got`` and ``want`` agree as far as the traces read them, and bit for bit on SkylakeX.
+
+    The traces count argmaxes, so those are equal on every kernel, and the
+    values are within ``atol``. Which bits GEMMs of different shapes round
+    to depends on the OpenBLAS kernel's blocking, so bit equality is
+    asserted on SkylakeX alone, the kernel it was established on.
+    """
+    kernel = f"BLAS kernel {blas_core_name()}"
+    assert np.array_equal(got.argmax(axis=-1), want.argmax(axis=-1)), kernel
+    assert np.allclose(got, want, rtol=0, atol=atol), kernel
+    if blas_core_name() == "SkylakeX":
+        assert got.tobytes() == want.tobytes(), kernel
 
 
 # prints the kernel it runs on, then runs the named tests unless that is argv[1]'s
@@ -47,9 +91,10 @@ if blas_core_name() != sys.argv[1]:
 def run_under_kernel(core: str, tests: list[str]) -> None:
     """Run ``tests`` (pytest paths or node ids) in a child process under ``OPENBLAS_CORETYPE=core``.
 
-    Skips when the variable takes no effect here, that is when the child
-    runs the kernel this process runs; otherwise fails, with the child's
-    output, unless every test passes.
+    The child runs one BLAS thread, as the benchmark does. Skips when the
+    variable takes no effect here, that is when the child runs the kernel
+    this process runs; otherwise fails, with the child's output, unless
+    every test passes.
     """
     src = str(Path(fedtune.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",

@@ -29,7 +29,8 @@ def _first_dispatch(**configurator) -> list[tuple]:
                                                          configurator=configurator))
     world = session_mod.build_world(cfg)
     tracks = conf_mod.dispatch(cfg.configurator, None, world.backbone, world.adapter_rng)
-    return [(t.name, *t.depth_width(cfg.model.num_layers), _units(t.model)) for t in tracks]
+    return [(t.name, t.scheme.tuning_depth(cfg.model.num_layers), t.scheme.adapter.width,
+             _units(t.model)) for t in tracks]
 
 
 def _events(tmp_path, **overrides) -> list[dict]:

@@ -177,11 +177,11 @@ class TestLedger:
         model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
         track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
         store = PrefixStore(world.backbone)
-        report = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
-                                   epochs=1, lr=cfg.learning_rate, cache_enabled=True,
-                                   store=store)
+        [event] = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
+                                    epochs=1, lr=cfg.learning_rate, cache_enabled=True,
+                                    store=store)
         built = len(builds)
-        clients = [world.server.registry[cid] for cid in report.tracks[0].participants]
+        clients = [world.server.registry[cid] for cid in event["participants"]]
         assert chunks_built(builds) == sum(len(c.train_batches) for c in clients)
         for client in clients:
             assert sorted(client.cache.entries) == sorted(
@@ -202,13 +202,13 @@ class TestLedger:
             depth = max(t.scheme.tuning_depth(num_layers) for t in tracks)
             stale = [c.id for c in server.registry.values()
                      if c.cache.entries and c.cache.depth_at_store < depth]
-            report = _inner(server, tracks, *args, **kwargs)
+            rounds = _inner(server, tracks, *args, **kwargs)
             store = kwargs["store"]
             entries = {(key, id(e.activations)): e for c in server.registry.values()
                        for key, e in c.cache.entries.items()}
             for client in server.registry.values():
                 assert not client.cache.entries or \
-                    client.cache.depth_at_store == report.max_depth
+                    client.cache.depth_at_store == rounds[0]["max_depth"]
             chunks = {(key, id(act)): act for acts in store._acts.values()
                       for key, act in acts.items() if key[0] != "test"}
             assert entries.keys() == chunks.keys()
@@ -218,7 +218,7 @@ class TestLedger:
                 if e.resume == num_layers:  # the pooled top layer keeps one position
                     assert e.activations.shape[1] == 1
             checked.append(stale)
-            return report
+            return rounds
 
         monkeypatch.setattr(fed_mod, "run_round", checking_run_round)
         cfg = session_mod.config_from_dict(CLIMBING_DOC)
@@ -402,17 +402,16 @@ class TestPrefetch:
             in_prefetch.append(chunks_built(builds) - before)
 
         monkeypatch.setattr(store, "prefetch", counting_prefetch)
-        report = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
-                                   epochs=2, lr=cfg.learning_rate,
-                                   cache_enabled=cache_enabled, store=store)
-        stats = report.tracks[0]
+        [event] = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
+                                    epochs=2, lr=cfg.learning_rate,
+                                    cache_enabled=cache_enabled, store=store)
         if cache_enabled:
             # the ledgers count a recompute per batch in the first epoch, as before
             assert in_prefetch == [chunks_built(builds)] and len(builds) < chunks_built(builds)
-            assert stats.cache_recomputes == stats.cache_hits == chunks_built(builds)
+            assert event["cache_recomputes"] == event["cache_hits"] == chunks_built(builds)
         else:
             assert in_prefetch == [] and builds == [] and store.resume_points() == []
-            assert stats.cache_recomputes == stats.cache_hits == 0
+            assert event["cache_recomputes"] == event["cache_hits"] == 0
 
 
 class TestGraphFree:

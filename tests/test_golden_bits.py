@@ -18,6 +18,11 @@ Both are bit-level and depend on the OpenBLAS kernel, so each digest is
 pinned per kernel (``conftest.blas_core_name``; under
 ``OPENBLAS_CORETYPE=Zen`` the library runs its Haswell kernel, under
 ``Prescott`` its Katmai kernel), and a kernel with no pinned digest skips.
+Haswell's kernel also rounds a GEMM split across two threads apart from one
+run on a single thread, so every digest is pinned at ``PINNED_THREADS``, the
+one BLAS thread the benchmark runs, and each test here runs at that count.
+``test_trace_kernels.py`` runs this file in a child process under each
+other kernel.
 """
 
 import hashlib
@@ -33,9 +38,10 @@ from fedtune import trace as trace_mod
 from fedtune.model import ModelSpec, PrefixStore, evaluate
 from fedtune.tensor_nn import SeededRng
 
-from conftest import blas_core_name, drawn_backbone
+from conftest import blas_core_name, blas_threads, drawn_backbone
 from test_golden_trace import GOLDEN as TRACE_GOLDEN
 
+PINNED_THREADS = 1
 MID = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128, vocab=200, seqlen=32, num_labels=4)
 SAMPLES = 40  # two full evaluation chunks and a short one
 
@@ -43,12 +49,12 @@ SAMPLES = 40  # two full evaluation chunks and a short one
 LOGITS_GOLDEN = {
     "whole_set": {
         "SkylakeX": "136565c56fbc61b228c4333c7687297dc7dd6c801a5c10b3f2e03dc47dc88d70",
-        "Haswell": "a8e3091d9b2e7d9867aa0539a419f277420c1973b8277b23342b0351654ebc8c",
+        "Haswell": "7844eac74e5525bc844af5cb15c0259a842b8d3faeb0befce9cbe6fb6aed40be",
         "Katmai": "d40a4203ae0463e3fbb70b42646dc724a705f178ef35e46237382c274c1043fe",
     },
     "evaluate_chunks": {
         "SkylakeX": "136565c56fbc61b228c4333c7687297dc7dd6c801a5c10b3f2e03dc47dc88d70",
-        "Haswell": "3da20b1b17977fac3c88bad42f3775b676d24f39cad336a3b90baa28d30226c1",
+        "Haswell": "db8a6eaed8881d26e949471eedd4550b09b848789577acbac43ad29f2683fa0a",
         "Katmai": "d40a4203ae0463e3fbb70b42646dc724a705f178ef35e46237382c274c1043fe",
     },
 }
@@ -72,10 +78,20 @@ TRAINED_GOLDEN = {
     },
     "full_ft_mid": {
         "SkylakeX": "eea41ea9691a87dd59de9baf1ff028866ea88cb51989f556d9f133b159cfc07e",
-        "Haswell": "a07b293e79454019fb876c00b0c0b7469124081e1182f029e4d3a51a789fdcc1",
+        "Haswell": "f8de42a407ac0b2cea372ee8e9624019e655d738b7ec4fb1ebb019c980dc10f7",
         "Katmai": "63cf2c7d018dfd854da57c3ad15dba8cd6d867c42a552a8bc69ac089f8360707",
     },
 }
+
+
+@pytest.fixture(autouse=True)
+def pinned_threads():
+    """Every test here runs at the thread count its digests were pinned at."""
+    before = blas_threads()
+    if blas_threads(PINNED_THREADS) != PINNED_THREADS:
+        pytest.skip(f"cannot set OpenBLAS to {PINNED_THREADS} thread here")
+    yield
+    blas_threads(before)
 
 
 def _pinned(digests: dict[str, str]) -> str:

@@ -11,11 +11,10 @@ from fedtune.errors import ContractViolation
 from fedtune.model import ModelSpec, PrefixStore, build_model, forward
 from fedtune.tensor_nn import SeededRng
 
-from conftest import blas_core_name
+from conftest import F32_EPS, assert_equal_on_skylakex
 
 MID = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128,
                 vocab=200, seqlen=32, num_labels=4)
-F32_EPS = float(np.finfo(np.float32).eps)
 
 
 def unpooled_forward(model, tokens):
@@ -45,9 +44,10 @@ def mid_adapted():
 
 @pytest.mark.parametrize("batch", [2, 7, 8, 32])
 def test_mid_shape_logits_bit_identical_to_unpooled(mid_adapted, batch):
+    """Bit-identical on SkylakeX; under other kernels the GEMMs' row counts may round apart."""
     tokens = SeededRng(batch).integers(0, MID.vocab, size=(batch, MID.seqlen))
-    assert forward(mid_adapted, tokens).data.tobytes() == \
-        unpooled_forward(mid_adapted, tokens).data.tobytes(), f"BLAS kernel {blas_core_name()}"
+    assert_equal_on_skylakex(forward(mid_adapted, tokens).data,
+                             unpooled_forward(mid_adapted, tokens).data, atol=4 * F32_EPS)
 
 
 @pytest.mark.parametrize("shape,batch", [("mid", 1), ("tiny", 1), ("tiny", 2), ("tiny", 3)])

@@ -253,13 +253,14 @@ def test_report_refuses_a_round_whose_energies_do_not_add_up(tamper, targeted, t
 
 def test_report_names_a_malformed_event(targeted, tmp_path):
     path = _edited(targeted[1], tmp_path, "round", lambda event: event.pop("energy_j"))
-    with pytest.raises(TraceParseError, match="malformed event: KeyError\\('energy_j'\\)"):
+    with pytest.raises(TraceParseError, match=re.escape(
+            f"{path}: malformed trace at line 3: round field 'energy_j': missing")):
         session_mod.report([path])
 
 
 def test_report_refuses_a_round_without_client_energy(targeted, tmp_path):
     path = _edited(targeted[1], tmp_path, "round", lambda event: event.pop("client_energy"))
-    with pytest.raises(TraceParseError, match="malformed event: KeyError\\('client_energy'\\)"):
+    with pytest.raises(TraceParseError, match="line 3: round field 'client_energy': missing"):
         session_mod.report([path])
 
 
@@ -287,17 +288,37 @@ def test_non_object_trace_line_names_the_line(line, tmp_path):
 
 
 def test_emitted_events_are_the_trace_read_back(tmp_path):
+    """Emitters hand over JSON-native values: what a writer holds is what a reader reads."""
+    path = tmp_path / "t.jsonl"
+    result = _run(CLIMBING, path)
+    assert result.events == trace_mod.read_trace(str(path))
+    assert {type(cid) for e in trace_mod.events_of_kind(result.events, "round")
+            for cid in e["client_energy"]} == {str}
+
+
+def test_client_ids_sort_as_strings(tmp_path):
+    """``client_energy`` is keyed by ``str(cid)`` before ``sort_keys``, so "10" precedes "2"."""
+    path = tmp_path / "t.jsonl"
+    _run(small_session_doc(num_clients=12, participants_per_group=4, max_rounds=2), path)
+    rounds = trace_mod.events_of_kind(trace_mod.read_trace(str(path)), "round")
+    for event in rounds:  # a JSON object reads back in the file's key order
+        assert list(event["client_energy"]) == sorted(map(str, event["participants"]))
+    assert any(max(e["participants"]) >= 10 > min(e["participants"]) for e in rounds)
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("round", np.int64(3), "round field 'round': expected int, got np.int64(3)"),
+    ("client_energy", {"1": np.float32(0.5)},
+     "round field 'client_energy.1': expected float, got np.float32(0.5)"),
+    ("participants", [np.arange(2)],
+     "round field 'participants[0]': expected int, got array([0, 1])"),
+])
+def test_a_numpy_value_in_an_event_fails_loudly(field, value, shown, targeted, tmp_path):
+    """Emitters hand over plain Python values; a numpy one is refused, not converted."""
+    event = trace_mod.events_of_kind(targeted[0].events, "round")[0]
     path = tmp_path / "t.jsonl"
     with trace_mod.TraceWriter(str(path)) as writer:
-        writer.emit({"evt": "round", "client_energy": {3: 1.5, 1: 0.25}, "participants": (3, 1)})
-    expected = {"evt": "round", "client_energy": {"3": 1.5, "1": 0.25}, "participants": [3, 1]}
-    assert writer.events == trace_mod.read_trace(str(path)) == [expected]
-
-
-@pytest.mark.parametrize("value", [np.int64(3), {1: np.float32(0.5)}, [np.arange(2)]])
-def test_a_numpy_value_in_an_event_fails_loudly(value, tmp_path):
-    """Emitters hand over plain Python values; a numpy one is refused, not converted."""
-    with trace_mod.TraceWriter(str(tmp_path / "t.jsonl")) as writer:
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            writer.emit({"evt": "round", "round": value})
+        with pytest.raises(TraceParseError, match=re.escape(shown)):
+            writer.emit({**event, field: value})
         assert writer.events == []
+    assert path.read_bytes() == b""

@@ -153,7 +153,7 @@ def _track(world, scheme):
 def _track_round(world, track, group, store=None):
     return fed_mod.run_track_round(
         track, group, world.server.registry, epochs=1,
-        lr=world.config.learning_rate, cache_enabled=True,
+        lr=world.config.learning_rate, cache_enabled=True, round_index=1,
         depth_watermark=track.scheme.tuning_depth(world.config.model.num_layers),
         store=store or PrefixStore(world.backbone))
 
@@ -168,13 +168,15 @@ class TestTrackRound:
             track = _track(world, scheme)
             # a fresh world draws the same adapters: both tracks start from one payload
             assert _trained_bytes(track.model) == start
-            stats = _track_round(world, track, group)
-            assert stats.participants == group and list(stats.client_energy) == group
-            results.append((track, stats))
-        (a, sa), (b, sb) = results
+            event = _track_round(world, track, group)
+            assert event["participants"] == group
+            assert list(event["client_energy"]) == [str(cid) for cid in group]
+            results.append((track, event))
+        (a, ea), (b, eb) = results
         assert _trained_bytes(a.model) == _trained_bytes(b.model)
-        assert sa.client_energy == sb.client_energy
-        assert sa.round_seconds == sb.round_seconds and sa.train_samples == sb.train_samples
+        assert ea["client_energy"] == eb["client_energy"]
+        assert ea["round_seconds"] == eb["round_seconds"]
+        assert ea["train_samples"] == eb["train_samples"]
 
     def test_model_is_kept_and_holds_the_mean(self, small_world, monkeypatch):
         calls, means = [], []

@@ -69,7 +69,7 @@ def test_a_deeper_round_leaves_the_current_track_alone(redispatched):
     depth = deeper.scheme.tuning_depth(world.config.model.num_layers)
     fed_mod.run_track_round(deeper, [0, 1], world.server.registry, epochs=1,
                             lr=world.config.learning_rate, cache_enabled=True,
-                            depth_watermark=depth, store=store)
+                            round_index=1, depth_watermark=depth, store=store)
     assert _snapshot(deeper) != trained_from  # the round did train
     for track in (current, wider):
         assert _snapshot(track) == before[track.name], track.name

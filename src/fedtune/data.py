@@ -87,7 +87,9 @@ def generate_task(spec: SyntheticTaskSpec, rng: SeededRng) -> LabeledDataset:
     stream exactly as k single draws do, so every candidate drawn is one a
     one-at-a-time sampler draws too: the dataset, the draw count at which
     the budget runs out, and the stream's position after the call do not
-    depend on the block size.
+    depend on the block size. A block's features sum each candidate's
+    positions in order, one position after another, as a per-candidate
+    mean does, so the scores too are those of one candidate at a time.
     """
     emb = _teacher_embeddings(spec)
     content_tokens = np.arange(1, spec.vocab)
@@ -111,7 +113,9 @@ def generate_task(spec: SyntheticTaskSpec, rng: SeededRng) -> LabeledDataset:
                     f"label {y}: rejection sampling budget exhausted after {draws} draws")
             draws += k
             seqs = content_tokens[rng.choice_index(probs, (k, spec.seqlen - 1))]
-            scores = emb[seqs].mean(axis=1) @ teacher
+            # position-major, so each candidate's positions are summed in order
+            features = np.add.reduce(emb[seqs.T], axis=0) / (spec.seqlen - 1)
+            scores = features @ teacher
             kept = seqs[scores.argmax(axis=1) == y]
             row = y * per_label + accepted
             tokens[row:row + kept.shape[0], 1:] = kept
@@ -198,8 +202,12 @@ def split_train_test(dataset: LabeledDataset, indices: np.ndarray, client_id: in
         raise SplitError(f"client {client_id}: shard indices must be ascending and distinct")
     labels = dataset.labels[indices]
     test = np.zeros(indices.size, dtype=bool)
-    for y in np.flatnonzero(np.bincount(labels)):
-        members = np.flatnonzero(labels == y)
+    # a stable sort keeps each label's members in ascending order
+    by_label = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels)
+    ends = np.cumsum(counts)
+    for y in np.flatnonzero(counts):
+        members = by_label[ends[y] - counts[y]:ends[y]]
         n_test = int(round(members.size * (1.0 - ratio)))
         test[members[rng.permutation(members.size)][:n_test]] = True
     if not test.any():

@@ -145,12 +145,38 @@ class SeededRng:
         """Sample indices of shape ``size`` from a categorical distribution.
 
         One uniform draw per index, in C order: a block of shape (k, n)
-        reads the stream exactly as k calls with size n do.
+        reads the stream exactly as k calls with size n do. Each draw u
+        maps to ``np.searchsorted(cdf, u, side="right")``, found through a
+        table of power-of-two buckets and a fix-up that advances past
+        every cdf value <= u (``cdf_index``).
         """
         cdf = np.cumsum(probabilities)
         cdf /= cdf[-1]
-        draws = self._gen.random(size)
-        return np.searchsorted(cdf, draws, side="right")
+        return cdf_index(cdf, self._gen.random(size))
+
+
+def cdf_index(cdf: Array, uniforms: Array) -> Array:
+    """``np.searchsorted(cdf, uniforms, side="right")``, through a bucket table.
+
+    ``cdf`` is nondecreasing and every uniform lies in [0, 1). The table
+    has K buckets, K the least power of two above the number of
+    categories, and bucket k starts at the count of cdf values <= k / K.
+    A draw u starts at its bucket, k = floor(u * K); K is a power of two,
+    so u * K and k / K are exact and k / K <= u holds, and the start never
+    passes the answer. The fix-up then advances each draw past every cdf
+    value <= u, which an ``inf`` after the last value stops. So every
+    draw gets the count of cdf values <= u, searchsorted's answer,
+    zero-probability categories (repeated cdf values) included.
+    """
+    buckets = 1 << cdf.size.bit_length()
+    table = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+    bounds = np.append(cdf, np.inf)
+    index = table.take((uniforms * buckets).astype(np.intp))
+    while True:
+        step = bounds.take(index) <= uniforms
+        if not step.any():
+            return index
+        index += step
 
 
 class Node:

@@ -77,15 +77,30 @@ def assert_equal_on_skylakex(got: np.ndarray, want: np.ndarray, atol: float) -> 
         assert got.tobytes() == want.tobytes(), kernel
 
 
-# prints the kernel it runs on, then runs the named tests unless that is argv[1]'s
+# prints the kernel it runs on, then, given argv[1], runs the named tests unless that is argv[1]
 _KERNEL_CHILD = """
 import sys
 import pytest
 from conftest import blas_core_name
 print(blas_core_name(), flush=True)
-if blas_core_name() != sys.argv[1]:
+if len(sys.argv) > 1 and blas_core_name() != sys.argv[1]:
     sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
 """
+
+
+def _run_child(core: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``_KERNEL_CHILD`` with ``argv`` under ``OPENBLAS_CORETYPE=core`` at one BLAS thread."""
+    src = str(Path(fedtune.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", _KERNEL_CHILD, *argv],
+                          cwd=Path(__file__).resolve().parent, env=env,
+                          capture_output=True, text=True)
+
+
+def kernel_selected_by(core: str) -> str:
+    """The kernel a child process runs under ``OPENBLAS_CORETYPE=core``; it runs no test."""
+    return _run_child(core, []).stdout.partition("\n")[0]
 
 
 def run_under_kernel(core: str, tests: list[str]) -> None:
@@ -96,12 +111,7 @@ def run_under_kernel(core: str, tests: list[str]) -> None:
     this process runs; otherwise fails, with the child's output, unless
     every test passes.
     """
-    src = str(Path(fedtune.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", _KERNEL_CHILD, blas_core_name(), *tests],
-                         cwd=Path(__file__).resolve().parent, env=env,
-                         capture_output=True, text=True)
+    run = _run_child(core, [blas_core_name(), *tests])
     kernel = run.stdout.partition("\n")[0]
     if kernel == blas_core_name():
         pytest.skip(f"OPENBLAS_CORETYPE={core} took no effect here: the child runs the "

@@ -7,11 +7,9 @@ chunk, so each chunk must have the bits of its own pass. Recording no graph,
 query has one row, which must give the bits of the keys' contiguous copy;
 recording, it still copies them. The backbone's
 layer-norm gains and shifts and its biases are drawn off 1 and 0, so a slip
-in how they are applied cannot keep the bits. The last test re-runs these
-equalities in child processes under other OpenBLAS kernels.
+in how they are applied cannot keep the bits. ``test_trace_kernels.py``
+re-runs these equalities in child processes under other OpenBLAS kernels.
 """
-
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from fedtune import tensor_nn as tn
 from fedtune.model import PASS_SAMPLES, ModelSpec, compute_boundary_activation
 from fedtune.tensor_nn import Tensor
 
-from conftest import blas_core_name, drawn_backbone, run_under_kernel
+from conftest import blas_core_name, drawn_backbone
 
 MID = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128, vocab=200, seqlen=32, num_labels=4)
 # the pooled top layer at the mid shape: [B, h, S, d] heads
@@ -121,18 +119,3 @@ def test_recording_product_copies_the_keys(copies, rows):
     got = _key_product(q, k, record=True)
     assert copies == [(BATCH, HEADS, HEAD_DIM, SEQLEN)]
     _assert_same_bits(got, _key_product(q, k, record=True, contiguous_keys=True))
-
-
-CHECKED_ON_EVERY_KERNEL = (
-    "test_stacked_pass_equals_one_pass_per_chunk",
-    "test_graph_free_multi_row_query_against_the_key_view_equals_the_copy",
-    "test_graph_free_one_row_query_still_copies_the_keys",
-    "test_recording_product_copies_the_keys",
-)
-
-
-@pytest.mark.parametrize("core", ["Haswell", "Zen", "Prescott"])
-def test_equalities_hold_under_another_kernel(core):
-    """The tests above, in a child process under ``OPENBLAS_CORETYPE=core``."""
-    here = Path(__file__).resolve()
-    run_under_kernel(core, [f"{here}::{name}" for name in CHECKED_ON_EVERY_KERNEL])

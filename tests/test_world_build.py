@@ -2,9 +2,15 @@
 
 The loops are kept here as the reference: ``generate_task``,
 ``partition_noniid`` and ``split_train_test`` must return the same arrays,
-with the same dtypes, and leave every stream at the same position.
+with the same dtypes, and leave every stream at the same position. The
+reference samples by binary search over the cdf, so it does not share
+``choice_index``'s bucket lookup, which is checked against that search on
+the uniforms where a lookup slips: on cdf values and bucket edges. Two
+worlds are pinned by the sha256 of every array, so a world byte that moves
+shows here, not only through a session trace.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -16,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_session_doc
+from test_mid_shape_golden import MID_CLIMB
 
 from fedtune import data as data_mod
+from fedtune import session as session_mod
 from fedtune.errors import DataError, PartitionError, SplitError
-from fedtune.tensor_nn import SeededRng
+from fedtune.tensor_nn import SeededRng, cdf_index
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,6 +49,13 @@ def _reference_teacher_matrix(spec):
     return cols
 
 
+def reference_choice_index(rng, probs, n):
+    """``n`` categorical draws by binary search over the cdf, one uniform each."""
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, rng._gen.random(n), side="right")
+
+
 def reference_generate_task(spec, rng):
     emb = data_mod._teacher_embeddings(spec)
     teacher = _reference_teacher_matrix(spec)
@@ -60,7 +75,7 @@ def reference_generate_task(spec, rng):
                 raise DataError(
                     f"label {y}: rejection sampling budget exhausted after {draws} draws")
             draws += 1
-            idx = rng.choice_index(probs, spec.seqlen - 1)
+            idx = reference_choice_index(rng, probs, spec.seqlen - 1)
             seq = np.concatenate(([0], content_tokens[idx]))
             features = emb[seq[1:]].mean(axis=0)
             if int((features @ teacher).argmax()) == y:
@@ -261,9 +276,39 @@ def test_choice_index_block_equals_single_draws(seed, k, n, weights):
     probs = np.array(weights) / sum(weights)
     rng, ref_rng = SeededRng(seed), SeededRng(seed)
     block = rng.choice_index(probs, (k, n))
-    np.testing.assert_array_equal(block, np.stack([ref_rng.choice_index(probs, n)
+    np.testing.assert_array_equal(block, np.stack([reference_choice_index(ref_rng, probs, n)
                                                    for _ in range(k)]))
     assert rng.uniform(0.0, 1.0) == ref_rng.uniform(0.0, 1.0)
+
+
+@st.composite
+def cdfs_and_uniforms(draw):
+    """A cdf as ``choice_index`` builds it, and uniforms that probe its edges.
+
+    Weights of 0 repeat a cdf value, and a heavy weight among tiny ones
+    puts many cdf values into one bucket. Besides free draws, the
+    uniforms include every cdf value below 1, every bucket edge k / K, and
+    the doubles just below and above each.
+    """
+    weights = draw(st.lists(st.sampled_from([0.0, 1e-9, 1e-3, 0.5, 1.0, 7.0, 1e4]),
+                            min_size=1, max_size=300).filter(lambda w: sum(w) > 0))
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    buckets = 1 << cdf.size.bit_length()
+    edges = np.concatenate([cdf[cdf < 1.0], np.arange(buckets) / buckets])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    free = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+    uniforms = np.concatenate([edges[(edges >= 0.0) & (edges < 1.0)], free])
+    return cdf, uniforms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cdfs_and_uniforms())
+def test_bucket_lookup_equals_binary_search(case):
+    cdf, uniforms = case
+    want = np.searchsorted(cdf, uniforms, side="right")
+    _assert_same_array(cdf_index(cdf, uniforms), want)
+    _assert_same_array(cdf_index(cdf, uniforms.reshape(1, -1, 1)), want.reshape(1, -1, 1))
 
 
 @pytest.mark.parametrize("a", [0.01, 0.05, 0.5, 10.0])
@@ -274,6 +319,57 @@ def test_dirichlet_rows_equal_single_draws(a):
         want = np.stack([ref_rng.dirichlet([a] * 5) for _ in range(7)])
         np.testing.assert_array_equal(rows, want)
         assert rng.uniform(0.0, 1.0) == ref_rng.uniform(0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# pinned worlds
+# ---------------------------------------------------------------------------
+
+def world_digests(world) -> dict[str, str]:
+    """sha256 of each part of a world: every client's batches, the test set, the backbone."""
+    def sha(arrays):
+        h = hashlib.sha256()
+        for label, a in arrays:
+            h.update(f"{label} {a.dtype.str} {a.shape}".encode())
+            h.update(a.tobytes())
+        return h.hexdigest()
+
+    registry = world.server.registry
+    return {
+        "batches": sha((f"client {cid} batch {b.batch_id} {part}", getattr(b, part))
+                       for cid in sorted(registry) for b in registry[cid].train_batches
+                       for part in ("tokens", "labels")),
+        "test_tokens": sha([("test", world.test_tokens)]),
+        "test_labels": sha([("test", world.test_labels)]),
+        "backbone": sha((p.name, p.data) for p in world.backbone.parameters()),
+    }
+
+
+PINNED_WORLDS = {
+    # the mid-shape climb's world, the benchmark's shape
+    "mid_climb": (MID_CLIMB, {
+        "batches": "f75dcbe13dfac81cd98121fb28b0357c683478f72826daae7191dd481f526a8c",
+        "test_tokens": "bca015f44c913d477f4fb044e50445b91b141957aa4c2d5eade7a15f0e1825ae",
+        "test_labels": "d75a42eaeb54131b5d4157dd62a7a3d82ee25d5d1069494ff5a517beddcd971f",
+        "backbone": "8814dd3f3b785439e6fa6c2543cc5bbead33eca1ab1dd7484af9cdc8f5f5ceca",
+    }),
+    # label noise flips and strongly skewed shards, which no golden config reaches
+    "noisy_skewed": (small_session_doc(
+        task={"teacher_seed": 5, "samples_per_label": 40, "noise_rate": 0.2},
+        noniid_concentration=0.05), {
+        "batches": "2ddac679ce07da0ce95cb7f70255810f890ec51826ed029179fba49962d4fb52",
+        "test_tokens": "68964ac31ef7af64c8efc1b495dc917568e8e21205a8f9f50007e9e3223678d2",
+        "test_labels": "004358291712bf5587f2ecf1b4011516821c558a8379033fa94553c3dd3307db",
+        "backbone": "c311e2978dce76f612907bd2e15ce7ed1aa77d9bc9bcff0d6c5bd257a7a598c9",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WORLDS))
+def test_world_arrays_are_pinned(name):
+    doc, pins = PINNED_WORLDS[name]
+    got = world_digests(session_mod.build_world(session_mod.config_from_dict(doc)))
+    assert got == pins
 
 
 # ---------------------------------------------------------------------------

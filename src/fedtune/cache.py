@@ -26,13 +26,11 @@ adapter's input, where the track's scheme resumes at the watermark
 (``TuningScheme.resume_layer``; under layer freezing, where layer b+1 is
 trainable, it is the output of layer b). An entry records that resume
 point; one stored for another counts as an integrity failure and is
-recomputed. The emulated clock still charges layer b+1's body on every
-batch (``costmodel.batch_time_from_boundary`` is priced with b), as for the
-paper's adapters inside the layer; that is a stated departure of the host
-from the emulated device. A second one: the host runs the top layer D only
-for the pooled first token, so an entry at resume point D holds [B, 1, n],
-1/S of the bytes of one below it (``model.activation_shape``), while the
-device is charged that layer for the whole sequence.
+recomputed. The emulated clock still prices every batch at b, layer b+1's
+body included (``costmodel.price_round``). The host also runs the top layer
+D only for the pooled first token, so an entry at resume point D holds
+[B, 1, n], 1/S of the bytes of one below it (``model.activation_shape``).
+``costmodel``'s docstring states both departures of the host from the device.
 
 When a round's watermark rises, every client whose ledger was stored below
 it has its entries cleared and their chunks released from the store before

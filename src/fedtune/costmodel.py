@@ -1,14 +1,40 @@
-"""Analytic per-batch time, traffic, and energy accounting.
+"""The emulated price of a track round: its seconds, wire bytes and joules.
 
-Per-layer costs are uniform: one full-model training batch costs 3*D
-forward-layer units (forward D, backward 2D), so the unit cost is the
-measured full-batch latency divided by 3*D. One function,
-``batch_time_from_boundary``, prices every training batch, with or without
-the activation cache; a track round's time and energy are summed from it
-in ``fed.run_track_round``. Adapter compute overhead is treated as negligible next
-to a transformer block. Wire traffic is charged at 4 bytes per scalar,
-the float32 the model computes in, and each participant of a round
-downloads and uploads one payload (``traffic_bytes``).
+``price_round`` is the one price of a round. ``fed.run_track_round`` gives
+it each participant's device, network and ``Work`` (its batches, counted by
+how the activation cache served them) and keeps no pricing arithmetic.
+
+- Per-layer costs are uniform: one full-model training batch costs 3*L
+  forward-layer units (forward L, backward 2L), so a unit is the device's
+  measured full-batch latency over 3*L. A batch backwards through the top
+  d layers (the tuning depth) at 2 units each. Without the cache it
+  forwards all L layers. With it, at depth watermark w (device boundary
+  b = L - w), a hit forwards the w layers above b and a recompute all L,
+  to refresh the stored activation; both pay the device's per-batch
+  reload charge. Adapter compute overhead is treated as negligible next to
+  a transformer block.
+- A client's compute seconds add its batch prices one at a time, in the
+  order ``fed.local_train`` runs them: the uncached batches, or else the
+  recomputes and then the hits. A ledger is stored at the watermark for
+  all of a client's batches or for none, so a first epoch is all
+  recomputes or all hits, and later epochs hit. (Only a corrupted entry,
+  recomputed between hits, breaks that order.)
+- Each participant downloads and uploads one payload, at 4 bytes per
+  trainable scalar, the float32 the model computes in (``traffic_bytes``).
+  Its time is download + compute + upload; the slowest sets the round's.
+- A participant's joules are its compute seconds at the device's compute
+  power plus its transfer seconds at its radio power.
+
+Two stated departures of the host from the emulated device change no
+emulated time, byte or joule. The host resumes above the boundary, at the
+lowest adapter's input: the backbone of layer b+1 is frozen too, so the
+host store keeps its output in place of the boundary's
+(``adapter.TuningScheme.resume_layer``, ``model.PrefixStore``). The device is
+still charged layer b+1's body on every batch, as for the paper's adapters
+inside the layer; pricing the resume point instead would change every
+emulated time and energy. And the host runs the top layer only for the
+pooled first token the classifier reads (``model.forward_from_boundary``),
+while every layer here is priced for the whole sequence.
 """
 
 from __future__ import annotations
@@ -67,42 +93,13 @@ BUILTIN_DEVICE_PROFILES = {
 DEFAULT_NETWORK = NetworkProfile(1_000_000.0, 1_000_000.0)  # 1 MB/s each way
 
 
-def layer_unit_cost(profile: DeviceProfile, num_layers: int) -> float:
-    """Seconds for one forward pass of one transformer layer on one batch."""
-    return profile.per_batch_latency_full / (3.0 * num_layers)
+@dataclass
+class Work:
+    """One client's training batches in a round, by how the activation cache served each."""
 
-
-def batch_time_from_boundary(profile: DeviceProfile, num_layers: int, tuning_depth: int,
-                             boundary: int | None, recomputed: bool) -> float:
-    """Per-batch training seconds at tuning depth d; the only per-batch cost.
-
-    Every batch backwards through the top d layers at twice forward cost.
-    Without the cache (``boundary`` None) it forwards all L layers. With
-    it, a hit forwards the layers above the boundary and a recompute runs
-    the bottom path too, all L layers, to refresh the stored activation;
-    both pay the per-batch reload/store charge. ``recomputed`` is read
-    only with a boundary.
-
-    ``boundary`` is the device boundary b, the deepest frozen layer. The
-    host resumes higher, at the lowest adapter's input: the backbone of
-    layer b+1 is frozen too, so the host store keeps its output in place of
-    the boundary's (``adapter.TuningScheme.resume_layer``,
-    ``model.PrefixStore``). The emulated device is still charged layer
-    b+1's body on every batch, as for the paper's adapters inside the
-    layer. That is a stated departure; pricing the resume point instead
-    would change every emulated time and energy. Likewise the host runs the
-    top layer only for the pooled first token the classifier reads
-    (``model.forward_from_boundary``), while every layer here is priced for
-    the whole sequence.
-    """
-    if not 0 <= tuning_depth <= num_layers:
-        raise ConfigurationError(
-            f"tuning depth {tuning_depth} outside [0, {num_layers}]")
-    c = layer_unit_cost(profile, num_layers)
-    if boundary is None:
-        return c * (num_layers + 2.0 * tuning_depth)
-    forward_layers = num_layers if recomputed else num_layers - boundary
-    return c * (forward_layers + 2.0 * tuning_depth) + profile.cache_reload_latency
+    recomputes: int = 0  # cached batches whose frozen prefix was recomputed
+    hits: int = 0  # cached batches served from the ledger
+    uncached: int = 0  # batches run without the cache
 
 
 def payload_bytes(trainable_scalars: int) -> int:
@@ -115,12 +112,32 @@ def traffic_bytes(payload_size: int, participants: int) -> int:
     return 2 * payload_size * participants
 
 
-def transfer_seconds(num_bytes: int, net: NetworkProfile) -> tuple[float, float]:
-    """(downlink, uplink) seconds for one payload each way."""
-    return num_bytes / net.downlink_bytes_per_s, num_bytes / net.uplink_bytes_per_s
+def price_round(num_layers: int, tuning_depth: int, depth_watermark: int, payload_size: int,
+                clients: dict[str, tuple[DeviceProfile, NetworkProfile, Work]],
+                ) -> tuple[float, dict[str, float]]:
+    """(round seconds, joules per client) of one track round, by the module docstring's rule.
 
-
-def energy_joules(compute_s: float, transfer_s: float, profile: DeviceProfile) -> float:
-    """Energy spent training plus energy spent on the radio."""
-    return compute_s * profile.compute_power_watts + transfer_s * profile.radio_power_watts
-
+    ``clients`` maps ``str(cid)`` to each participant's device, network and
+    work, in group order; the joules come back keyed and ordered alike.
+    """
+    if not 0 <= tuning_depth <= num_layers:
+        raise ConfigurationError(
+            f"tuning depth {tuning_depth} outside [0, {num_layers}]")
+    backward = 2.0 * tuning_depth
+    round_seconds = 0.0
+    client_energy = {}
+    for key, (device, net, work) in clients.items():
+        unit = device.per_batch_latency_full / (3.0 * num_layers)
+        compute_s = 0.0
+        for count, batch_s in (  # in the order local_train runs them
+                (work.uncached, unit * (num_layers + backward)),
+                (work.recomputes, unit * (num_layers + backward) + device.cache_reload_latency),
+                (work.hits, unit * (depth_watermark + backward) + device.cache_reload_latency)):
+            for _ in range(count):
+                compute_s += batch_s
+        down_s = payload_size / net.downlink_bytes_per_s
+        up_s = payload_size / net.uplink_bytes_per_s
+        round_seconds = max(round_seconds, down_s + compute_s + up_s)
+        client_energy[key] = (compute_s * device.compute_power_watts
+                              + (down_s + up_s) * device.radio_power_watts)
+    return round_seconds, client_energy

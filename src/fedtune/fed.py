@@ -14,10 +14,12 @@ client id, on that model. As soon as a client finishes, its trained
 parameters (a payload: buffers keyed by parameter name) are folded into
 the round's anchored running mean (``fedavg``), so a round holds three
 payloads (the start values, the anchor and the running sum), not one per
-participant. The round's trace fields keep the selection order:
-participants, energy summed in that order, and the round time as the max
-over the group. Every reduction (aggregation, selection, batch order) has
-a fixed order, so the results never depend on timing.
+participant. Training only counts each client's batches; the round's
+time and energy are priced once from those counts (``costmodel.price_round``).
+The round's trace fields keep the selection order: participants, and the
+client energies, summed in that order. Every reduction (aggregation,
+selection, batch order, pricing) has a fixed order, so the results never
+depend on timing.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from . import model as model_mod
 from . import tensor_nn as tn
 from .adapter import TuningScheme
 from .cache import ActivationCache
-from .costmodel import DeviceProfile, NetworkProfile
+from .costmodel import DeviceProfile, NetworkProfile, Work
 from .errors import AggregationError, SelectionError, TrainingError
 from .model import ModelState, PrefixStore
 from .tensor_nn import SeededRng
@@ -72,15 +74,6 @@ class ClientUpdate:
     num_samples: int
 
 
-@dataclass
-class LocalStats:
-    """Per-client cost inputs gathered while training."""
-
-    cache_hits: int = 0
-    cache_recomputes: int = 0
-    compute_seconds: float = 0.0
-
-
 def select_clients(registry: dict[int, ClientState], k: int, rng: SeededRng) -> list[int]:
     """Uniform sample of k distinct client ids, deterministic under rng."""
     ids = sorted(registry)
@@ -100,7 +93,7 @@ def local_train(
     cache_enabled: bool,
     depth_watermark: int,
     store: PrefixStore,
-) -> tuple[dict[str, np.ndarray], int, LocalStats]:
+) -> tuple[dict[str, np.ndarray], int, Work]:
     """Run E local passes of SGD over the client's fixed batches.
 
     ``model`` is the client's track's model, which shares the frozen
@@ -110,8 +103,9 @@ def local_train(
     whether the bottom frozen path is recomputed (at most once per batch
     per watermark change); the session's ``store``
     holds its output under ``(client.id, batch.batch_id)``, and the forward
-    pass resumes at the lowest adapter's input. Each batch is priced at the
-    device boundary, one layer below that.
+    pass resumes at the lowest adapter's input. Training only counts its
+    batches in the returned ``Work``; ``costmodel.price_round`` prices them,
+    so nothing here reads the client's device or network.
 
     The returned payload's buffers are the model's own trainable arrays,
     not copies: they hold this client's trained values only until the next
@@ -120,35 +114,31 @@ def local_train(
     """
     if not client.train_batches:
         raise TrainingError(f"client {client.id} has no training data")
-    num_layers = model.spec.num_layers
-    depth = scheme.tuning_depth(num_layers)
-    resume = scheme.resume_layer(num_layers, depth_watermark)
+    resume = scheme.resume_layer(model.spec.num_layers, depth_watermark)
     use_cache = cache_enabled and resume is not None
-    stats = LocalStats()
+    work = Work()
     trainable = model.trainable_parameters()
     for _ in range(epochs):
         for batch in client.train_batches:
             if use_cache:
-                boundary, act, recomputed = cache_mod.fetch_or_recompute(
+                _, act, recomputed = cache_mod.fetch_or_recompute(
                     client.cache, store, model, (client.id, batch.batch_id),
                     batch.tokens, depth_watermark, resume)
                 logits = model_mod.forward_from_boundary(model, resume, act)
                 if recomputed:
-                    stats.cache_recomputes += 1
+                    work.recomputes += 1
                 else:
-                    stats.cache_hits += 1
+                    work.hits += 1
             else:
-                boundary, recomputed = None, False
+                work.uncached += 1
                 logits = model_mod.forward(model, batch.tokens)
-            stats.compute_seconds += costmodel.batch_time_from_boundary(
-                client.device, num_layers, depth, boundary, recomputed)
             loss = tn.cross_entropy_loss(logits, batch.labels)
             loss.backward()
             tn.sgd_step(trainable, lr)
         if use_cache:
             # every batch is stored at this watermark now: later epochs hit
             client.cache.depth_at_store = depth_watermark
-    return {p.name: p.tensor.data for p in trainable}, client.num_train_samples(), stats
+    return {p.name: p.tensor.data for p in trainable}, client.num_train_samples(), work
 
 
 @dataclass
@@ -235,46 +225,42 @@ def run_track_round(
     """Round ``round_index`` of one track with a given group: train, aggregate, advance its clock.
 
     ``track`` is a configurator.TrialTrack; between rounds its model holds
-    the track's latest mean. The round copies the start values out once and
-    prices each participant's download and upload at their size. The group
-    trains on the model in ascending client id, each client from the start
-    values, and each trained payload is folded into the round's
+    the track's latest mean. The round copies the start values out once.
+    The group trains on the model in ascending client id, each client from
+    the start values, and each trained payload is folded into the round's
     ``RunningMean`` through ``fedavg`` before the next client loads. The
     mean is loaded into the model, the one ``configurator.evaluate_tracks``
-    scores. Returns the track's ``round`` trace event, which lists the
-    group in the order given; ``max_depth`` is the watermark.
+    scores. ``costmodel.price_round`` then prices the round once, from each
+    participant's device, network and counted work. Returns the track's
+    ``round`` trace event, which lists the group in the order given;
+    ``max_depth`` is the watermark.
     """
     model = track.model
     start = adapter_mod.extract_payload(model)
     payload_size = costmodel.payload_bytes(sum(buf.size for buf in start.values()))
     mean = RunningMean(sum(registry[cid].num_train_samples() for cid in group))
-    local: dict[int, LocalStats] = {}
+    work: dict[int, Work] = {}
     for position, cid in enumerate(sorted(group)):
         if position:
             # the first client finds the start values already loaded
             adapter_mod.load_payload(model, start)
-        trained, n_samples, local[cid] = local_train(
+        trained, n_samples, work[cid] = local_train(
             registry[cid], model, track.scheme,
             epochs=epochs, lr=lr, cache_enabled=cache_enabled,
             depth_watermark=depth_watermark, store=store)
         fedavg(mean, ClientUpdate(cid, trained, n_samples))
     adapter_mod.load_payload(model, mean.payload())
-
-    round_seconds = 0.0
-    client_energy: dict[str, float] = {}  # in group order, which energy_j sums in
-    for cid in group:
-        client, stats = registry[cid], local[cid]
-        down_s, up_s = costmodel.transfer_seconds(payload_size, client.net)
-        round_seconds = max(round_seconds, down_s + stats.compute_seconds + up_s)
-        client_energy[str(cid)] = costmodel.energy_joules(
-            stats.compute_seconds, down_s + up_s, client.device)
+    num_layers = model.spec.num_layers
+    round_seconds, client_energy = costmodel.price_round(
+        num_layers, track.scheme.tuning_depth(num_layers), depth_watermark, payload_size,
+        {str(cid): (registry[cid].device, registry[cid].net, work[cid]) for cid in group})
     track.clock += round_seconds
     return {"evt": "round", "round": round_index, "track": track.name,
             "max_depth": depth_watermark, "clock": track.clock, "participants": group,
             "payload_bytes": payload_size, "round_seconds": round_seconds,
             "energy_j": sum(client_energy.values()),
-            "cache_hits": sum(s.cache_hits for s in local.values()),
-            "cache_recomputes": sum(s.cache_recomputes for s in local.values()),
+            "cache_hits": sum(w.hits for w in work.values()),
+            "cache_recomputes": sum(w.recomputes for w in work.values()),
             "train_samples": mean.total_samples, "client_energy": client_energy}
 
 

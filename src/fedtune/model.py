@@ -369,9 +369,8 @@ def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray
     scheme the resume point is the lowest adapted layer, one above the
     device boundary, so no frozen layer body runs again on the host (see
     ``adapter.TuningScheme.resume_layer``). The emulated clock still
-    charges that layer's body on every batch, as for the paper's adapters
-    inside the layer (``costmodel.batch_time_from_boundary`` is priced at
-    the boundary).
+    charges that layer's body on every batch, a departure ``costmodel``
+    states.
     Bit-identical to ``forward`` when ``cached_act`` equals the true
     backbone output of the same chunk, because the remaining computation
     is the same instruction sequence either way.
@@ -379,9 +378,8 @@ def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray
     On the host the top layer D runs only for the pooled first token, the
     one position the classifier reads (``_apply_body``), so at resume point
     D ``cached_act`` is [B, 1, n] (``activation_shape``). The emulated clock
-    still charges every layer for the whole sequence: a second stated
-    departure of the host from the emulated device, which changes no
-    emulated time, byte or joule.
+    still charges every layer for the whole sequence: the second departure
+    ``costmodel`` states.
     """
     _check_boundary(model, resume)
     act = np.asarray(cached_act)

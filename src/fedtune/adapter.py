@@ -57,7 +57,7 @@ class AdapterConfig:
 # ---------------------------------------------------------------------------
 
 def _clone_trainable(p: Parameter) -> Parameter:
-    return make_parameter(p.tensor.data.copy(), True, p.name)
+    return make_parameter(p.data.copy(), True, p.name)
 
 
 def _own(p: Parameter) -> Parameter:
@@ -179,7 +179,7 @@ class TuningScheme:
 
 def extract_payload(model: ModelState) -> dict[str, np.ndarray]:
     """A copy of the model's trainable buffers, keyed by parameter name."""
-    return {p.name: p.tensor.data.copy() for p in model.trainable_parameters()}
+    return {p.name: p.data.copy() for p in model.trainable_parameters()}
 
 
 def materialize(backbone: ModelState, scheme: TuningScheme,
@@ -233,10 +233,10 @@ def load_payload(model: ModelState, payload: dict[str, np.ndarray]) -> None:
         raise ProtocolError(f"payload buffers do not match the model (first diffs: {missing})")
     for name, param in trainable.items():
         buf = payload[name]
-        if buf.shape != param.tensor.data.shape:
+        if buf.shape != param.data.shape:
             raise ProtocolError(
-                f"buffer '{name}' shape {buf.shape} != expected {param.tensor.data.shape}")
-        if buf.dtype != param.tensor.data.dtype:
+                f"buffer '{name}' shape {buf.shape} != expected {param.data.shape}")
+        if buf.dtype != param.data.dtype:
             raise ProtocolError(
-                f"buffer '{name}' dtype {buf.dtype} != expected {param.tensor.data.dtype}")
-        np.copyto(param.tensor.data, buf)
+                f"buffer '{name}' dtype {buf.dtype} != expected {param.data.dtype}")
+        np.copyto(param.data, buf)

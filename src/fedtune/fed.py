@@ -138,7 +138,7 @@ def local_train(
         if use_cache:
             # every batch is stored at this watermark now: later epochs hit
             client.cache.depth_at_store = depth_watermark
-    return {p.name: p.tensor.data for p in trainable}, client.num_train_samples(), work
+    return {p.name: p.data for p in trainable}, client.num_train_samples(), work
 
 
 @dataclass

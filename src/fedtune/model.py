@@ -496,14 +496,14 @@ def _graph_free(model: ModelState):
     the flags are restored on exit, whatever happens inside.
     """
     params = list(model.parameters())
-    saved = [p.tensor.requires_grad for p in params]
+    saved = [p.requires_grad for p in params]
     for p in params:
-        p.tensor.requires_grad = False
+        p.requires_grad = False
     try:
         yield
     finally:
         for p, flag in zip(params, saved):
-            p.tensor.requires_grad = flag
+            p.requires_grad = flag
 
 
 def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,

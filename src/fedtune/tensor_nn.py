@@ -52,17 +52,20 @@ operands as its allocating form, so the bits are those of the same ops
 recording a graph; a recording op never writes into an input.
 
 A ``Tensor`` is a value; only a value that takes part in a graph has a
-``Node``. A leaf's node (a parameter, or an input created with
-``requires_grad``) holds the ``requires_grad`` flag and the gradient that
-backward leaves there. An op's node holds its parents' nodes and its
-backward closure, and no node links back to a tensor. A closure captures
-parent nodes, the arrays it reads (a softmax its output, a layer norm its
-normalised rows, a linear map its flattened input and its weight) and the
-shapes and dtypes it needs, never a parent ``Tensor``. So a value no
-backward reads, such as the attention scores before the softmax or a
-residual sum before its layer norm, is freed as soon as the forward drops
-its last reference to it, as under the usual saved-tensor rule; a value a
-closure reads lives until that closure has run.
+``Node``. A ``Parameter`` is a leaf ``Tensor`` with a name and a
+``trainable`` flag, built with a node exactly when it is trainable; it is
+never owned, so no graph-free op consumes it. A leaf's node (a trainable
+parameter, or an input created with ``requires_grad``) holds the
+``requires_grad`` flag and the gradient that backward leaves there. An
+op's node holds its parents' nodes and its backward closure, and no node
+links back to a tensor. A closure captures parent nodes, the arrays it
+reads (a softmax its output, a layer norm its normalised rows, a linear
+map its flattened input and its weight) and the shapes and dtypes it
+needs, never a parent ``Tensor``. So a value no backward reads, such as
+the attention scores before the softmax or a residual sum before its
+layer norm, is freed as soon as the forward drops its last reference to
+it, as under the usual saved-tensor rule; a value a closure reads lives
+until that closure has run.
 
 A closure saves an array only when backward cannot rebuild it, bit for bit
 and by elementwise work alone, from arrays the graph already holds. A
@@ -301,37 +304,25 @@ class Tensor:
             node.grad = node.bwd = node.parents = node.recompute = None
 
 
-@dataclass
-class Parameter:
-    """Named tensor with a trainability flag.
+class Parameter(Tensor):
+    """A leaf ``Tensor`` with a name and a trainability flag, never owned.
 
-    A non-trainable parameter never receives a gradient and is never
-    touched by an optimizer step; its bytes stay fixed for the whole
-    session.
+    It is built with a node exactly when it is trainable
+    (``requires_grad``). A non-trainable parameter never receives a
+    gradient and is never touched by an optimizer step; its bytes stay
+    fixed for the whole session.
     """
 
-    tensor: Tensor
-    trainable: bool
-    name: str
+    __slots__ = ("trainable", "name")
 
-    def __post_init__(self):
-        self.tensor.requires_grad = self.trainable
-
-    @property
-    def data(self) -> Array:
-        return self.tensor.data
-
-    @property
-    def grad(self) -> Array | None:
-        return self.tensor.grad
+    def __init__(self, data, trainable: bool, name: str):
+        super().__init__(data, requires_grad=trainable)
+        self.trainable = trainable
+        self.name = name
 
 
 def make_parameter(data, trainable: bool, name: str) -> Parameter:
-    return Parameter(Tensor(data), trainable, name)
-
-
-def _tensor_of(value) -> Tensor:
-    return value.tensor if isinstance(value, Parameter) else value
+    return Parameter(data, trainable, name)
 
 
 def _grad_node(t: Tensor) -> Node | None:
@@ -400,7 +391,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """``a + b``; recording no graph, into ``a``'s or else ``b``'s owned array if it fits."""
-    a, b = _tensor_of(a), _tensor_of(b)
     a_data, b_data = a.data, b.data
     na, nb = _grad_node(a), _grad_node(b)
     if na is None and nb is None:
@@ -421,7 +411,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """``x`` in ``shape``: a view where numpy can give one (see the module docstring)."""
-    x = _tensor_of(x)
     out_data = x.data.reshape(shape)
     x.owned = False
     nx = _grad_node(x)
@@ -436,7 +425,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     """``x`` with its axes permuted, as a view, forward and backward."""
-    x = _tensor_of(x)
     out_data = x.data.transpose(axes)
     x.owned = False
     nx = _grad_node(x)
@@ -457,7 +445,6 @@ def relu(x: Tensor) -> Tensor:
     is positive exactly where ``x`` is, NaN and infinities included, so
     that is the forward's mask bit for bit.
     """
-    x = _tensor_of(x)
     x_data = x.data
     mask = x_data > 0.0
     nx = _grad_node(x)
@@ -470,7 +457,7 @@ def relu(x: Tensor) -> Tensor:
     return _recorded(out_data, (nx,), bwd)
 
 
-def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
+def linear_forward(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
     """Affine map ``x @ W + b`` over the last axis of ``x``.
 
     The last three axes of ``x`` are one [B, S, k] batch (or ``x`` is one
@@ -488,8 +475,6 @@ def linear_forward(x: Tensor, weight: Parameter, bias: Parameter) -> Tensor:
     gradient. The result is one fresh array (``base`` is ``None``), so a
     caller that keeps it, as ``model.PrefixStore`` does, pins nothing larger.
     """
-    x = _tensor_of(x)
-    w, b = weight.tensor, bias.tensor
     if x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(
             f"linear: input shape {x.data.shape} incompatible with weight shape {w.data.shape}"
@@ -545,9 +530,7 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
     from the normalised rows, gain and shift by the forward's own two ops,
     so a linear map that reads the output need not keep it.
     """
-    x = _tensor_of(x)
-    g, b = gain.tensor, shift.tensor
-    nx, ng, nb = _grad_node(x), _grad_node(g), _grad_node(b)
+    nx, ng, nb = _grad_node(x), _grad_node(gain), _grad_node(shift)
     graph_free = nx is None and ng is None and nb is None
     x_data = x.data
     n = x_data.shape[-1]
@@ -559,10 +542,10 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
     np.divide(1.0, inv, out=inv)
     xhat *= inv
     if graph_free:
-        xhat *= g.data
-        xhat += b.data
+        xhat *= gain.data
+        xhat += shift.data
         return _owned(xhat)
-    g_data, b_data = g.data, b.data
+    g_data, b_data = gain.data, shift.data
 
     def recompute() -> Array:
         out = xhat * g_data
@@ -608,7 +591,6 @@ def softmax_lastdim(x: Tensor, factor: float = 1.0) -> Tensor:
     softmax(scale(x)) forward and backward. The closure keeps the output,
     not the scores. Recording no graph, it runs in ``x``'s owned array.
     """
-    x = _tensor_of(x)
     x_data = x.data
     nx = _grad_node(x)
     y = np.multiply(x_data, factor, out=_consume(x) if nx is None else None)
@@ -645,7 +627,6 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     multiplied, so a copied operand's source is not kept, and the operands
     are no longer owned.
     """
-    a, b = _tensor_of(a), _tensor_of(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"bmm: shapes {a.data.shape} and {b.data.shape} do not align")
     na, nb = _grad_node(a), _grad_node(b)
@@ -668,18 +649,17 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
 def embedding(table: Parameter, ids: Array) -> Tensor:
     """Row lookup into an embedding table, differentiable w.r.t. the table."""
-    t = table.tensor
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= t.data.shape[0]):
-        bad = int(np.argwhere((ids < 0) | (ids >= t.data.shape[0]))[0][0])
+    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+        bad = int(np.argwhere((ids < 0) | (ids >= table.data.shape[0]))[0][0])
         raise DataError(
-            f"token id out of range for table of size {t.data.shape[0]} (first bad row {bad})"
+            f"token id out of range for table of size {table.data.shape[0]} (first bad row {bad})"
         )
-    out_data = t.data[ids]
-    nt = _grad_node(t)
+    out_data = table.data[ids]
+    nt = _grad_node(table)
     if nt is None:
         return _owned(out_data)
-    table_shape, dtype = t.data.shape, t.data.dtype
+    table_shape, dtype = table.data.shape, table.data.dtype
 
     def bwd(dout: Array) -> None:
         dt = np.zeros(table_shape, dtype)
@@ -690,7 +670,6 @@ def embedding(table: Parameter, ids: Array) -> Tensor:
 
 def first_token(x: Tensor) -> Tensor:
     """Pool a [..., B, S, n] sequence batch down to its first position, [..., B, n]."""
-    x = _tensor_of(x)
     out_data = x.data[..., 0, :].copy()
     nx = _grad_node(x)
     if nx is None:
@@ -739,8 +718,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
     and keeping the bits of its own pass (see the module docstring). The
     transposed keys are multiplied as a view (see ``bmm``).
     """
-    x = _tensor_of(x)
-    query = x if query is None else _tensor_of(query)
+    query = x if query is None else query
     if x.data.ndim < 3:
         raise ShapeError(f"attention: input shape {x.data.shape} is not [B, S, n]")
     *batch, _, hidden = x.data.shape
@@ -774,7 +752,6 @@ def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
 
 def cross_entropy_loss(logits: Tensor, labels: Array) -> Tensor:
     """Mean negative log-softmax of the true class, max-stabilized."""
-    logits = _tensor_of(logits)
     labels = np.asarray(labels, dtype=np.int64)
     batch, num_classes = logits.data.shape
     if labels.shape != (batch,):
@@ -810,15 +787,15 @@ def sgd_step(params: Iterable[Parameter], lr: float) -> None:
     for p in params:
         if not p.trainable:
             continue
-        if p.tensor.grad is None:
+        if p.grad is None:
             raise TrainingError(f"trainable parameter '{p.name}' has no gradient")
-        p.tensor.data -= lr * p.tensor.grad
-        p.tensor.grad = None
+        p.data -= lr * p.grad
+        p.grad = None
 
 
 def clear_grads(params: Iterable[Parameter]) -> None:
     for p in params:
-        p.tensor.grad = None
+        p.grad = None
 
 
 def grad_check(
@@ -842,9 +819,9 @@ def grad_check(
     loss.backward()
     analytic = {}
     for p in trainable:
-        if p.tensor.grad is None:
+        if p.grad is None:
             raise TrainingError(f"no gradient for '{p.name}' after backward")
-        analytic[p.name] = p.tensor.grad.copy()
+        analytic[p.name] = p.grad.copy()
     clear_grads(params)
 
     # scale-aware floor: coordinates with gradients far below the overall
@@ -853,7 +830,7 @@ def grad_check(
     floor = max(1e-3 * scale, 1e-12)
     max_rel = 0.0
     for p in trainable:
-        flat = p.tensor.data.reshape(-1)
+        flat = p.data.reshape(-1)
         n = flat.size
         if max_coords_per_param is not None and n > max_coords_per_param:
             if rng is None:

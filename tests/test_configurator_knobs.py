@@ -18,7 +18,7 @@ from conftest import small_session_doc
 def _units(model) -> dict[int, list[int]]:
     """Adapted layer -> the width of each unit in its stack, from the trainable parameters."""
     units: dict[int, list[int]] = {}
-    for name, buf in sorted((p.name, p.tensor.data) for p in model.trainable_parameters()):
+    for name, buf in sorted((p.name, p.data) for p in model.trainable_parameters()):
         if name.endswith(".w_down"):
             units.setdefault(int(name[len("block"):name.index(".")]), []).append(buf.shape[1])
     return units

@@ -419,8 +419,8 @@ class TestGraphFree:
         model = adapter_mod.materialize(
             tiny_model, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(2))
         sentinel = np.full(model.cls_w.data.shape, 7.0)
-        model.cls_w.tensor.grad = sentinel
-        before = [(p.tensor.requires_grad, p.trainable, p.tensor.grad)
+        model.cls_w.grad = sentinel
+        before = [(p.requires_grad, p.trainable, p.grad)
                   for p in model.parameters()]
         assert any(flag for flag, _, _ in before)
         outputs = []
@@ -433,17 +433,17 @@ class TestGraphFree:
 
         monkeypatch.setattr(model_mod, "forward", spy)
         evaluate(model, tiny_tokens, np.array([0, 1, 2]))
-        after = [(p.tensor.requires_grad, p.trainable, p.tensor.grad)
+        after = [(p.requires_grad, p.trainable, p.grad)
                  for p in model.parameters()]
         assert [(f, t) for f, t, _ in after] == [(f, t) for f, t, _ in before]
         assert all(a is b for (_, _, a), (_, _, b) in zip(after, before))
-        assert model.cls_w.tensor.grad is sentinel
+        assert model.cls_w.grad is sentinel
         assert outputs and all(o.node is None for o in outputs)
 
     def test_flags_restored_when_forward_raises(self, tiny_model):
         with pytest.raises(DataError):
             evaluate(tiny_model, np.array([[0, 1, 99, 2, 3]]), np.array([0]))
-        assert tiny_model.cls_w.tensor.requires_grad
+        assert tiny_model.cls_w.requires_grad
 
     def test_empty_set_raises_with_store(self, tiny_model):
         empty = np.zeros((0, 5), dtype=np.int64)

@@ -35,7 +35,7 @@ def recording(model, monkeypatch):
     def never_owned(data):
         raise AssertionError("an op ran without recording a graph")
 
-    tables = (model.tok_embed.tensor, model.pos_embed.tensor)
+    tables = (model.tok_embed, model.pos_embed)
     with monkeypatch.context() as patch:
         patch.setattr(tn, "_owned", never_owned)
         for t in tables:

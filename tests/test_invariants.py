@@ -16,7 +16,7 @@ from conftest import small_session_doc
 
 
 def _stack_bytes(model) -> dict[str, bytes]:
-    return {p.name: p.tensor.data.tobytes()
+    return {p.name: p.data.tobytes()
             for block in model.blocks for meta in block.adapters for p in meta.all()}
 
 
@@ -24,7 +24,7 @@ def _trained(model, seed: int):
     """Move every trainable buffer off its initial value, as training would."""
     rng = SeededRng(seed)
     for p in model.trainable_parameters():
-        p.tensor.data = p.tensor.data + rng.normal(0.0, 0.1, p.tensor.data.shape)
+        p.data = p.data + rng.normal(0.0, 0.1, p.data.shape)
     return model
 
 

@@ -21,7 +21,7 @@ KEY = (0, 0)  # (client id, batch id): a ledger entry's key in the cache and the
 
 
 def model_bytes(model):
-    return b"".join(p.tensor.data.tobytes() for p in model.parameters())
+    return b"".join(p.data.tobytes() for p in model.parameters())
 
 
 def closed_form_backbone_count(spec):
@@ -83,7 +83,7 @@ class TestForward:
             tiny_model, TuningScheme("adapter", AdapterConfig(2, 8, 8)), rng=SeededRng(11))
         for block in adapted.blocks:
             for meta in block.adapters:
-                meta.w_up.tensor.data[:] = 0.0
+                meta.w_up.data[:] = 0.0
         assert np.array_equal(base, forward(adapted, tiny_tokens).data)
 
     def test_out_of_range_token(self, tiny_model):
@@ -144,7 +144,7 @@ class TestBoundary:
 
         loss_full = tn.cross_entropy_loss(forward(adapted, tiny_tokens), labels)
         loss_full.backward()
-        grads_full = {p.name: p.tensor.grad.copy() for p in params}
+        grads_full = {p.name: p.grad.copy() for p in params}
         tn.clear_grads(params)
 
         act = model_mod.compute_boundary_activation(adapted, tiny_tokens, 1)
@@ -152,7 +152,7 @@ class TestBoundary:
             forward_from_boundary(adapted, 1, act), labels)
         loss_boundary.backward()
         for p in params:
-            assert np.array_equal(grads_full[p.name], p.tensor.grad), p.name
+            assert np.array_equal(grads_full[p.name], p.grad), p.name
 
     def test_boundary_above_lowest_adapter_rejected(self, tiny_model, tiny_tokens):
         # adapters on both layers: resuming at layer 2 would skip layer 1's
@@ -331,8 +331,8 @@ class TestEvaluate:
         assert len(accs) == 1
 
     def test_biased_classifier_scores_one(self, tiny_model, tiny_tokens):
-        tiny_model.cls_w.tensor.data[:] = 0.0
-        tiny_model.cls_b.tensor.data[:] = np.array([0.0, 10.0, 0.0])
+        tiny_model.cls_w.data[:] = 0.0
+        tiny_model.cls_b.data[:] = np.array([0.0, 10.0, 0.0])
         labels = np.array([1, 1, 1])
         assert evaluate(tiny_model, tiny_tokens, labels) == 1.0
 

@@ -64,7 +64,7 @@ def test_single_sample_and_tiny_logits_within_4_eps(mid_adapted, tiny_model, sha
 
 def _as_float64(model):
     for p in model.parameters():
-        p.tensor.data = p.tensor.data.astype(np.float64)
+        p.data = p.data.astype(np.float64)
     return model
 
 

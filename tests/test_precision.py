@@ -19,7 +19,7 @@ F32 = np.dtype(np.float32)
 def _as_float64(model):
     """Cast every parameter of ``model`` to float64 in place."""
     for p in model.parameters():
-        p.tensor.data = p.tensor.data.astype(np.float64)
+        p.data = p.data.astype(np.float64)
     return model
 
 
@@ -68,7 +68,7 @@ class TestSessionDtypes:
         assert len(merged) == len(tracks)
         for mean, track in zip(merged, tracks):
             for p in track.model.trainable_parameters():
-                assert p.tensor.data.tobytes() == mean[p.name].tobytes(), p.name
+                assert p.data.tobytes() == mean[p.name].tobytes(), p.name
         return world, models, grads, updates, merged, store
 
     def test_parameters_and_gradients_are_float32(self, recorded):

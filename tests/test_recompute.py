@@ -35,7 +35,6 @@ def _moved_model(scheme):
 
 
 def _relu_keeping_its_mask(x, _relu=tn.relu):
-    x = tn._tensor_of(x)
     nx = tn._grad_node(x)
     if nx is None:
         return _relu(x)

@@ -200,7 +200,7 @@ class TestTrackRound:
             mean = means[-1].payload()
             assert _trained_bytes(model) == {name: buf.tobytes() for name, buf in mean.items()}
             for p in model.trainable_parameters():
-                assert not np.shares_memory(p.tensor.data, mean[p.name]), p.name
+                assert not np.shares_memory(p.data, mean[p.name]), p.name
         assert track.model is model and calls == [] and len(means) == 2
 
     def test_duplicate_participant_raises(self, small_world):
@@ -211,7 +211,7 @@ class TestTrackRound:
 
 def _trained_bytes(model) -> dict[str, bytes]:
     """The bytes of every trainable parameter of ``model``, by name."""
-    return {p.name: p.tensor.data.tobytes() for p in model.trainable_parameters()}
+    return {p.name: p.data.tobytes() for p in model.trainable_parameters()}
 
 
 def _round_peak(participants: int) -> tuple[int, int]:
@@ -227,7 +227,7 @@ def _round_peak(participants: int) -> tuple[int, int]:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak, sum(p.tensor.data.nbytes for p in track.model.trainable_parameters())
+    return peak, sum(p.data.nbytes for p in track.model.trainable_parameters())
 
 
 def test_round_memory_does_not_grow_with_participants():

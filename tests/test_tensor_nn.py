@@ -153,7 +153,7 @@ class TestLayerNorm:
 
         def loss():
             return cross_entropy_loss(
-                linear_forward(layer_norm(base.tensor, g, s), w, b), labels)
+                linear_forward(layer_norm(base, g, s), w, b), labels)
 
         assert grad_check(loss, [base, g, s, w, b]) < 1e-6
 
@@ -242,28 +242,28 @@ class TestSgd:
             linear_forward(x, live, make_parameter(np.zeros(3), True, "b")),
             np.array([0, 1]))
         loss.backward()
-        live.tensor.grad = np.ones((3, 3))
+        live.grad = np.ones((3, 3))
         sgd_step([frozen, live], lr=0.5)
         assert frozen.data.tobytes() == before
 
     def test_hand_arithmetic(self):
         p = make_parameter([1.0], True, "p")
-        p.tensor.grad = np.array([2.0])
+        p.grad = np.array([2.0])
         sgd_step([p], lr=0.1)
         assert p.data.tolist() == [0.8]
-        assert p.tensor.grad is None
+        assert p.grad is None
 
     def test_two_steps_match_summed_gradient(self):
         rng = SeededRng(2)
         g1, g2 = rng.normal(0, 1, 4), rng.normal(0, 1, 4)
         start = rng.normal(0, 1, 4)
         p = make_parameter(start.copy(), True, "p")
-        p.tensor.grad = g1.copy()
+        p.grad = g1.copy()
         sgd_step([p], lr=0.05)
-        p.tensor.grad = g2.copy()
+        p.grad = g2.copy()
         sgd_step([p], lr=0.05)
         q = make_parameter(start.copy(), True, "q")
-        q.tensor.grad = g1 + g2
+        q.grad = g1 + g2
         sgd_step([q], lr=0.05)
         assert np.allclose(p.data, q.data, atol=1e-12)
 
@@ -275,7 +275,7 @@ class TestSgd:
     def test_lr_zero_is_bitwise_noop(self):
         p = make_parameter([0.1, -2.5, 3e-7], True, "p")
         before = p.data.tobytes()
-        p.tensor.grad = np.array([5.0, -1.0, 2.0])
+        p.grad = np.array([5.0, -1.0, 2.0])
         sgd_step([p], lr=0.0)
         assert p.data.tobytes() == before
 
@@ -292,7 +292,7 @@ class TestGradCheck:
         def loss():
             # loss linear in w, so central differences are exact to rounding
             prod = tn.bmm(tn.reshape(Tensor(x), (1, 1, 4)),
-                          tn.reshape(w.tensor, (1, 4, 1)))
+                          tn.reshape(w, (1, 4, 1)))
             return tn.reshape(prod, ())
 
         assert grad_check(loss, [w]) < 1e-8
@@ -310,7 +310,7 @@ class TestDeterminism:
             loss = cross_entropy_loss(
                 linear_forward(tn.first_token(att), w, b), np.array([0, 1, 2]))
             loss.backward()
-            return loss.item(), w.tensor.grad.tobytes(), params.wq.tensor.grad.tobytes()
+            return loss.item(), w.grad.tobytes(), params.wq.grad.tobytes()
 
         assert run() == run()
 
@@ -331,19 +331,19 @@ class TestGraphRelease:
         x, w, b, hidden, act, loss = self.build(SeededRng(21))
         loss.backward()
         assert hidden.grad is None and act.grad is None and loss.grad is None
-        assert all(t.grad is not None for t in (x, w.tensor, b.tensor))
+        assert all(t.grad is not None for t in (x, w, b))
         assert loss.item() > 0.0 and act.data.shape == (4, 3)
 
     def test_second_backward_raises_and_keeps_first_grads(self):
         x, w, b, _, act, loss = self.build(SeededRng(21))
         loss.backward()
-        grads = [t.grad.copy() for t in (x, w.tensor, b.tensor)]
+        grads = [t.grad.copy() for t in (x, w, b)]
         with pytest.raises(TrainingError, match="consumed"):
             loss.backward()
         # a new graph on top of a consumed intermediate is refused too
         with pytest.raises(TrainingError, match="consumed"):
             cross_entropy_loss(tn.relu(act), np.array([0, 1, 2, 0])).backward()
-        for t, g in zip((x, w.tensor, b.tensor), grads):
+        for t, g in zip((x, w, b), grads):
             assert np.array_equal(t.grad, g)
 
     def test_backward_peak_is_one_working_set(self):
@@ -365,7 +365,7 @@ class TestGraphRelease:
         # without the release: peak 1.9x and 1.25 MB held after, 22x the gradients
         assert peak <= 1.25 * before
         assert after <= 2 * grad_bytes
-        assert all(p.tensor.grad is not None for p in model.trainable_parameters())
+        assert all(p.grad is not None for p in model.trainable_parameters())
 
 
 MID_SPEC = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128, vocab=200, seqlen=32,
@@ -418,7 +418,7 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         # 8.30 MB when every node kept its parent Tensor, 4.77 MB without;
         # 4.01 MB once no closure keeps a layer norm's output or a ReLU mask
         assert peak <= 4.4e6, peak
-        assert all(p.tensor.grad is not None for p in trainable)
+        assert all(p.grad is not None for p in trainable)
 
     def test_scores_and_residual_sum_freed_before_backward(self, monkeypatch):
         spec = ModelSpec(num_layers=2, hidden=16, heads=2, ffn_dim=32,
@@ -438,7 +438,7 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         loss = cross_entropy_loss(logits, np.arange(4) % 3)
         assert loss.node.parents is not None  # the graph is still unconsumed
         loss.backward()
-        assert all(p.tensor.grad is not None for p in model.trainable_parameters())
+        assert all(p.grad is not None for p in model.trainable_parameters())
 
     def test_layer_norm_outputs_and_relu_masks_freed_before_backward(self, monkeypatch):
         model, tokens, labels = _mid_full_ft_step()
@@ -463,7 +463,7 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         loss.backward()
         # consuming a node releases its recompute, and with it the normalised rows
         assert all(node.recompute is None for node in nodes)
-        assert all(p.tensor.grad is not None for p in model.trainable_parameters())
+        assert all(p.grad is not None for p in model.trainable_parameters())
 
     def test_no_closure_holds_a_tensor(self):
         model, tokens, labels = _mid_full_ft_step()
@@ -487,7 +487,7 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         x = Tensor(np.ones((2, 3)))
         w = make_parameter(np.ones((3, 2)), False, "w")
         b = make_parameter(np.zeros(2), False, "b")
-        assert x.node is None and w.tensor.node is None
+        assert x.node is None and w.node is None
         out = tn.relu(linear_forward(x, w, b))
         assert out.node is None and not out.requires_grad and out.grad is None
 
@@ -682,7 +682,7 @@ def test_graph_free_op_writes_only_into_the_owned_input_it_consumes(op):
     cases, params = _op_cases(rng)
     arrays, fwd = cases[op]
     for p in params:
-        p.tensor.requires_grad = False
+        p.requires_grad = False
     inputs = [tn._owned(a) for a in arrays]
     before = [a.copy() for a in arrays]
     params_before = [p.data.copy() for p in params]
@@ -757,7 +757,7 @@ def test_graph_free_op_never_writes_into_a_shared_array(op, source):
     rng = np.random.default_rng(2)
     cases, params = _op_cases(rng)
     for p in params:
-        p.tensor.requires_grad = False
+        p.requires_grad = False
     fwd = cases[op][1]
     x, array = _shared_inputs(rng)[source]()
     before = array.copy()

@@ -21,7 +21,7 @@ from conftest import small_session_doc
 
 def _arrays(track) -> list[tuple[str, np.ndarray]]:
     """Every trainable array of the track's model."""
-    return [(p.name, p.tensor.data) for p in track.model.trainable_parameters()]
+    return [(p.name, p.data) for p in track.model.trainable_parameters()]
 
 
 def _snapshot(track) -> dict[str, bytes]:

@@ -6,10 +6,11 @@ must occur exactly once in the current source
 moves a fragment ports its mutant here too. A change that adds a test
 adds the mutant that shows the test bites.
 
-    python3 tests/mutants.py [NAME ...]
+    python3 tests/mutants.py
 
 copies ``src`` and ``tests`` to a temporary directory once, and, for each
-mutant (or each one named), applies it there, runs its tests with ``-x``,
+mutant, applies it there, runs its tests with ``-x`` without writing
+bytecode (a stale ``.pyc`` of a same-size mutant must not be imported),
 and restores the file. A mutant is killed when pytest reports a failing
 test; it survives when its tests pass, and any other outcome (a
 collection error, no test found, no result within ``TIMEOUT_S``) is an
@@ -110,7 +111,7 @@ def run(mutant: Mutant, copy: Path) -> tuple[str, str]:
         filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))}
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            [sys.executable, "-B", "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
             cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "ERROR", f"no result in {TIMEOUT_S} s"
@@ -122,11 +123,7 @@ def run(mutant: Mutant, copy: Path) -> tuple[str, str]:
     return ("SURVIVED" if done.returncode == 0 else f"ERROR (pytest exit {done.returncode})"), tail
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in CATALOGUE if not names or m.name in names]
-    if unknown := sorted(set(names) - {m.name for m in CATALOGUE}):
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     start = time.perf_counter()
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -135,17 +132,17 @@ def main(names: list[str]) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
-        for mutant in chosen:
+        for mutant in CATALOGUE:
             began = time.perf_counter()
             outcome, why = run(mutant, copy)
             bad += outcome != "killed"
             print(f"{outcome:<10} {mutant.name} ({time.perf_counter() - began:.1f} s)", flush=True)
             if why:
                 print(why, flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed "
+    print(f"{len(CATALOGUE) - bad} of {len(CATALOGUE)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

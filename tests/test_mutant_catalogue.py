@@ -1,6 +1,6 @@
 """The mutant catalogue still fits the source: each fragment occurs once, each test exists.
 
-Running the mutants takes minutes (``python3 tests/mutants.py``); this
+Running the mutants takes a second or more each (``python3 tests/mutants.py``); this
 check takes milliseconds, so a refactor that moves a fragment, or renames
 a test a mutant names, must port the catalogue entry in the same change.
 """

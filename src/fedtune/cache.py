@@ -2,22 +2,21 @@
 
 For every local batch a client caches the frozen-prefix activation its
 training resumes from. In the emulation the cache matters only through its
-ledger: the depth watermark it was stored at, the resume point of each
-batch's entry, and the hit and recompute counts that price each batch on
-the emulated clock. The arrays themselves live in the session's one host
-store (``model.PrefixStore``); a ledger entry refers to the store's array
-for its batch, so nothing is held twice.
+ledger: the resume point of each batch's entry, and the hit and recompute
+counts that price each batch on the emulated clock. The arrays themselves
+live in the session's one host store (``model.PrefixStore``); a ledger
+entry refers to the store's array for its batch, so nothing is held twice.
 
-An entry is keyed to the device boundary b, the deepest frozen layer at
-the depth watermark. The watermark is the session's running max depth: the
-deepest tuning depth of any track dispatched in the current round.
-Configurations only grow, so that is also the deepest depth dispatched
-since the client last took part, and it never falls. An entry stays valid
-while the watermark equals the depth at store time; once the watermark
-rises, the boundary moves down and the activation is recomputed and
-recached. A session therefore expires the cache at most once per depth
-increase, i.e. at most D times. A falling watermark breaks that bound and
-is a ContractViolation.
+A ledger holds a client's batches at the session's depth watermark
+(``fed.ServerState.depth_watermark``), its running max depth: the deepest
+tuning depth of any track dispatched so far. An entry is keyed to the
+device boundary b = D - watermark, the deepest frozen layer there.
+Configurations only grow, so the watermark never falls; ``fed.run_round``
+refuses a round whose watermark would fall (a ContractViolation), and when
+it rises, the boundary moves down and ``run_round`` clears every ledger
+(``expire``) before anyone trains, selected or not: those entries could
+never hit again. That happens at most once per depth increase, i.e. at
+most D times.
 
 The host keeps more than the device boundary's output. Adapters sit after
 a layer's second layer norm, so the whole backbone of layer b+1 is frozen
@@ -31,11 +30,6 @@ body included (``costmodel.price_round``). The host also runs the top layer
 D only for the pooled first token, so an entry at resume point D holds
 [B, 1, n], 1/S of the bytes of one below it (``model.activation_shape``).
 ``costmodel``'s docstring states both departures of the host from the device.
-
-When a round's watermark rises, every client whose ledger was stored below
-it has its entries cleared and their chunks released from the store before
-anyone trains (``expire``), selected or not: those entries could never hit
-again.
 
 The ledger decides what the emulated device recomputes; it does not decide
 when the host builds. After ``expire`` and client selection, ``fed.run_round``
@@ -58,7 +52,6 @@ from typing import Hashable
 import numpy as np
 
 from . import model as model_mod
-from .errors import ContractViolation
 from .model import ModelState, PrefixStore
 
 
@@ -68,32 +61,21 @@ class CacheEntry:
     activations: np.ndarray  # the store's read-only array, ``model.activation_shape``
 
 
-@dataclass
+@dataclass(slots=True)
 class ActivationCache:
-    """One client's ledger; ``depth_at_store`` is the watermark it was stored at."""
+    """One client's ledger, held at the session's depth watermark."""
 
     entries: dict[Hashable, CacheEntry] = field(default_factory=dict)
-    depth_at_store: int | None = None
     integrity_failures: int = 0
 
 
-def expire(cache: ActivationCache, store: PrefixStore, depth_watermark: int) -> None:
-    """Clear a ledger stored below ``depth_watermark`` and release its chunks from ``store``.
+def expire(cache: ActivationCache, store: PrefixStore) -> None:
+    """Clear the ledger and release its chunks from ``store``.
 
-    Its entries can never hit again, since the watermark never falls, so
-    nothing that was held for them is kept. ``fed.run_round`` calls this for
-    every client before any of them trains, selected or not (within a
-    round, ``fetch_or_recompute`` replaces a selected client's entries one
-    batch at a time); a ledger stored at the watermark, or never stored, is
-    left alone. A watermark below the stored depth is a ContractViolation,
-    raised before anything is touched.
+    ``fed.run_round`` calls this for every client when the session's
+    watermark rises, before anyone trains: the entries can never hit again,
+    so nothing that was held for them is kept.
     """
-    d_prev = cache.depth_at_store
-    if d_prev is None or depth_watermark == d_prev:
-        return
-    if depth_watermark < d_prev:
-        raise ContractViolation(
-            f"depth watermark {depth_watermark} fell below the stored depth {d_prev}")
     for key, entry in cache.entries.items():
         store.release(entry.resume, key)
     cache.entries.clear()
@@ -115,30 +97,23 @@ def fetch_or_recompute(
     resumes at the watermark (``TuningScheme.resume_layer``). Returns
     (boundary, activations, recomputed): the device boundary
     b = D - ``depth_watermark`` the batch is priced with, and the backbone
-    output through layer ``resume``, where training resumes. A hit requires
-    that an entry exists, that the watermark equals the depth the cache was
-    stored at, and that the entry was stored for ``resume`` with the shape
-    ``model.activation_shape`` gives it; an entry failing the last check
-    counts as an integrity failure and is recomputed. A watermark below
-    the stored depth is a ContractViolation, raised before the cache is
-    touched: tuning depths only grow, and that is what bounds the
-    recomputes. A recompute takes its array from ``store``, which drops
+    output through layer ``resume``, where training resumes. The ledger is
+    held at ``depth_watermark`` (``fed.run_round`` clears it when the
+    watermark rises), so a hit requires only that an entry exists and was
+    stored for ``resume`` with the shape ``model.activation_shape`` gives
+    it; an entry failing that counts as an integrity failure and is
+    recomputed. A recompute takes its array from ``store``, which drops
     the entry's chunk at its old resume point. A key asked for with tokens
     other than its first is a ContractViolation there.
     """
-    d_prev = cache.depth_at_store
-    if d_prev is not None and depth_watermark < d_prev:
-        raise ContractViolation(
-            f"depth watermark {depth_watermark} fell below the stored depth {d_prev}")
     boundary = model.spec.num_layers - depth_watermark
     entry = cache.entries.get(key)
     if entry is not None:
-        if depth_watermark == d_prev:
-            act = entry.activations
-            if entry.resume == resume and act.shape == model_mod.activation_shape(
-                    model, resume, *tokens.shape):
-                return boundary, act, False
-            cache.integrity_failures += 1
+        act = entry.activations
+        if entry.resume == resume and act.shape == model_mod.activation_shape(
+                model, resume, *tokens.shape):
+            return boundary, act, False
+        cache.integrity_failures += 1
         if entry.resume != resume:
             store.release(entry.resume, key)
     activations = store.activation(resume, key, tokens)

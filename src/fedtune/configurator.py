@@ -15,10 +15,11 @@ is stated once, by its scheme. Decisions read the winner's
 dispatch grows from; no other copy of the current shape is kept.
 
 This module holds the decision logic alone: ``dispatch``,
-``should_decide``, ``decide_winner`` and ``evaluate_tracks``. The session
-loop that applies it is ``session.step``, which advances one
-``session.Session`` value a round at a time in every mode; the fixed
-baselines have no configurator state and never decide.
+``decide_winner`` and ``evaluate_tracks``. The session loop that applies
+it is ``session.step``, which advances one ``session.Session`` value a
+round at a time in every mode and keeps the decision clock (the last
+decision's time and the trial interval) on it; the fixed baselines never
+decide.
 """
 
 from __future__ import annotations
@@ -60,21 +61,6 @@ class ConfiguratorParams:
     intvl_growth: float = 1.0
 
 
-@dataclass
-class ConfiguratorState:
-    """Search progress from ``params``: the last decision's clock and the trial interval.
-
-    The current shape is not kept here: it is the current track's scheme.
-    """
-
-    params: ConfiguratorParams
-    t_trial: float = 0.0
-    trial_intvl: float | None = field(init=False)
-
-    def __post_init__(self):
-        self.trial_intvl = self.params.trial_intvl_s
-
-
 def _adapter_scheme(depth: int, width: int, step: int) -> TuningScheme:
     return TuningScheme("adapter", AdapterConfig(depth, width, step))
 
@@ -112,13 +98,6 @@ def dispatch(
                          adapter_mod.widen(base, step, rng)))
     return [TrialTrack(name, track_scheme, model, clock=start_clock)
             for name, track_scheme, model in variants]
-
-
-def should_decide(state: ConfiguratorState, now: float) -> bool:
-    """True when the trial interval has elapsed on the decision clock."""
-    if state.trial_intvl is None:
-        return False
-    return now - state.t_trial > state.trial_intvl
 
 
 def decide_winner(tracks: list[TrialTrack]) -> TrialTrack:

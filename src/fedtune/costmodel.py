@@ -15,10 +15,11 @@ how the activation cache served them) and keeps no pricing arithmetic.
   a transformer block.
 - A client's compute seconds add its batch prices one at a time, in the
   order ``fed.local_train`` runs them: the uncached batches, or else the
-  recomputes and then the hits. A ledger is stored at the watermark for
-  all of a client's batches or for none, so a first epoch is all
-  recomputes or all hits, and later epochs hit. (Only a corrupted entry,
-  recomputed between hits, breaks that order.)
+  recomputes and then the hits. A ledger holds a client's batches at the
+  session's watermark, all of them or none (``fed.run_round`` clears every
+  ledger when the watermark rises), so a first epoch is all recomputes or
+  all hits, and later epochs hit. (Only a corrupted entry, recomputed
+  between hits, breaks that order.)
 - Each participant downloads and uploads one payload, at 4 bytes per
   trainable scalar, the float32 the model computes in (``traffic_bytes``).
   Its time is download + compute + upload; the slowest sets the round's.

@@ -1,11 +1,12 @@
 """Synchronous parameter-server federation over simulated clients.
 
 Clients are stateful across rounds only through their activation cache;
-the frozen backbone is globally identical and never shipped. Every
-participant of a round trains with the same cache watermark, the session's
-running max depth: the round's deepest dispatched tuning depth.
-Configurations only grow, so no deeper one was dispatched in any earlier
-round, and the watermark never falls.
+the frozen backbone is globally identical and never shipped. The server
+keeps the session's one cache watermark (``ServerState.depth_watermark``),
+its running max depth: the round's deepest dispatched tuning depth, with
+which every participant trains. Configurations only grow, so the
+watermark never falls; ``run_round`` refuses a round that would lower it
+and clears every client's ledger when it rises.
 
 A track is its tuning scheme plus one model, which holds its latest FedAvg
 mean between rounds. A track round copies the start values out of the
@@ -36,7 +37,7 @@ from . import tensor_nn as tn
 from .adapter import TuningScheme
 from .cache import ActivationCache
 from .costmodel import DeviceProfile, NetworkProfile, Work
-from .errors import AggregationError, SelectionError, TrainingError
+from .errors import AggregationError, ContractViolation, SelectionError, TrainingError
 from .model import ModelState, PrefixStore
 from .tensor_nn import SeededRng
 
@@ -65,6 +66,7 @@ class ServerState:
     registry: dict[int, ClientState]
     rng_select: SeededRng
     round_index: int = 0
+    depth_watermark: int = 0  # the deepest tuning depth of any round so far
 
 
 @dataclass
@@ -90,22 +92,22 @@ def local_train(
     *,
     epochs: int,
     lr: float,
-    cache_enabled: bool,
     depth_watermark: int,
-    store: PrefixStore,
+    store: PrefixStore | None,
 ) -> tuple[dict[str, np.ndarray], int, Work]:
     """Run E local passes of SGD over the client's fixed batches.
 
     ``model`` is the client's track's model, which shares the frozen
     backbone and holds the round's start values (``run_track_round``
     loads them before each client, so no earlier client's training carries
-    over). With the cache enabled, the client's ledger decides per batch
-    whether the bottom frozen path is recomputed (at most once per batch
-    per watermark change); the session's ``store``
-    holds its output under ``(client.id, batch.batch_id)``, and the forward
-    pass resumes at the lowest adapter's input. Training only counts its
-    batches in the returned ``Work``; ``costmodel.price_round`` prices them,
-    so nothing here reads the client's device or network.
+    over). With a ``store`` (the session's; None trains without the cache)
+    and a frozen prefix, the client's ledger decides per batch whether the
+    bottom frozen path is recomputed (at most once per batch per watermark
+    rise); ``store`` holds its output under ``(client.id, batch.batch_id)``,
+    and the forward pass resumes at the lowest adapter's input. Training
+    only counts its batches in the returned ``Work``;
+    ``costmodel.price_round`` prices them, so nothing here reads the
+    client's device or network.
 
     The returned payload's buffers are the model's own trainable arrays,
     not copies: they hold this client's trained values only until the next
@@ -115,7 +117,7 @@ def local_train(
     if not client.train_batches:
         raise TrainingError(f"client {client.id} has no training data")
     resume = scheme.resume_layer(model.spec.num_layers, depth_watermark)
-    use_cache = cache_enabled and resume is not None
+    use_cache = store is not None and resume is not None
     work = Work()
     trainable = model.trainable_parameters()
     for _ in range(epochs):
@@ -135,9 +137,6 @@ def local_train(
             loss = tn.cross_entropy_loss(logits, batch.labels)
             loss.backward()
             tn.sgd_step(trainable, lr)
-        if use_cache:
-            # every batch is stored at this watermark now: later epochs hit
-            client.cache.depth_at_store = depth_watermark
     return {p.name: p.data for p in trainable}, client.num_train_samples(), work
 
 
@@ -217,10 +216,9 @@ def run_track_round(
     *,
     epochs: int,
     lr: float,
-    cache_enabled: bool,
     round_index: int,
     depth_watermark: int,
-    store: PrefixStore,
+    store: PrefixStore | None,
 ) -> dict:
     """Round ``round_index`` of one track with a given group: train, aggregate, advance its clock.
 
@@ -246,8 +244,7 @@ def run_track_round(
             adapter_mod.load_payload(model, start)
         trained, n_samples, work[cid] = local_train(
             registry[cid], model, track.scheme,
-            epochs=epochs, lr=lr, cache_enabled=cache_enabled,
-            depth_watermark=depth_watermark, store=store)
+            epochs=epochs, lr=lr, depth_watermark=depth_watermark, store=store)
         fedavg(mean, ClientUpdate(cid, trained, n_samples))
     adapter_mod.load_payload(model, mean.payload())
     num_layers = model.spec.num_layers
@@ -271,8 +268,7 @@ def run_round(
     *,
     epochs: int,
     lr: float,
-    cache_enabled: bool,
-    store: PrefixStore,
+    store: PrefixStore | None,
 ) -> list[dict]:
     """One synchronous round: select, split, and run every live track's round.
 
@@ -281,29 +277,38 @@ def run_round(
     tracks advance together: one selection is split into consecutive
     groups (``split_budget``), and each track runs ``run_track_round`` with
     its group, moving its ``clock`` by its own emulated round time.
-    ``store`` is the session's frozen-prefix store, which the clients'
-    caches refer into. After the ledgers expire and the clients are
-    selected, the store builds every batch of every selected client of a
-    cached track at that track's resume point, in one ``prefetch`` per
-    resume point, so same-shape batches share passes; the ledgers then find
-    those chunks built, and count hits and recomputes as before. Returns
-    each track's ``round`` event, in track order.
+
+    The round's watermark is its deepest tuning depth. One below
+    ``server.depth_watermark`` is a ContractViolation, raised before any
+    ledger, store chunk or round index changes; one above it clears every
+    client's ledger (``cache.expire``), selected or not, and becomes the
+    server's. ``store`` is the session's frozen-prefix store, which the
+    clients' caches refer into, or None to train without the cache. After
+    the clients are selected, the store builds every batch of every
+    selected client of a cached track at that track's resume point, in one
+    ``prefetch`` per resume point, so same-shape batches share passes; the
+    ledgers then find those chunks built, and count hits and recomputes as
+    before. Returns each track's ``round`` event, in track order.
     """
     if not tracks:
         raise SelectionError("run_round requires at least one track")
     round_index = server.round_index + 1
     num_layers = tracks[0].model.spec.num_layers
     max_depth = max(t.scheme.tuning_depth(num_layers) for t in tracks)
-
-    for client in server.registry.values():
-        # a ledger stored below the watermark can never hit again
-        cache_mod.expire(client.cache, store, max_depth)
+    if max_depth < server.depth_watermark:
+        raise ContractViolation(
+            f"depth watermark {max_depth} fell below {server.depth_watermark}")
+    if max_depth > server.depth_watermark:
+        # a ledger held below the watermark can never hit again
+        for client in server.registry.values():
+            cache_mod.expire(client.cache, store)
+        server.depth_watermark = max_depth
     selected = select_clients(server.registry, total_participants, server.rng_select)
     groups, cursor = [], 0
     for group_size in split_budget(total_participants, len(tracks)):
         groups.append(selected[cursor:cursor + group_size])
         cursor += group_size
-    if cache_enabled:
+    if store is not None:
         wanted: dict[int, list] = {}
         for track, group in zip(tracks, groups):
             resume = track.scheme.resume_layer(num_layers, max_depth)
@@ -315,8 +320,7 @@ def run_round(
             store.prefetch(resume, items)
     events = [
         run_track_round(track, group, server.registry, epochs=epochs, lr=lr,
-                        cache_enabled=cache_enabled, round_index=round_index,
-                        depth_watermark=max_depth, store=store)
+                        round_index=round_index, depth_watermark=max_depth, store=store)
         for track, group in zip(tracks, groups)]
     server.round_index = round_index
     return events

@@ -33,7 +33,7 @@ from . import fed as fed_mod
 from . import model as model_mod
 from . import trace as trace_mod
 from .adapter import AdapterConfig, TuningScheme
-from .configurator import ConfiguratorParams, ConfiguratorState, TrialTrack
+from .configurator import ConfiguratorParams, TrialTrack
 from .costmodel import BUILTIN_DEVICE_PROFILES, DeviceProfile, NetworkProfile
 from .errors import ConfigurationError, TraceParseError
 from .fed import Batch, ClientState, ServerState
@@ -343,34 +343,39 @@ class SessionResult:
 
 @dataclass
 class Session:
-    """A running session: its world, live tracks, configurator state, store and dispatch count.
+    """A running session: its world, live tracks, store, dispatch count and decision clock.
 
-    ``state`` is None in a fixed mode. ``store`` holds every frozen-prefix
-    activation on the host: the clients' training batches, whose caches are
-    ledgers that refer into it, and the test set's chunks. ``iteration``
-    counts the dispatches after the first. Nothing else carries across
-    rounds, so ``copy.deepcopy`` forks a session: the fork writes the trace
-    the session itself would have written.
+    ``store`` holds every frozen-prefix activation on the host: the
+    clients' training batches, whose caches are ledgers that refer into it,
+    and the test set's chunks; the cache watermark they are held at is the
+    server's (``fed.ServerState.depth_watermark``). ``iteration`` counts
+    the dispatches after the first. ``t_trial`` is the last decision's
+    clock and ``trial_intvl`` the emulated seconds until the next one
+    (None until the first round derives it); only ``autofed`` reads them.
+    Nothing else carries across rounds, so ``copy.deepcopy`` forks a
+    session: the fork writes the trace the session itself would have
+    written.
     """
 
     world: World
     tracks: list[TrialTrack]
-    state: ConfiguratorState | None
     store: model_mod.PrefixStore
     iteration: int = 0
+    t_trial: float = 0.0
+    trial_intvl: float | None = None
 
 
 def start_session(world: World) -> Session:
     """The session before its first round, with its first dispatch or fixed track."""
     cfg = world.config
-    state = ConfiguratorState(cfg.configurator) if cfg.mode == "autofed" else None
-    if state is not None:
-        tracks = conf_mod.dispatch(state.params, None, world.backbone, world.adapter_rng)
+    if cfg.mode == "autofed":
+        tracks = conf_mod.dispatch(cfg.configurator, None, world.backbone, world.adapter_rng)
     else:
         scheme = _fixed_scheme(cfg)
         model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
         tracks = [TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)]
-    return Session(world, tracks, state, model_mod.PrefixStore(world.backbone))
+    return Session(world, tracks, model_mod.PrefixStore(world.backbone),
+                   trial_intvl=cfg.configurator.trial_intvl_s)
 
 
 def _emit_dispatch(writer, session: Session, clock: float) -> None:
@@ -386,16 +391,17 @@ def step(session: Session, writer) -> bool:
     """One round of every live track, their evaluation, then a decision if one is due.
 
     Each track advances its own emulated clock and is scored on the global
-    test set. Returns True once some track meets the target accuracy. A
-    decision is due when the current track's clock passes the trial
-    interval; ``configurator.dispatch`` then replaces the tracks. Nothing is
+    test set. Returns True once some track meets the target accuracy. In
+    ``autofed`` a decision is due when the current track's clock is more
+    than ``session.trial_intvl`` past the last decision's (``t_trial``);
+    ``configurator.dispatch`` then replaces the tracks. Nothing is
     totalled here: ``writer`` receives every event the summary derives from.
     """
-    world, state, cfg = session.world, session.state, session.world.config
+    world, cfg = session.world, session.world.config
     rounds = fed_mod.run_round(
         world.server, session.tracks, cfg.participants_total(),
         epochs=cfg.local_epochs, lr=cfg.learning_rate,
-        cache_enabled=cfg.cache_enabled, store=session.store)
+        store=session.store if cfg.cache_enabled else None)
     for event in rounds:
         writer.emit(event)
     accuracies = conf_mod.evaluate_tracks(session.tracks, session.store,
@@ -406,13 +412,13 @@ def step(session: Session, writer) -> bool:
                      "clock": track.clock, "accuracy": acc})
     if cfg.target_accuracy is not None and max(accuracies) >= cfg.target_accuracy:
         return True
-    if state is None:
+    if cfg.mode != "autofed":
         return False
-    if state.trial_intvl is None:
+    if session.trial_intvl is None:
         # derive the interval so the start-up track gets a few rounds
         # between decisions at the bundled profiles
-        state.trial_intvl = 3.0 * rounds[0]["round_seconds"]
-    if not conf_mod.should_decide(state, session.tracks[0].clock):
+        session.trial_intvl = 3.0 * rounds[0]["round_seconds"]
+    if session.tracks[0].clock - session.t_trial <= session.trial_intvl:
         return False
     winner = conf_mod.decide_winner(session.tracks)
     new, clock = winner.scheme.adapter, max(t.clock for t in session.tracks)
@@ -420,9 +426,9 @@ def step(session: Session, writer) -> bool:
                  "winner": winner.name, "accuracies": {t.name: t.accuracy for t in session.tracks},
                  "new_depth": new.depth, "new_width": new.width})
     session.iteration += 1
-    state.t_trial = clock
-    state.trial_intvl *= state.params.intvl_growth
-    session.tracks = conf_mod.dispatch(state.params, winner, world.backbone,
+    session.t_trial = clock
+    session.trial_intvl *= cfg.configurator.intvl_growth
+    session.tracks = conf_mod.dispatch(cfg.configurator, winner, world.backbone,
                                        world.adapter_rng, start_clock=clock)
     _emit_dispatch(writer, session, clock)
     return False

@@ -90,6 +90,37 @@ CATALOGUE = (
         "        super().__init__(data, requires_grad=trainable)\n",
         "        super().__init__(data, requires_grad=trainable)\n        self.owned = True\n",
         ("tests/test_tensor_nn.py::test_graph_free_op_never_writes_into_a_shared_array",)),
+    Mutant(
+        # the trace does not change: stale entries are recomputed as integrity failures
+        "ledgers_kept_when_watermark_rises", "src/fedtune/fed.py",
+        "        for client in server.registry.values():\n"
+        "            cache_mod.expire(client.cache, store)\n",
+        "",
+        ("tests/test_eval_store.py::TestLedger::test_ledgers_hold_nothing_below_the_watermark",)),
+    Mutant(
+        "stale_entry_chunk_kept", "src/fedtune/cache.py",
+        "        if entry.resume != resume:\n            store.release(entry.resume, key)\n",
+        "",
+        ("tests/test_model.py::TestResumePoint::test_cache_entry_for_other_resume_point_recomputed",)),
+    Mutant(
+        # the golden autofed sessions decide every round either way: each of
+        # their rounds alone outlasts the trial interval
+        "decision_clock_not_reset", "src/fedtune/session.py",
+        "    session.t_trial = clock\n",
+        "",
+        ("tests/test_configurator_knobs.py::test_intvl_growth_stretches_each_next_interval",)),
+    Mutant(
+        "adapter_resumes_at_the_boundary", "src/fedtune/adapter.py",
+        "            return boundary + 1\n",
+        "            return boundary\n",
+        ("tests/test_model.py::TestResumePoint::test_adapter_resume_bit_identical_at_every_depth",)),
+    Mutant(
+        # unique: ``xhat *= inv`` alone also occurs inside ``dxhat *= inv``
+        "graph_free_layer_norm_gain_times_inv", "src/fedtune/tensor_nn.py",
+        "    xhat *= inv\n    if graph_free:\n        xhat *= gain.data\n",
+        "    xhat *= inv\n    if graph_free:\n        xhat /= inv\n        xhat *= inv * gain.data\n",
+        ("tests/test_tensor_nn.py::TestKernelsMatchTheirOldFormulas::test_layer_norm_without_a_graph",
+         "tests/test_golden_bits.py::test_drawn_backbone_whole_set_logits_are_pinned")),
 )
 
 

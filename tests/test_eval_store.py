@@ -178,8 +178,7 @@ class TestLedger:
         track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
         store = PrefixStore(world.backbone)
         [event] = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
-                                    epochs=1, lr=cfg.learning_rate, cache_enabled=True,
-                                    store=store)
+                                    epochs=1, lr=cfg.learning_rate, store=store)
         built = len(builds)
         clients = [world.server.registry[cid] for cid in event["participants"]]
         assert chunks_built(builds) == sum(len(c.train_batches) for c in clients)
@@ -200,15 +199,15 @@ class TestLedger:
         def checking_run_round(server, tracks, *args, _inner=fed_mod.run_round, **kwargs):
             num_layers = tracks[0].model.spec.num_layers
             depth = max(t.scheme.tuning_depth(num_layers) for t in tracks)
-            stale = [c.id for c in server.registry.values()
-                     if c.cache.entries and c.cache.depth_at_store < depth]
+            rising = depth > server.depth_watermark
+            stale = [c.id for c in server.registry.values() if rising and c.cache.entries]
             rounds = _inner(server, tracks, *args, **kwargs)
             store = kwargs["store"]
             entries = {(key, id(e.activations)): e for c in server.registry.values()
                        for key, e in c.cache.entries.items()}
-            for client in server.registry.values():
-                assert not client.cache.entries or \
-                    client.cache.depth_at_store == rounds[0]["max_depth"]
+            assert server.depth_watermark == rounds[0]["max_depth"]
+            [resume] = {t.scheme.resume_layer(num_layers, server.depth_watermark) for t in tracks}
+            assert all(e.resume == resume for e in entries.values())
             chunks = {(key, id(act)): act for acts in store._acts.values()
                       for key, act in acts.items() if key[0] != "test"}
             assert entries.keys() == chunks.keys()
@@ -226,6 +225,34 @@ class TestLedger:
         assert len(checked) == cfg.max_rounds
         assert any(checked)  # some round began with stale ledgers to expire
 
+    def test_falling_watermark_raises_before_anything_changes(self, small_world):
+        """A round whose watermark falls is refused before any ledger, chunk or index moves."""
+        world, cfg = small_world, small_world.config
+        server, store = world.server, PrefixStore(world.backbone)
+
+        def round_at(depth):
+            scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
+            model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
+            track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
+            fed_mod.run_round(server, [track], cfg.participants_per_group,
+                              epochs=1, lr=cfg.learning_rate, store=store)
+
+        def held():
+            """Every ledger entry, its array and every store chunk, each with where it is."""
+            return ([(("ledger", cid, key), obj) for cid, c in server.registry.items()
+                     for key, e in c.cache.entries.items() for obj in (e, e.activations)]
+                    + [(("chunk", r, key), act) for r, acts in store._acts.items()
+                       for key, act in acts.items()])
+
+        round_at(2)
+        before = held()  # keeps every object alive, so no id below is reused
+        assert {where[0] for where, _ in before} == {"ledger", "chunk"}
+        with pytest.raises(ContractViolation, match="watermark 1 fell below 2"):
+            round_at(1)
+        assert [(where, id(obj)) for where, obj in held()] == \
+            [(where, id(obj)) for where, obj in before]
+        assert (server.round_index, server.depth_watermark) == (1, 2)
+
     def test_release_frees_old_point_on_move(self, small_world):
         backbone = small_world.backbone
         tokens = SeededRng(5).integers(0, 24, size=(4, 8))
@@ -234,9 +261,9 @@ class TestLedger:
         store, cache = PrefixStore(backbone), cache_mod.ActivationCache()
         store.activation(3, ("test", 0), tokens)  # the resume point stays live
         _, act, _ = cache_mod.fetch_or_recompute(cache, store, model, (7, 0), tokens, 1, 3)
-        cache.depth_at_store = 1
         old = weakref.ref(act)
         del act
+        cache_mod.expire(cache, store)  # as ``fed.run_round`` does when the watermark rises
         boundary, fresh, recomputed = cache_mod.fetch_or_recompute(
             cache, store, model, (7, 0), tokens, 2, 2)
         gc.collect()
@@ -404,7 +431,7 @@ class TestPrefetch:
         monkeypatch.setattr(store, "prefetch", counting_prefetch)
         [event] = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
                                     epochs=2, lr=cfg.learning_rate,
-                                    cache_enabled=cache_enabled, store=store)
+                                    store=store if cache_enabled else None)
         if cache_enabled:
             # the ledgers count a recompute per batch in the first epoch, as before
             assert in_prefetch == [chunks_built(builds)] and len(builds) < chunks_built(builds)

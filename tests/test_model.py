@@ -242,22 +242,21 @@ class TestResumePoint:
         boundary, act, recomputed = cache_mod.fetch_or_recompute(
             cache, store, model, KEY, tokens, 1, 3)
         assert (boundary, recomputed, cache.entries[KEY].resume) == (2, True, 3)
-        cache.depth_at_store = 1
         _, hit, recomputed = cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1, 3)
         assert hit is act and not recomputed
-        stale = model_mod.compute_boundary_activation(model, tokens, 2)
+        stale = store.activation(2, KEY, tokens)  # an entry's chunk lives in the store
         cache.entries[KEY] = cache_mod.CacheEntry(2, stale)
         boundary, again, recomputed = cache_mod.fetch_or_recompute(
             cache, store, model, KEY, tokens, 1, 3)
         assert (boundary, recomputed, cache.integrity_failures) == (2, True, 1)
         assert cache.entries[KEY].resume == 3 and np.array_equal(again, act)
+        assert store.resume_points() == [3]  # the stale entry's chunk is released
 
     @pytest.fixture
     def stored(self, depth1, tokens):
         """The depth-1 model with a ledger stored at watermark 1 (boundary 2, resume 3)."""
         model, cache, store = depth1
         _, act, _ = cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1, 3)
-        cache.depth_at_store = 1
         return model, cache, store, act
 
     def test_equal_watermark_hits(self, stored, tokens):
@@ -268,6 +267,7 @@ class TestResumePoint:
 
     def test_higher_watermark_recomputes_at_new_resume_point(self, stored, tokens):
         model, cache, store, act = stored
+        cache_mod.expire(cache, store)  # as ``fed.run_round`` does when the watermark rises
         boundary, fresh, recomputed = cache_mod.fetch_or_recompute(
             cache, store, model, KEY, tokens, 2, 2)
         assert (boundary, recomputed, cache.entries[KEY].resume) == (1, True, 2)
@@ -275,19 +275,6 @@ class TestResumePoint:
         assert np.array_equal(fresh, model_mod.compute_boundary_activation(model, tokens, 2))
         assert np.array_equal(forward_from_boundary(model, 2, fresh).data,
                               forward(model, tokens).data)
-
-    def test_falling_watermark_raises_and_keeps_entries(self, stored, tokens):
-        model, cache, store, act = stored
-        cache.depth_at_store = 2
-        entry = cache.entries[KEY]
-        with pytest.raises(ContractViolation, match="watermark"):
-            cache_mod.fetch_or_recompute(cache, store, model, KEY, tokens, 1, 3)
-        with pytest.raises(ContractViolation, match="watermark"):
-            cache_mod.fetch_or_recompute(cache, store, model, (0, 1), tokens, 1, 3)
-        assert list(cache.entries) == [KEY] and cache.entries[KEY] is entry
-        assert entry.resume == 3 and entry.activations is act
-        assert (cache.depth_at_store, cache.integrity_failures) == (2, 0)
-        assert store.resume_points() == [3]
 
     def test_cached_activation_is_read_only(self, stored, tokens):
         model, cache, store, act = stored

@@ -13,7 +13,8 @@ member) is read or set as one. Dunders are exempt: the language calls them.
 
 Likewise every parameter of every function in ``src/fedtune`` is read in
 the function's body: a parameter nothing reads is an input the caller
-prepares for nothing.
+prepares for nothing. And every dataclass field is read as an attribute
+somewhere in ``src/``: a field that is only written is state nothing uses.
 """
 
 import ast
@@ -164,3 +165,30 @@ def test_every_parameter_is_read():
                 if arg is not None and not _reads(func, arg.arg):
                     unread.append(f"{path.stem}.{func.name}({arg.arg}), line {func.lineno}")
     assert not unread, f"parameters never read: {', '.join(unread)}"
+
+
+# read only by the benchmark, which reports the ledgers' integrity failures
+ALLOWED_FIELDS = {"cache.ActivationCache.integrity_failures"}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and _is_dataclass(n)):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) \
+                        and stmt.target.id not in read:
+                    unread.append(f"{module}.{cls.name}.{stmt.target.id}")
+    dead = sorted(set(unread) - ALLOWED_FIELDS)
+    assert not dead, f"dataclass fields never read in src/: {', '.join(dead)}"
+    assert ALLOWED_FIELDS <= set(unread), \
+        "an allowlisted field gained a reader; drop it from ALLOWED_FIELDS"

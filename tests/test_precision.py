@@ -56,11 +56,14 @@ class TestSessionDtypes:
         cfg = world.config
         tracks = []
         store = PrefixStore(world.backbone)
-        # full fine-tuning first: its round (watermark D) would expire the adapter ledgers
-        for scheme in (TuningScheme("full"), TuningScheme("adapter", AdapterConfig(2, 8, 8))):
+        # a session's watermark never falls, so the full fine-tuning round
+        # (watermark D) runs on a server of its own over the same clients
+        full_ft_server = fed_mod.ServerState(world.server.registry, world.server.rng_select)
+        for server, scheme in ((full_ft_server, TuningScheme("full")),
+                               (world.server, TuningScheme("adapter", AdapterConfig(2, 8, 8)))):
             track = _track(world, scheme)
-            fed_mod.run_round(world.server, [track], cfg.participants_per_group,
-                              epochs=1, lr=cfg.learning_rate, cache_enabled=True, store=store)
+            fed_mod.run_round(server, [track], cfg.participants_per_group,
+                              epochs=1, lr=cfg.learning_rate, store=store)
             tracks.append(track)
         conf_mod.evaluate_tracks(tracks, store, world.test_tokens, world.test_labels)
         merged = [mean.payload() for mean in means]

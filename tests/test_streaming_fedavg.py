@@ -153,7 +153,7 @@ def _track(world, scheme):
 def _track_round(world, track, group, store=None):
     return fed_mod.run_track_round(
         track, group, world.server.registry, epochs=1,
-        lr=world.config.learning_rate, cache_enabled=True, round_index=1,
+        lr=world.config.learning_rate, round_index=1,
         depth_watermark=track.scheme.tuning_depth(world.config.model.num_layers),
         store=store or PrefixStore(world.backbone))
 
@@ -223,7 +223,7 @@ def _round_peak(participants: int) -> tuple[int, int]:
     tracemalloc.start()
     try:
         fed_mod.run_round(world.server, [track], participants,
-                          epochs=1, lr=cfg.learning_rate, cache_enabled=True, store=store)
+                          epochs=1, lr=cfg.learning_rate, store=store)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -37,7 +37,7 @@ def redispatched():
     first = conf_mod.dispatch(cfg.configurator, None, world.backbone, world.adapter_rng)
     store = PrefixStore(world.backbone)
     fed_mod.run_round(world.server, first, cfg.participants_total(),
-                      epochs=1, lr=cfg.learning_rate, cache_enabled=True, store=store)
+                      epochs=1, lr=cfg.learning_rate, store=store)
     winner = first[1]
     assert winner.name == conf_mod.TRACK_DEEPER
     tracks = conf_mod.dispatch(cfg.configurator, winner, world.backbone, world.adapter_rng)
@@ -68,8 +68,8 @@ def test_a_deeper_round_leaves_the_current_track_alone(redispatched):
     trained_from = _snapshot(deeper)
     depth = deeper.scheme.tuning_depth(world.config.model.num_layers)
     fed_mod.run_track_round(deeper, [0, 1], world.server.registry, epochs=1,
-                            lr=world.config.learning_rate, cache_enabled=True,
-                            round_index=1, depth_watermark=depth, store=store)
+                            lr=world.config.learning_rate, round_index=1,
+                            depth_watermark=depth, store=store)
     assert _snapshot(deeper) != trained_from  # the round did train
     for track in (current, wider):
         assert _snapshot(track) == before[track.name], track.name

@@ -13,6 +13,9 @@ holds the track's latest FedAvg mean between rounds; what a track trains
 is stated once, by its scheme. Decisions read the winner's
 ``scheme.adapter``, and the winner's scheme is the floor the next
 dispatch grows from; no other copy of the current shape is kept.
+``dispatch`` only ever grows from a current track, a decision's winner or
+the one ``session.start_session`` materializes at the start shape; it
+materializes nothing fresh itself.
 
 This module holds the decision logic alone: ``dispatch``,
 ``decide_winner`` and ``evaluate_tracks``. The session loop that applies
@@ -42,8 +45,8 @@ TRACK_WIDER = "wider"
 class TrialTrack:
     name: str
     scheme: TuningScheme
-    # built with the track (``dispatch``, or a fixed mode's one track) and
-    # kept until the next dispatch; between rounds it holds the latest mean
+    # materialized by ``session.start_session`` or derived by ``dispatch``,
+    # and kept until the next dispatch; between rounds it holds the latest mean
     model: ModelState = field(repr=False)
     clock: float = 0.0
     accuracy: float | None = None  # the latest evaluation; None before the first
@@ -65,32 +68,22 @@ def _adapter_scheme(depth: int, width: int, step: int) -> TuningScheme:
     return TuningScheme("adapter", AdapterConfig(depth, width, step))
 
 
-def dispatch(
-    params: ConfiguratorParams,
-    winner: TrialTrack | None,
-    backbone: ModelState,
-    rng: SeededRng,
-    start_clock: float = 0.0,
-) -> list[TrialTrack]:
-    """Derive the current/deeper/wider trial tracks from the winner.
+def dispatch(params: ConfiguratorParams, winner: TrialTrack, rng: SeededRng,
+             start_clock: float = 0.0) -> list[TrialTrack]:
+    """Grow the current/deeper/wider trial tracks from the winner.
 
     The current track takes the winner's scheme and model, which holds the
-    winner's aggregated mean; without a winner (the session's first
-    dispatch) it is materialized fresh at the start shape of ``params``.
-    The deeper and wider tracks take models derived from it, which carry
-    its trained weights byte-identically in arrays of their own; only the
-    newly added stacks are freshly initialized. Impossible directions
-    (deeper past the model, wider at depth 0) are omitted.
+    winner's aggregated mean. The deeper and wider tracks take models
+    derived from it, which carry its trained weights byte-identically in
+    arrays of their own; only the newly added stacks are freshly
+    initialized. Impossible directions (deeper past the model, wider at
+    depth 0) are omitted. A session's first tracks grow the same way, from
+    the one current track ``session.start_session`` materializes.
     """
-    num_layers = backbone.spec.num_layers
-    if winner is None:
-        scheme = _adapter_scheme(params.start_depth, params.start_width, params.width_step)
-        base = adapter_mod.materialize(backbone, scheme, rng=rng)
-    else:
-        scheme, base = winner.scheme, winner.model
+    scheme, base = winner.scheme, winner.model
     d, w, step = scheme.adapter.depth, scheme.adapter.width, scheme.adapter.step
     variants = [(TRACK_CURRENT, scheme, base)]
-    if d + params.depth_step <= num_layers:
+    if d + params.depth_step <= base.spec.num_layers:
         variants.append((TRACK_DEEPER, _adapter_scheme(d + params.depth_step, w, step),
                          adapter_mod.deepen(base, params.depth_step, rng, scheme.adapter)))
     if d >= 1:

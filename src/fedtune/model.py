@@ -409,14 +409,14 @@ class PrefixStore:
     ``cache.fetch_or_recompute``, or ``PASS_SAMPLES`` test samples, keyed
     ``("test", start)`` by ``evaluate``. A chunk keeps the shape it is
     trained or evaluated with, so resuming from it is bit-identical to a
-    full ``forward``. It is built from the embedding by the round's
-    ``prefetch``, or on first use; tuning depths only grow, so the live
-    resume points only fall and each chunk is built at most D times per
-    session. Asking for a key with other tokens than its first (other data,
-    or another chunking) is a ContractViolation. Each chunk owns its memory
-    and is read-only: ``forward_from_boundary`` wraps it in a ``Tensor``
-    that no op may write into, so a graph-free pass resumed from it never
-    consumes it.
+    full ``forward``. Only ``prefetch`` builds a chunk, from the embedding:
+    the round's prefetch, or the one ``activation`` makes on first use.
+    Tuning depths only grow, so the live resume points only fall and each
+    chunk is built at most D times per session. Asking for a key with other
+    tokens than its first (other data, or another chunking) is a
+    ContractViolation. Each chunk owns its memory and is read-only:
+    ``forward_from_boundary`` wraps it in a ``Tensor`` that no op may write
+    into, so a graph-free pass resumed from it never consumes it.
     """
 
     def __init__(self, backbone: ModelState):
@@ -434,28 +434,20 @@ class PrefixStore:
         if known is not tokens and not np.array_equal(known, tokens):
             raise ContractViolation(f"prefix store chunk {key!r} was built for other tokens")
 
-    def _keep(self, resume: int, key: Hashable, act: np.ndarray) -> np.ndarray:
-        act.flags.writeable = False
-        self._acts.setdefault(resume, {})[key] = act
-        return act
-
     def activation(self, resume: int, key: Hashable, tokens: np.ndarray) -> np.ndarray:
-        """Backbone output through layer ``resume`` for the chunk ``key``, built on first use."""
-        self._check_tokens(key, tokens)
-        act = self._acts.get(resume, {}).get(key)
-        if act is None:
-            act = self._keep(resume, key, compute_boundary_activation(self.backbone, tokens, resume))
-        return act
+        """Backbone output through layer ``resume`` for the chunk ``key``, prefetched on first use."""
+        self.prefetch(resume, [(key, tokens)])
+        return self._acts[resume][key]
 
     def prefetch(self, resume: int, items: Iterable[tuple[Hashable, np.ndarray]]) -> None:
         """Build, at ``resume``, the chunks of ``items`` ((key, tokens) pairs) the store lacks.
 
-        Every key's tokens are checked as ``activation`` checks them before
+        The store's one builder. Every key's tokens are checked before
         anything is built. Missing chunks of one shape share a pass, at most
-        ``PASS_SAMPLES`` samples of them (a larger chunk has a pass of
-        its own), and each chunk keeps its own pass's bits
-        (``compute_boundary_activation``). Each is kept as its own copy, so
-        it owns its memory as a chunk built on first use does.
+        ``PASS_SAMPLES`` samples of them (a larger chunk has a pass of its
+        own), and each chunk keeps its own pass's bits
+        (``compute_boundary_activation``). Each is kept as its own read-only
+        copy, so it owns its memory.
         """
         items = list(items)
         for key, tokens in items:
@@ -473,7 +465,9 @@ class PrefixStore:
                 acts = compute_boundary_activation(
                     self.backbone, np.stack([chunks[key] for key in part]), resume)
                 for key, act in zip(part, acts):
-                    self._keep(resume, key, act.copy())
+                    act = act.copy()
+                    act.flags.writeable = False
+                    self._acts.setdefault(resume, {})[key] = act
 
     def retain(self, resume_points: set[int]) -> None:
         """Drop every resume point not in ``resume_points``; builds nothing."""
@@ -490,20 +484,22 @@ class PrefixStore:
 
 @contextmanager
 def _graph_free(model: ModelState):
-    """Record no backward closures: clear ``requires_grad`` on every parameter.
+    """Record no backward closures: detach every parameter's node.
 
-    ``Parameter.trainable`` is left alone (``_check_boundary`` reads it);
-    the flags are restored on exit, whatever happens inside.
+    A value takes part in a graph exactly when it has a node, so no op
+    records one. ``Parameter.trainable`` is left alone (``_check_boundary``
+    reads it); each parameter gets its very node back on exit, gradient and
+    all, whatever happens inside.
     """
     params = list(model.parameters())
-    saved = [p.requires_grad for p in params]
+    nodes = [p.node for p in params]
     for p in params:
-        p.requires_grad = False
+        p.node = None
     try:
         yield
     finally:
-        for p, flag in zip(params, saved):
-            p.requires_grad = flag
+        for p, node in zip(params, nodes):
+            p.node = node
 
 
 def evaluate(model: ModelState, tokens: np.ndarray, labels: np.ndarray,

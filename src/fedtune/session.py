@@ -4,10 +4,11 @@ A session is a pure function of (config, seed): the synthetic task, the
 non-IID partition, the frozen backbone, client selection, and every
 training step derive from named substreams of the session seed, so the
 emitted trace is byte-identical across runs. A running session is one
-``Session`` value, which ``step`` advances a round at a time in every mode:
-``autofed`` from the configurator's first dispatch, the fixed baselines
-from one track built by ``_fixed_scheme`` (``start_session``). The
-configurator's decision logic lives in ``configurator.py``.
+``Session`` value, which ``step`` advances a round at a time in every mode.
+``start_session`` builds one current track at the mode's start scheme
+(``_start_scheme``); ``autofed`` grows its trial tracks from it with the
+``configurator.dispatch`` a decision makes, and the fixed baselines train
+it alone. The configurator's decision logic lives in ``configurator.py``.
 
 The trace is the session's one record. Its closing summary is a function of
 the events before it (``_summary``), and ``report`` derives it again from
@@ -323,15 +324,18 @@ def build_world(cfg: SessionConfig) -> World:
 # session execution
 # ---------------------------------------------------------------------------
 
-def _fixed_scheme(cfg: SessionConfig) -> TuningScheme:
+def _start_scheme(cfg: SessionConfig) -> TuningScheme:
+    """The scheme of the session's one current track before its first round."""
+    conf = cfg.configurator
+    if cfg.mode == "autofed":
+        return TuningScheme("adapter", AdapterConfig(conf.start_depth, conf.start_width,
+                                                     conf.width_step))
     if cfg.mode == "fixed_adapter":
-        step = cfg.fixed_width if cfg.monolithic_adapters else cfg.configurator.width_step
+        step = cfg.fixed_width if cfg.monolithic_adapters else conf.width_step
         return TuningScheme("adapter", AdapterConfig(cfg.fixed_depth, cfg.fixed_width, step))
     if cfg.mode == "full_ft":
         return TuningScheme("full")
-    if cfg.mode == "layer_freeze":
-        return TuningScheme("freeze", frozen_layers=cfg.freeze_layers)
-    raise ConfigurationError(f"mode '{cfg.mode}' has no fixed scheme")
+    return TuningScheme("freeze", frozen_layers=cfg.freeze_layers)  # layer_freeze
 
 
 @dataclass
@@ -366,14 +370,18 @@ class Session:
 
 
 def start_session(world: World) -> Session:
-    """The session before its first round, with its first dispatch or fixed track."""
+    """The session before its first round.
+
+    Every mode materializes one current track at its start scheme; in
+    ``autofed``, ``configurator.dispatch`` then grows the trial tracks from
+    it, as from a decision's winner.
+    """
     cfg = world.config
+    scheme = _start_scheme(cfg)
+    model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
+    tracks = [TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)]
     if cfg.mode == "autofed":
-        tracks = conf_mod.dispatch(cfg.configurator, None, world.backbone, world.adapter_rng)
-    else:
-        scheme = _fixed_scheme(cfg)
-        model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
-        tracks = [TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)]
+        tracks = conf_mod.dispatch(cfg.configurator, tracks[0], world.adapter_rng)
     return Session(world, tracks, model_mod.PrefixStore(world.backbone),
                    trial_intvl=cfg.configurator.trial_intvl_s)
 
@@ -428,8 +436,8 @@ def step(session: Session, writer) -> bool:
     session.iteration += 1
     session.t_trial = clock
     session.trial_intvl *= cfg.configurator.intvl_growth
-    session.tracks = conf_mod.dispatch(cfg.configurator, winner, world.backbone,
-                                       world.adapter_rng, start_clock=clock)
+    session.tracks = conf_mod.dispatch(cfg.configurator, winner, world.adapter_rng,
+                                       start_clock=clock)
     _emit_dispatch(writer, session, clock)
     return False
 

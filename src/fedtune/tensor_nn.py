@@ -51,13 +51,15 @@ Each in-place op runs the same elementwise instructions on the same
 operands as its allocating form, so the bits are those of the same ops
 recording a graph; a recording op never writes into an input.
 
-A ``Tensor`` is a value; only a value that takes part in a graph has a
-``Node``. A ``Parameter`` is a leaf ``Tensor`` with a name and a
-``trainable`` flag, built with a node exactly when it is trainable; it is
-never owned, so no graph-free op consumes it. A leaf's node (a trainable
-parameter, or an input created with ``requires_grad``) holds the
-``requires_grad`` flag and the gradient that backward leaves there. An
-op's node holds its parents' nodes and its backward closure, and no node
+A ``Tensor`` is a value, and a value takes part in a graph exactly when
+it has a ``Node``; no flag says so a second time. A ``Parameter`` is a
+leaf ``Tensor`` with a name and a ``trainable`` flag, built with a node
+exactly when it is trainable; it is never owned, so no graph-free op
+consumes it. A value whose node is detached (``model._graph_free`` does
+that to every parameter) is in no graph recorded until its node is put
+back. A leaf's node (a trainable parameter, or an input created with
+``requires_grad``) holds the gradient that backward leaves there. An op's
+node holds its parents' nodes and its backward closure, and no node
 links back to a tensor. A closure captures parent nodes, the arrays it
 reads (a softmax its output, a layer norm its normalised rows, a linear
 map its flattened input and its weight) and the shapes and dtypes it
@@ -185,21 +187,21 @@ def cdf_index(cdf: Array, uniforms: Array) -> Array:
 class Node:
     """What the backward graph keeps of one value: never the value itself.
 
-    A leaf's node (a parameter, or an input created with ``requires_grad``)
-    has no parents and holds the gradient that ``backward`` leaves there. An
-    op's node holds its parents' nodes and its backward closure, which
-    captures only the arrays and shapes it reads; ``parents`` becomes
-    ``None`` once ``Tensor.backward`` has consumed the node. ``recompute``,
-    set only by a recording ``layer_norm``, rebuilds the value bit for bit
-    from arrays the node's closure already holds, so a consumer's closure
-    may keep it instead of the value (see the module docstring).
+    A value is in a graph exactly when it has a node. A leaf's node (a
+    parameter, or an input created with ``requires_grad``) has no parents
+    and holds the gradient that ``backward`` leaves there. An op's node
+    holds its parents' nodes and its backward closure, which captures only
+    the arrays and shapes it reads; ``parents`` becomes ``None`` once
+    ``Tensor.backward`` has consumed the node. ``recompute``, set only by a
+    recording ``layer_norm``, rebuilds the value bit for bit from arrays
+    the node's closure already holds, so a consumer's closure may keep it
+    instead of the value (see the module docstring).
     """
 
-    __slots__ = ("requires_grad", "grad", "parents", "bwd", "recompute")
+    __slots__ = ("grad", "parents", "bwd", "recompute")
 
     def __init__(self, parents: tuple["Node", ...] = (),
                  bwd: Callable[[Array], None] | None = None):
-        self.requires_grad = True
         self.grad: Array | None = None
         self.parents: tuple[Node, ...] | None = parents
         self.bwd = bwd
@@ -229,28 +231,15 @@ class Tensor:
         self.owned = False
 
     @property
-    def requires_grad(self) -> bool:
-        return self.node is not None and self.node.requires_grad
-
-    @requires_grad.setter
-    def requires_grad(self, flag: bool) -> None:
-        if self.node is not None:
-            self.node.requires_grad = bool(flag)
-        elif flag:
-            self.node = Node()
-
-    @property
     def grad(self) -> Array | None:
         return None if self.node is None else self.node.grad
 
     @grad.setter
     def grad(self, value: Array | None) -> None:
-        if self.node is None:
-            if value is None:
-                return
-            self.node = Node()
-            self.node.requires_grad = False
-        self.node.grad = value
+        if self.node is not None:
+            self.node.grad = value
+        elif value is not None:
+            raise TrainingError("a value outside any graph takes no gradient")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -272,13 +261,16 @@ class Tensor:
         leaves (parameters, and inputs created with ``requires_grad``) hold
         gradients afterwards. Calling ``backward()`` again through a
         consumed node raises ``TrainingError``; rebuild the graph with a
-        fresh forward pass instead.
+        fresh forward pass instead. A value with no node is in no graph:
+        there is nothing to walk, and nothing is done.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar, got shape {self.data.shape}")
+        if self.node is None:
+            return
         topo: list[Node] = []
         visited: set[int] = set()
-        stack = [(self.node, False)] if self.node is not None else []
+        stack = [(self.node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -295,7 +287,7 @@ class Tensor:
                 # a leaf's parents are (); a consumed node's are None and raise above
                 if parent.parents != () and id(parent) not in visited:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        self.node.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if not node.parents:
                 continue
@@ -322,12 +314,6 @@ class Parameter(Tensor):
 
 
 make_parameter = Parameter  # kept by name: bench/kernels.py calls it
-
-
-def _grad_node(t: Tensor) -> Node | None:
-    """The node an op's closure accumulates into: ``None`` unless ``t`` needs its gradient."""
-    node = t.node
-    return node if node is not None and node.requires_grad else None
 
 
 def _owned(data: Array) -> Tensor:
@@ -357,7 +343,7 @@ def _consume(t: Tensor, other: Array | None = None) -> Array | None:
 
 
 def _recorded(data: Array, parents: Iterable[Node | None], bwd: Callable[[Array], None]) -> Tensor:
-    """An op's output: its array, with a node linking the parents that need a gradient."""
+    """An op's output: its array, with a node linking its parents that are in a graph."""
     out = Tensor(data)
     # from a list: tuple() of a generator shrinks an over-sized tuple, and
     # freed shrunk tuples pile up in the interpreter's small-tuple free lists
@@ -366,8 +352,6 @@ def _recorded(data: Array, parents: Iterable[Node | None], bwd: Callable[[Array]
 
 
 def _accumulate(target: Node, grad: Array) -> None:
-    if not target.requires_grad:
-        return
     if target.grad is None:
         target.grad = grad
     else:
@@ -391,7 +375,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """``a + b``; recording no graph, into ``a``'s or else ``b``'s owned array if it fits."""
     a_data, b_data = a.data, b.data
-    na, nb = _grad_node(a), _grad_node(b)
+    na, nb = a.node, b.node
     if na is None and nb is None:
         out = _consume(a, b_data)
         if out is None:
@@ -412,7 +396,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     """``x`` in ``shape``: a view where numpy can give one (see the module docstring)."""
     out_data = x.data.reshape(shape)
     x.owned = False
-    nx = _grad_node(x)
+    nx = x.node
     if nx is None:
         return Tensor(out_data)
     x_shape = x.data.shape
@@ -426,7 +410,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     """``x`` with its axes permuted, as a view, forward and backward."""
     out_data = x.data.transpose(axes)
     x.owned = False
-    nx = _grad_node(x)
+    nx = x.node
     if nx is None:
         return Tensor(out_data)
     inverse = sorted(range(len(axes)), key=axes.__getitem__)
@@ -446,7 +430,7 @@ def relu(x: Tensor) -> Tensor:
     """
     x_data = x.data
     mask = x_data > 0.0
-    nx = _grad_node(x)
+    nx = x.node
     if nx is None:
         return _owned(np.multiply(x_data, mask, out=_consume(x)))
     out_data = x_data * mask
@@ -483,7 +467,7 @@ def linear_forward(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
             f"linear: bias shape {b.data.shape} incompatible with weight shape {w.data.shape}"
         )
     x_shape = x.data.shape
-    nx, nw, nb = _grad_node(x), _grad_node(w), _grad_node(b)
+    nx, nw, nb = x.node, w.node, b.node
     stack = x_shape[:-3]
     if stack and not (nx is None and nw is None and nb is None):
         raise ShapeError(f"linear: a recording pass takes one batch, got a stack {x_shape}")
@@ -529,7 +513,7 @@ def layer_norm(x: Tensor, gain: Parameter, shift: Parameter, eps: float = 1e-5) 
     from the normalised rows, gain and shift by the forward's own two ops,
     so a linear map that reads the output need not keep it.
     """
-    nx, ng, nb = _grad_node(x), _grad_node(gain), _grad_node(shift)
+    nx, ng, nb = x.node, gain.node, shift.node
     graph_free = nx is None and ng is None and nb is None
     x_data = x.data
     n = x_data.shape[-1]
@@ -591,7 +575,7 @@ def softmax_lastdim(x: Tensor, factor: float = 1.0) -> Tensor:
     not the scores. Recording no graph, it runs in ``x``'s owned array.
     """
     x_data = x.data
-    nx = _grad_node(x)
+    nx = x.node
     y = np.multiply(x_data, factor, out=_consume(x) if nx is None else None)
     y -= _row_max(y)
     np.exp(y, out=y)
@@ -628,7 +612,7 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"bmm: shapes {a.data.shape} and {b.data.shape} do not align")
-    na, nb = _grad_node(a), _grad_node(b)
+    na, nb = a.node, b.node
     graph_free = na is None and nb is None
     a_data = _unit_stride_rows(a.data)
     b_data = b.data if graph_free and a_data.shape[-2] > 1 else _unit_stride_rows(b.data)
@@ -655,7 +639,7 @@ def embedding(table: Parameter, ids: Array) -> Tensor:
             f"token id out of range for table of size {table.data.shape[0]} (first bad row {bad})"
         )
     out_data = table.data[ids]
-    nt = _grad_node(table)
+    nt = table.node
     if nt is None:
         return _owned(out_data)
     table_shape, dtype = table.data.shape, table.data.dtype
@@ -670,7 +654,7 @@ def embedding(table: Parameter, ids: Array) -> Tensor:
 def first_token(x: Tensor) -> Tensor:
     """Pool a [..., B, S, n] sequence batch down to its first position, [..., B, n]."""
     out_data = x.data[..., 0, :].copy()
-    nx = _grad_node(x)
+    nx = x.node
     if nx is None:
         return _owned(out_data)
     x_shape, dtype = x.data.shape, x.data.dtype
@@ -764,7 +748,7 @@ def cross_entropy_loss(logits: Tensor, labels: Array) -> Tensor:
     log_probs = shifted - np.log(sum_exp)
     picked = log_probs[np.arange(batch), labels]
     out_data = np.array(-picked.mean())
-    nl = _grad_node(logits)
+    nl = logits.node
     if nl is None:
         return _owned(out_data)
 

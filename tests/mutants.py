@@ -103,12 +103,12 @@ CATALOGUE = (
         "",
         ("tests/test_model.py::TestResumePoint::test_cache_entry_for_other_resume_point_recomputed",)),
     Mutant(
-        # the golden autofed sessions decide every round either way: each of
-        # their rounds alone outlasts the trial interval
+        # the autofed_derived golden then decides at every round from round 5 on
         "decision_clock_not_reset", "src/fedtune/session.py",
         "    session.t_trial = clock\n",
         "",
-        ("tests/test_configurator_knobs.py::test_intvl_growth_stretches_each_next_interval",)),
+        ("tests/test_configurator_knobs.py::test_intvl_growth_stretches_each_next_interval",
+         "tests/test_golden_trace.py::test_trace_digest_is_pinned")),
     Mutant(
         "adapter_resumes_at_the_boundary", "src/fedtune/adapter.py",
         "            return boundary + 1\n",
@@ -121,6 +121,53 @@ CATALOGUE = (
         "    xhat *= inv\n    if graph_free:\n        xhat /= inv\n        xhat *= inv * gain.data\n",
         ("tests/test_tensor_nn.py::TestKernelsMatchTheirOldFormulas::test_layer_norm_without_a_graph",
          "tests/test_golden_bits.py::test_drawn_backbone_whole_set_logits_are_pinned")),
+    Mutant(
+        "graph_free_drops_the_nodes", "src/fedtune/model.py",
+        "    finally:\n        for p, node in zip(params, nodes):\n            p.node = node\n",
+        "    finally:\n        pass\n",
+        ("tests/test_eval_store.py::TestGraphFree::test_flags_and_grads_untouched_and_no_graph",)),
+    Mutant(
+        "prefetch_keeps_a_writeable_chunk", "src/fedtune/model.py",
+        "                    act.flags.writeable = False\n",
+        "",
+        ("tests/test_eval_store.py::TestStoreUnit::test_stored_activations_are_read_only",)),
+    Mutant(
+        "activation_builds_on_a_miss", "src/fedtune/model.py",
+        "        self.prefetch(resume, [(key, tokens)])\n        return self._acts[resume][key]\n",
+        "        self._check_tokens(key, tokens)\n"
+        "        if key not in self._acts.get(resume, {}):\n"
+        "            act = compute_boundary_activation(self.backbone, tokens, resume)\n"
+        "            act.flags.writeable = False\n"
+        "            self._acts.setdefault(resume, {})[key] = act\n"
+        "        return self._acts[resume][key]\n",
+        ("tests/test_one_prefix_store.py::test_only_the_prefix_store_computes_boundary_activations",)),
+    Mutant(
+        "current_track_copies_the_winner", "src/fedtune/configurator.py",
+        "    variants = [(TRACK_CURRENT, scheme, base)]\n",
+        "    variants = [(TRACK_CURRENT, scheme, adapter_mod._shallow_clone(base))]\n",
+        ("tests/test_track_models.py::test_current_track_keeps_the_winners_model",)),
+    Mutant(
+        "cdf_index_strict_bound", "src/fedtune/tensor_nn.py",
+        "        step = bounds.take(index) <= uniforms\n",
+        "        step = bounds.take(index) < uniforms\n",
+        ("tests/test_world_build.py::test_bucket_lookup_equals_binary_search",)),
+    Mutant(
+        # the node's recompute only: the forward's output is the same function's first call
+        "layer_norm_recompute_without_shift", "src/fedtune/tensor_nn.py",
+        "    out.node.recompute = recompute\n",
+        "    out.node.recompute = lambda: xhat * g_data\n",
+        ("tests/test_recompute.py",)),
+    Mutant(
+        "prefetch_passes_of_32_samples", "src/fedtune/model.py",
+        "per_pass = max(1, PASS_SAMPLES // max(shape[0], 1))",
+        "per_pass = max(1, 32 // max(shape[0], 1))",
+        ("tests/test_eval_store.py::TestPrefetch::test_no_pass_stacks_more_than_16_samples",)),
+    Mutant(
+        "prefix_store_checks_no_tokens", "src/fedtune/model.py",
+        "        if known is not tokens and not np.array_equal(known, tokens):\n"
+        "            raise ContractViolation(f\"prefix store chunk {key!r} was built for other tokens\")\n",
+        "",
+        ("tests/test_eval_store.py::TestLedger::test_other_tokens_raise",)),
 )
 
 

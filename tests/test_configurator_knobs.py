@@ -7,7 +7,6 @@ model's trainable parameters, the adapters the clients actually train.
 
 import pytest
 
-from fedtune import configurator as conf_mod
 from fedtune import costmodel
 from fedtune import session as session_mod
 from fedtune import trace as trace_mod
@@ -27,8 +26,7 @@ def _units(model) -> dict[int, list[int]]:
 def _first_dispatch(**configurator) -> list[tuple]:
     cfg = session_mod.config_from_dict(small_session_doc(mode="autofed",
                                                          configurator=configurator))
-    world = session_mod.build_world(cfg)
-    tracks = conf_mod.dispatch(cfg.configurator, None, world.backbone, world.adapter_rng)
+    tracks = session_mod.start_session(session_mod.build_world(cfg)).tracks
     return [(t.name, t.scheme.tuning_depth(cfg.model.num_layers), t.scheme.adapter.width,
              _units(t.model)) for t in tracks]
 

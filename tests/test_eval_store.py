@@ -64,8 +64,9 @@ def builds(monkeypatch):
 def climbing_run(monkeypatch, tmp_path, builds):
     """Run the climbing session; evaluate every track a second time without the store.
 
-    Also records, per store key, how often its chunk was built, and the
-    resume points held after each ``evaluate_tracks``.
+    Also records, per store key, how often its chunk was built (by
+    ``prefetch``, the store's one builder), and the resume points held after
+    each ``evaluate_tracks``.
     """
     RecordingStore.instances = []
     monkeypatch.setattr(model_mod, "PrefixStore", RecordingStore)
@@ -90,14 +91,6 @@ def climbing_run(monkeypatch, tmp_path, builds):
 
     monkeypatch.setattr(model_mod, "evaluate", checking_evaluate)
     per_key = Counter()
-    store_activation = RecordingStore.activation
-
-    def counting_activation(self, resume, key, tokens):
-        before = chunks_built(builds)
-        act = store_activation(self, resume, key, tokens)
-        per_key[key] += chunks_built(builds) - before
-        return act
-
     store_prefetch = RecordingStore.prefetch
 
     def counting_prefetch(self, resume, items):
@@ -106,7 +99,6 @@ def climbing_run(monkeypatch, tmp_path, builds):
         for key in set(self._acts.get(resume, {})) - held:
             per_key[key] += 1
 
-    monkeypatch.setattr(RecordingStore, "activation", counting_activation)
     monkeypatch.setattr(RecordingStore, "prefetch", counting_prefetch)
     after_eval = []
 
@@ -330,8 +322,8 @@ class TestStoreUnit:
                 assert np.array_equal(a, b)
         assert store.resume_points() == [2, 4]
         # three chunks at each point, every one built from the embedding, once
-        assert [(t.shape[0], r) for t, r in builds] == [(3, 4), (3, 4), (1, 4),
-                                                        (3, 2), (3, 2), (1, 2)]
+        assert [(t.shape[-2], r) for t, r in builds] == [(3, 4), (3, 4), (1, 4),
+                                                         (3, 2), (3, 2), (1, 2)]
         store.retain({2})
         assert store.resume_points() == [2] and len(builds) == 6
 
@@ -433,8 +425,10 @@ class TestPrefetch:
                                     epochs=2, lr=cfg.learning_rate,
                                     store=store if cache_enabled else None)
         if cache_enabled:
-            # the ledgers count a recompute per batch in the first epoch, as before
-            assert in_prefetch == [chunks_built(builds)] and len(builds) < chunks_built(builds)
+            # the ledgers count a recompute per batch in the first epoch, as before; the
+            # round's first prefetch builds every chunk, and a recompute's lookup none
+            assert in_prefetch == [chunks_built(builds)] + [0] * event["cache_recomputes"]
+            assert len(builds) < chunks_built(builds)
             assert event["cache_recomputes"] == event["cache_hits"] == chunks_built(builds)
         else:
             assert in_prefetch == [] and builds == [] and store.resume_points() == []
@@ -447,9 +441,8 @@ class TestGraphFree:
             tiny_model, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(2))
         sentinel = np.full(model.cls_w.data.shape, 7.0)
         model.cls_w.grad = sentinel
-        before = [(p.requires_grad, p.trainable, p.grad)
-                  for p in model.parameters()]
-        assert any(flag for flag, _, _ in before)
+        before = [(p.node, p.trainable, p.grad) for p in model.parameters()]
+        assert any(node is not None for node, _, _ in before)
         outputs = []
         plain_forward = model_mod.forward
 
@@ -460,17 +453,19 @@ class TestGraphFree:
 
         monkeypatch.setattr(model_mod, "forward", spy)
         evaluate(model, tiny_tokens, np.array([0, 1, 2]))
-        after = [(p.requires_grad, p.trainable, p.grad)
-                 for p in model.parameters()]
-        assert [(f, t) for f, t, _ in after] == [(f, t) for f, t, _ in before]
-        assert all(a is b for (_, _, a), (_, _, b) in zip(after, before))
+        after = [(p.node, p.trainable, p.grad) for p in model.parameters()]
+        assert len(after) == len(before)
+        # the very same node objects come back, and with them the very same gradients
+        assert all(node_a is node_b and t_a == t_b and grad_a is grad_b
+                   for (node_a, t_a, grad_a), (node_b, t_b, grad_b) in zip(after, before))
         assert model.cls_w.grad is sentinel
         assert outputs and all(o.node is None for o in outputs)
 
     def test_flags_restored_when_forward_raises(self, tiny_model):
+        node = tiny_model.cls_w.node
         with pytest.raises(DataError):
             evaluate(tiny_model, np.array([[0, 1, 99, 2, 3]]), np.array([0]))
-        assert tiny_model.cls_w.requires_grad
+        assert node is not None and tiny_model.cls_w.node is node
 
     def test_empty_set_raises_with_store(self, tiny_model):
         empty = np.zeros((0, 5), dtype=np.int64)

@@ -37,6 +37,12 @@ GOLDEN = {
                           configurator={"start_depth": 1, "trial_intvl_s": 0.5}),
         "8c9d49ea3899cc034183a3a243ebb82d10b82d1449c839b585047af0b5119c66",
     ),
+    # the derived trial interval: the one golden whose decisions (rounds 5 and 14)
+    # depend on when the decision clock was last reset
+    "autofed_derived": (
+        small_session_doc(mode="autofed", max_rounds=20),
+        "113910d79113b5dd18cdb2e2bce2a5c78b051236d6b2045d8223bf9920e2820e",
+    ),
     "autofed_no_cache": (
         small_session_doc(mode="autofed", max_rounds=12, cache_enabled=False,
                           configurator={"trial_intvl_s": 1.0}),

@@ -39,12 +39,12 @@ def recording(model, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(tn, "_owned", never_owned)
         for t in tables:
-            t.requires_grad = True
+            t.node = tn.Node()
         try:
             yield
         finally:
             for t in tables:
-                t.requires_grad = False
+                t.node = None
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
-"""Only ``model.PrefixStore`` builds frozen-prefix activations in ``src/fedtune``.
+"""Only ``model.PrefixStore.prefetch`` builds frozen-prefix activations in ``src/fedtune``.
 
-The session keeps one host store of frozen-prefix activations. A second
-store, or a cache that computes its own arrays again, would have to read
-``compute_boundary_activation``; this test fails when anything in the
-package other than ``PrefixStore`` reads that name.
+The session keeps one host store of frozen-prefix activations, and the
+store has one builder. A second store, a cache that computes its own
+arrays again, or a store method other than ``prefetch`` that builds a
+chunk itself would have to read ``compute_boundary_activation``; this
+test fails when anything in the package other than
+``PrefixStore.prefetch`` reads that name.
 """
 
 import ast
@@ -28,4 +30,4 @@ def test_only_the_prefix_store_computes_boundary_activations():
     found: list[str] = []
     for path in sorted(SRC.glob("*.py")):
         _readers(ast.parse(path.read_text(), str(path)), path.stem, found)
-    assert found and all(f.startswith("model.PrefixStore.") for f in found), found
+    assert found and set(found) == {"model.PrefixStore.prefetch"}, found

@@ -35,7 +35,7 @@ def _moved_model(scheme):
 
 
 def _relu_keeping_its_mask(x, _relu=tn.relu):
-    nx = tn._grad_node(x)
+    nx = x.node
     if nx is None:
         return _relu(x)
     mask = x.data > 0.0

@@ -2,7 +2,7 @@
 
 Some logit bits do (see ``test_golden_bits.py``), but accuracies are counts
 of argmaxes, and no argmax flips between OpenBLAS's kernels on the pinned
-configs. So the golden trace digests, the six small configs and the
+configs. So the golden trace digests, the seven small configs and the
 mid-shape climb, must hold under each kernel. So must the tests that
 compare GEMMs of different shapes, which assert bit equality on SkylakeX
 alone (``conftest.assert_equal_on_skylakex``), and the per-kernel golden

@@ -34,13 +34,14 @@ def redispatched():
     cfg = session_mod.config_from_dict(small_session_doc(
         mode="autofed", configurator={"start_depth": 1}))
     world = session_mod.build_world(cfg)
-    first = conf_mod.dispatch(cfg.configurator, None, world.backbone, world.adapter_rng)
+    first = session_mod.start_session(world).tracks
     store = PrefixStore(world.backbone)
     fed_mod.run_round(world.server, first, cfg.participants_total(),
                       epochs=1, lr=cfg.learning_rate, store=store)
     winner = first[1]
     assert winner.name == conf_mod.TRACK_DEEPER
-    tracks = conf_mod.dispatch(cfg.configurator, winner, world.backbone, world.adapter_rng)
+    clock = max(t.clock for t in first)
+    tracks = conf_mod.dispatch(cfg.configurator, winner, world.adapter_rng, clock)
     return world, winner, tracks, store
 
 

@@ -1,11 +1,10 @@
 """Adapter configuration, insertion, upgrades, and payload handling.
 
-Width is realized as a vertical stack of fixed-step bottleneck units so
-that widening appends a unit while keeping every trained weight byte
-identical. A monolithic configuration (step == width, one unit per layer)
-reproduces the classic single-adapter parameter arithmetic; it supports
-deepening but not widening, since widening it would have to discard
-trained weights.
+An adapted layer holds one bottleneck adapter, x + U relu(D x + b) + c,
+whose width is the width of its configuration. Widening grows that one
+bottleneck: it concatenates fresh columns onto D and b and fresh rows onto
+U, so the widened adapter is the trained one plus fresh units beside it,
+and every trained byte is kept.
 
 A trial track is its ``TuningScheme`` plus one model, built once:
 ``materialize`` builds one on the frozen backbone, and ``deepen`` and
@@ -24,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
-from .model import ModelState, make_meta_adapter
+from .model import MetaAdapter, ModelState, make_meta_adapter
 from .tensor_nn import Parameter, SeededRng, make_parameter
 
 MIN_WIDTH = 8
@@ -32,24 +31,16 @@ MIN_WIDTH = 8
 
 @dataclass(frozen=True)
 class AdapterConfig:
-    """(depth, width) pair plus the stacking step that realizes the width."""
+    """How many top layers carry an adapter, and the width of each one's bottleneck."""
 
     depth: int
     width: int
-    step: int
 
     def __post_init__(self):
         if self.depth < 0:
             raise ConfigurationError(f"depth must be >= 0, got {self.depth}")
         if self.width < MIN_WIDTH:
             raise ConfigurationError(f"width must be >= {MIN_WIDTH}, got {self.width}")
-        if self.step < 1 or self.width % self.step != 0:
-            raise ConfigurationError(
-                f"width {self.width} must be a positive multiple of step {self.step}")
-
-    @property
-    def stack_size(self) -> int:
-        return self.width // self.step
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +71,19 @@ def _shallow_clone(model: ModelState) -> ModelState:
     bytes as they were.
     """
     blocks = [_map_params(b, _own, attn=_map_params(b.attn, _own),
-                          adapters=[_map_params(m, _own) for m in b.adapters])
+                          adapter=None if b.adapter is None else _map_params(b.adapter, _own))
               for b in model.blocks]
     return _map_params(model, _own, blocks=blocks)
 
 
 def deepen(model: ModelState, depth_step: int, rng: SeededRng,
-           unit: AdapterConfig) -> ModelState:
-    """Extend the adapted range downward by ``depth_step`` layers; existing stacks keep their bytes.
+           config: AdapterConfig) -> ModelState:
+    """Extend the adapted range downward by ``depth_step`` layers; existing adapters keep their bytes.
 
-    Each new layer gets ``unit.stack_size`` fresh units of width
-    ``unit.step``, drawn from ``rng`` layer by layer upward. ``unit`` is the
-    configuration being deepened, so the new stacks have its shape; on an
-    adapter-free backbone this builds that configuration's stacks
-    (``materialize``).
+    Each new layer gets one fresh bottleneck of ``config.width``, drawn from
+    ``rng`` layer by layer upward. ``config`` is the configuration being
+    deepened, so the new adapters have its width; on an adapter-free
+    backbone this builds that configuration's adapters (``materialize``).
     """
     spec = model.spec
     depth = len(model.adapted_layers())
@@ -104,28 +94,38 @@ def deepen(model: ModelState, depth_step: int, rng: SeededRng,
     out = _shallow_clone(model)
     top_new = spec.num_layers - depth
     for layer in range(top_new - depth_step + 1, top_new + 1):
-        out.blocks[layer - 1].adapters = [
-            make_meta_adapter(spec.hidden, unit.step, layer, idx, rng)
-            for idx in range(unit.stack_size)
-        ]
+        out.blocks[layer - 1].adapter = make_meta_adapter(spec.hidden, config.width, layer, rng)
     return out
 
 
+def _beside(trained: MetaAdapter, fresh: MetaAdapter) -> MetaAdapter:
+    """One bottleneck of ``trained``'s units then ``fresh``'s, with ``trained``'s own output bias."""
+    def cat(p: Parameter, q: Parameter, axis: int) -> Parameter:
+        return make_parameter(np.concatenate([p.data, q.data], axis=axis), True, p.name)
+
+    return MetaAdapter(w_down=cat(trained.w_down, fresh.w_down, 1),
+                       b_down=cat(trained.b_down, fresh.b_down, 0),
+                       w_up=cat(trained.w_up, fresh.w_up, 0),
+                       b_up=trained.b_up)
+
+
 def widen(model: ModelState, width_step: int, rng: SeededRng) -> ModelState:
-    """Append one unit of width ``width_step`` to every adapted layer."""
+    """Grow every adapted layer's bottleneck by ``width_step`` fresh units beside the trained ones.
+
+    D [n, w], b [w] and U [w, n] become D' [n, w + s], b' [w + s] and
+    U' [w + s, n], whose first w columns, entries and rows are the trained
+    bytes; c is kept. The s new columns of D' and rows of U' are drawn from
+    ``rng`` as a fresh [n, s] and [s, n] bottleneck is (``make_meta_adapter``),
+    layer by layer upward, and the new entries of b' are zero.
+    """
     adapted = model.adapted_layers()
     if not adapted:
         raise ConfigurationError("cannot widen a model with no adapters (depth 0)")
-    for layer in adapted:
-        stack = model.blocks[layer - 1].adapters
-        if stack[0].width != width_step:
-            raise ConfigurationError(
-                f"widen step {width_step} does not match stack unit width "
-                f"{stack[0].width}; monolithic stacks cannot inherit across widen")
     out = _shallow_clone(model)
     for layer in adapted:
-        stack = out.blocks[layer - 1].adapters
-        stack.append(make_meta_adapter(model.spec.hidden, width_step, layer, len(stack), rng))
+        block = out.blocks[layer - 1]
+        block.adapter = _beside(block.adapter,
+                                make_meta_adapter(model.spec.hidden, width_step, layer, rng))
     return out
 
 
@@ -162,7 +162,7 @@ class TuningScheme:
 
         The device boundary is b = num_layers - depth, the deepest frozen
         layer. Under adapters the backbone of layer b+1 is frozen too (its
-        adapters sit after its second layer norm), so the host resumes
+        adapter sits after its second layer norm), so the host resumes
         there, at the lowest adapter's input; at b = num_layers (depth 0)
         there is no layer above. Under layer freezing layer b+1 is
         trainable, so it resumes at b. Full fine-tuning freezes nothing.
@@ -188,7 +188,7 @@ def materialize(backbone: ModelState, scheme: TuningScheme,
 
     Frozen parameters are shared with the backbone (they are never
     written); trainable ones are copies of the backbone's. An adapter
-    scheme's stacks are drawn from ``rng``. A trial track is built here
+    scheme's bottlenecks are drawn from ``rng``. A trial track is built here
     once, or derived by ``deepen`` and ``widen``, and keeps its model until
     the next dispatch; payloads are loaded into it (``load_payload``).
     """

@@ -59,13 +59,13 @@ class ConfiguratorParams:
     start_depth: int = 0
     start_width: int = 8
     depth_step: int = 1
-    width_step: int = 8
+    width_step: int = 8  # columns the wider track adds to each adapter's bottleneck
     trial_intvl_s: float | None = None  # None: derived from the first round's time
     intvl_growth: float = 1.0
 
 
-def _adapter_scheme(depth: int, width: int, step: int) -> TuningScheme:
-    return TuningScheme("adapter", AdapterConfig(depth, width, step))
+def _adapter_scheme(depth: int, width: int) -> TuningScheme:
+    return TuningScheme("adapter", AdapterConfig(depth, width))
 
 
 def dispatch(params: ConfiguratorParams, winner: TrialTrack, rng: SeededRng,
@@ -75,20 +75,21 @@ def dispatch(params: ConfiguratorParams, winner: TrialTrack, rng: SeededRng,
     The current track takes the winner's scheme and model, which holds the
     winner's aggregated mean. The deeper and wider tracks take models
     derived from it, which carry its trained weights byte-identically in
-    arrays of their own; only the newly added stacks are freshly
-    initialized. Impossible directions (deeper past the model, wider at
-    depth 0) are omitted. A session's first tracks grow the same way, from
-    the one current track ``session.start_session`` materializes.
+    arrays of their own; only the deeper track's new adapters and the
+    ``params.width_step`` new units of the wider track's bottlenecks are
+    freshly initialized. Impossible directions (deeper past the model,
+    wider at depth 0) are omitted. A session's first tracks grow the same
+    way, from the one current track ``session.start_session`` materializes.
     """
     scheme, base = winner.scheme, winner.model
-    d, w, step = scheme.adapter.depth, scheme.adapter.width, scheme.adapter.step
+    d, w = scheme.adapter.depth, scheme.adapter.width
     variants = [(TRACK_CURRENT, scheme, base)]
     if d + params.depth_step <= base.spec.num_layers:
-        variants.append((TRACK_DEEPER, _adapter_scheme(d + params.depth_step, w, step),
+        variants.append((TRACK_DEEPER, _adapter_scheme(d + params.depth_step, w),
                          adapter_mod.deepen(base, params.depth_step, rng, scheme.adapter)))
     if d >= 1:
-        variants.append((TRACK_WIDER, _adapter_scheme(d, w + step, step),
-                         adapter_mod.widen(base, step, rng)))
+        variants.append((TRACK_WIDER, _adapter_scheme(d, w + params.width_step),
+                         adapter_mod.widen(base, params.width_step, rng)))
     return [TrialTrack(name, track_scheme, model, clock=start_clock)
             for name, track_scheme, model in variants]
 

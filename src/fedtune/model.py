@@ -3,7 +3,7 @@
 The backbone is a randomly initialized frozen encoder standing in for a
 downloaded pre-trained model: embeddings and projection weights act as a
 fixed feature extractor (reservoir style), while the classifier head and
-any inserted adapter stacks are the only trainable parts. Layers are
+any inserted adapters are the only trainable parts. Layers are
 1-indexed from the input side. Every buffer is float32, the precision the
 wire charges (``costmodel.WIRE_BYTES_PER_SCALAR``); ``tensor_nn`` follows
 it, so activations, gradients and payloads are float32 too.
@@ -12,7 +12,7 @@ it, so activations, gradients and payloads are float32 too.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator
 
@@ -73,7 +73,7 @@ class ModelSpec:
 
 @dataclass
 class MetaAdapter:
-    """One bottleneck unit: down-projection, ReLU, up-projection, residual."""
+    """One bottleneck: down-projection, ReLU, up-projection, residual; its width is D's columns."""
 
     w_down: Parameter
     b_down: Parameter
@@ -83,14 +83,10 @@ class MetaAdapter:
     def all(self) -> list[Parameter]:
         return [self.w_down, self.b_down, self.w_up, self.b_up]
 
-    @property
-    def width(self) -> int:
-        return self.w_down.data.shape[1]
-
 
 @dataclass
 class BlockParams:
-    """One transformer layer plus its (possibly empty) adapter stack."""
+    """One transformer layer plus its one bottleneck adapter, if the layer is adapted."""
 
     attn: AttentionParams
     ln1_gain: Parameter
@@ -101,7 +97,7 @@ class BlockParams:
     ffn_b2: Parameter
     ln2_gain: Parameter
     ln2_shift: Parameter
-    adapters: list[MetaAdapter] = field(default_factory=list)
+    adapter: MetaAdapter | None = None
 
     def backbone_params(self) -> list[Parameter]:
         return self.attn.all() + [
@@ -133,8 +129,8 @@ class ModelState:
         yield self.pos_embed
         for block in self.blocks:
             yield from block.backbone_params()
-            for meta in block.adapters:
-                yield from meta.all()
+            if block.adapter is not None:
+                yield from block.adapter.all()
         yield self.cls_w
         yield self.cls_b
 
@@ -155,16 +151,16 @@ class ModelState:
     def lowest_trainable_layer(self) -> int | None:
         """Lowest 1-indexed layer with any trainable parameter, if any."""
         adapted = {i + 1 for i, block in enumerate(self.blocks)
-                   if any(p.trainable for meta in block.adapters for p in meta.all())}
+                   if block.adapter is not None and any(p.trainable for p in block.adapter.all())}
         return min(self.trainable_backbone_layers | adapted, default=None)
 
     def adapted_layers(self) -> list[int]:
-        """1-indexed layers carrying adapters."""
-        return [i + 1 for i, block in enumerate(self.blocks) if block.adapters]
+        """1-indexed layers carrying an adapter."""
+        return [i + 1 for i, block in enumerate(self.blocks) if block.adapter is not None]
 
 
-def _adapter_name(layer: int, index: int, part: str) -> str:
-    return f"block{layer:02d}.adapter{index:02d}.{part}"
+def _adapter_name(layer: int, part: str) -> str:
+    return f"block{layer:02d}.adapter.{part}"
 
 
 def _draw(rng: SeededRng, std: float, shape: tuple[int, ...]) -> np.ndarray:
@@ -172,11 +168,10 @@ def _draw(rng: SeededRng, std: float, shape: tuple[int, ...]) -> np.ndarray:
     return rng.normal(0.0, std, shape).astype(DTYPE)
 
 
-def make_meta_adapter(hidden: int, width: int, layer: int, index: int,
-                      rng: SeededRng) -> MetaAdapter:
-    """Fresh trainable bottleneck unit: projection weights N(0, 0.02), zero biases."""
+def make_meta_adapter(hidden: int, width: int, layer: int, rng: SeededRng) -> MetaAdapter:
+    """Fresh trainable bottleneck of layer ``layer``: D, then U, drawn N(0, 0.02); zero biases."""
     def param(data: np.ndarray, part: str) -> Parameter:
-        return tn.make_parameter(data, True, _adapter_name(layer, index, part))
+        return tn.make_parameter(data, True, _adapter_name(layer, part))
 
     return MetaAdapter(
         w_down=param(_draw(rng, ADAPTER_INIT_STD, (hidden, width)), "w_down"),
@@ -277,12 +272,13 @@ def _apply_body(model: ModelState, layer: int, h: Tensor) -> Tensor:
         block.ln2_gain, block.ln2_shift, LN_EPS)
 
 
-def _apply_adapters(block: BlockParams, h: Tensor) -> Tensor:
-    """The layer's adapter stack, after its second layer norm."""
-    for meta in block.adapters:
-        bottleneck = tn.relu(tn.linear_forward(h, meta.w_down, meta.b_down))
-        h = tn.add(h, tn.linear_forward(bottleneck, meta.w_up, meta.b_up))
-    return h
+def _apply_adapter(block: BlockParams, h: Tensor) -> Tensor:
+    """h + U relu(D h + b) + c, the layer's one adapter after its second layer norm; h without one."""
+    meta = block.adapter
+    if meta is None:
+        return h
+    bottleneck = tn.relu(tn.linear_forward(h, meta.w_down, meta.b_down))
+    return tn.add(h, tn.linear_forward(bottleneck, meta.w_up, meta.b_up))
 
 
 def _run_blocks(model: ModelState, h: Tensor, start_layer: int,
@@ -290,7 +286,7 @@ def _run_blocks(model: ModelState, h: Tensor, start_layer: int,
     """Layers ``start_layer`` to ``stop_layer`` (inclusive; default the top)."""
     stop_layer = model.spec.num_layers if stop_layer is None else stop_layer
     for layer in range(start_layer, stop_layer + 1):
-        h = _apply_adapters(model.blocks[layer - 1], _apply_body(model, layer, h))
+        h = _apply_adapter(model.blocks[layer - 1], _apply_body(model, layer, h))
     return h
 
 
@@ -320,8 +316,8 @@ def activation_shape(model: ModelState, resume: int, batch: int,
 def compute_boundary_activation(model: ModelState, tokens: np.ndarray, resume: int) -> np.ndarray:
     """Backbone output through layer ``resume`` (0 = embedding output), as a plain array.
 
-    Layer ``resume``'s own adapters are not applied: ``forward_from_boundary``
-    starts with them. Its shape is ``activation_shape``: at the top layer
+    Layer ``resume``'s own adapter is not applied: ``forward_from_boundary``
+    starts with it. Its shape is ``activation_shape``: at the top layer
     D only the pooled token, [B, 1, n]. The backbone is frozen, so no op
     records a graph, and each add and layer norm writes into an array an
     earlier op allocated (see the ``tensor_nn`` module docstring): a build
@@ -360,11 +356,11 @@ def _check_boundary(model: ModelState, resume: int) -> None:
 
 
 def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray) -> Tensor:
-    """Resume the forward pass at the input of layer ``resume``'s adapters.
+    """Resume the forward pass at the input of layer ``resume``'s adapter.
 
     ``cached_act`` is the backbone output through layer ``resume`` (see
     ``compute_boundary_activation``), as ``PrefixStore`` holds it for a
-    training batch or a test chunk; this applies that layer's adapters,
+    training batch or a test chunk; this applies that layer's adapter,
     then layers ``resume + 1`` to D and the classifier. Under an adapter
     scheme the resume point is the lowest adapted layer, one above the
     device boundary, so no frozen layer body runs again on the host (see
@@ -395,7 +391,7 @@ def forward_from_boundary(model: ModelState, resume: int, cached_act: np.ndarray
             f"{model.tok_embed.data.dtype}")
     h = Tensor(act)
     if resume >= 1:
-        h = _apply_adapters(model.blocks[resume - 1], h)
+        h = _apply_adapter(model.blocks[resume - 1], h)
     return _classify(model, _run_blocks(model, h, resume + 1))
 
 

@@ -63,7 +63,6 @@ class SessionConfig:
     cache_enabled: bool = True
     fixed_depth: int = 0                     # fixed_adapter mode
     fixed_width: int = 8
-    monolithic_adapters: bool = True
     freeze_layers: int = 0                   # layer_freeze mode
     devices: dict[str, float] = field(default_factory=lambda: {"tx2": 1.0})
     custom_devices: dict[str, DeviceProfile] = field(default_factory=dict)
@@ -216,10 +215,6 @@ def _validate(cfg: SessionConfig) -> None:
                  f"must be in [0, {cfg.model.num_layers}]")
         _require(cfg.fixed_width >= adapter_mod.MIN_WIDTH, "fixed_width",
                  f"must be >= {adapter_mod.MIN_WIDTH}")
-        if not cfg.monolithic_adapters:
-            _require(cfg.configurator.width_step >= 1, "configurator.width_step", "must be >= 1")
-            _require(cfg.fixed_width % cfg.configurator.width_step == 0, "fixed_width",
-                     "stacked mode needs width to be a multiple of the width step")
     if cfg.mode == "layer_freeze":
         _require(0 <= cfg.freeze_layers < cfg.model.num_layers, "freeze_layers",
                  f"must be in [0, {cfg.model.num_layers - 1}]")
@@ -231,8 +226,6 @@ def _validate(cfg: SessionConfig) -> None:
         _require(conf.width_step >= 1, "configurator.width_step", "must be >= 1")
         _require(conf.start_width >= adapter_mod.MIN_WIDTH, "configurator.start_width",
                  f"must be >= {adapter_mod.MIN_WIDTH}")
-        _require(conf.start_width % conf.width_step == 0, "configurator.start_width",
-                 "must be a multiple of the width step")
         _require(conf.trial_intvl_s is None or conf.trial_intvl_s > 0,
                  "configurator.trial_intvl_s", "must be > 0")
         _require(conf.intvl_growth > 0, "configurator.intvl_growth", "must be > 0")
@@ -328,11 +321,9 @@ def _start_scheme(cfg: SessionConfig) -> TuningScheme:
     """The scheme of the session's one current track before its first round."""
     conf = cfg.configurator
     if cfg.mode == "autofed":
-        return TuningScheme("adapter", AdapterConfig(conf.start_depth, conf.start_width,
-                                                     conf.width_step))
+        return TuningScheme("adapter", AdapterConfig(conf.start_depth, conf.start_width))
     if cfg.mode == "fixed_adapter":
-        step = cfg.fixed_width if cfg.monolithic_adapters else conf.width_step
-        return TuningScheme("adapter", AdapterConfig(cfg.fixed_depth, cfg.fixed_width, step))
+        return TuningScheme("adapter", AdapterConfig(cfg.fixed_depth, cfg.fixed_width))
     if cfg.mode == "full_ft":
         return TuningScheme("full")
     return TuningScheme("freeze", frozen_layers=cfg.freeze_layers)  # layer_freeze

@@ -1,5 +1,7 @@
 import ctypes
 import functools
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -117,6 +119,25 @@ def run_under_kernel(core: str, tests: list[str]) -> None:
         pytest.skip(f"OPENBLAS_CORETYPE={core} took no effect here: the child runs the "
                     f"{kernel} kernel, as this process does")
     assert run.returncode == 0, f"{core} ({kernel} kernel):\n{run.stdout[-3000:]}{run.stderr}"
+
+
+def stacked_digest(events: list[dict]) -> tuple[int, str]:
+    """Where a trace's first ``wider`` round is, and the sha256 of the events before it.
+
+    When a width was a chain of 8-wide units, a ``monolithic_adapters`` key
+    (True by default) chose one unit in the fixed modes. With that key put
+    back into the ``session`` config, and written as ``TraceWriter`` writes
+    them, the events before the first round of a ``wider`` track (all of
+    them if there is none) are those that code wrote: one bottleneck trains
+    and draws as one unit did until a widened bottleneck trains.
+    """
+    session = {**events[0], "config": {**events[0]["config"], "monolithic_adapters": True}}
+    events = [session, *events[1:]]
+    cut = next((i for i, e in enumerate(events)
+                if e["evt"] == "round" and e["track"] == "wider"), len(events))
+    lines = "".join(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n"
+                    for e in events[:cut])
+    return cut, hashlib.sha256(lines.encode()).hexdigest()
 
 
 @pytest.fixture

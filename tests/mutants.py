@@ -163,6 +163,24 @@ CATALOGUE = (
         "per_pass = max(1, 32 // max(shape[0], 1))",
         ("tests/test_eval_store.py::TestPrefetch::test_no_pass_stacks_more_than_16_samples",)),
     Mutant(
+        "widen_draws_a_fresh_bottleneck", "src/fedtune/adapter.py",
+        "        block.adapter = _beside(block.adapter,\n"
+        "                                make_meta_adapter(model.spec.hidden, width_step, layer, rng))\n",
+        "        block.adapter = make_meta_adapter(\n"
+        "            model.spec.hidden, block.adapter.w_down.data.shape[1] + width_step, layer, rng)\n",
+        ("tests/test_widen.py::test_widen_keeps_every_trained_byte",)),
+    Mutant(
+        "widen_takes_a_fresh_output_bias", "src/fedtune/adapter.py",
+        "                       b_up=trained.b_up)\n",
+        "                       b_up=fresh.b_up)\n",
+        ("tests/test_widen.py::test_widen_keeps_every_trained_byte",)),
+    Mutant(
+        # D' is [trained | fresh] but U' is [fresh ; trained]: each unit meets another's rows
+        "widen_puts_the_new_rows_of_u_first", "src/fedtune/adapter.py",
+        "                       w_up=cat(trained.w_up, fresh.w_up, 0),\n",
+        "                       w_up=cat(fresh.w_up, trained.w_up, 0),\n",
+        ("tests/test_widen.py::test_widening_adds_a_zero_unit_to_the_parents_function",)),
+    Mutant(
         "prefix_store_checks_no_tokens", "src/fedtune/model.py",
         "        if known is not tokens and not np.array_equal(known, tokens):\n"
         "            raise ContractViolation(f\"prefix store chunk {key!r} was built for other tokens\")\n",

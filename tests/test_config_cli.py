@@ -118,8 +118,7 @@ class TestOutOfRange:
 
     @pytest.mark.parametrize("overrides, key", [
         ({"configurator": {"start_depth": -1}}, "configurator.start_depth"),
-        ({"configurator": {"start_width": 4, "width_step": 4}}, "configurator.start_width"),
-        ({"configurator": {"start_width": 12}}, "configurator.start_width"),
+        ({"configurator": {"start_width": 4}}, "configurator.start_width"),
         ({"configurator": {"trial_intvl_s": 0.0}}, "configurator.trial_intvl_s"),
         ({"configurator": {"intvl_growth": 0.0}}, "configurator.intvl_growth"),
         ({"target_accuracy": 1.5}, "target_accuracy"),
@@ -140,15 +139,14 @@ class TestOutOfRange:
         ({"noniid_concentration": float("inf")}, "noniid_concentration"),
         ({"task": {**TASK, "teacher_seed": -1}}, "task.teacher_seed"),
         ({"task": {**TASK, "teacher_seed": 2**64}}, "task.teacher_seed"),
-        ({"mode": "fixed_adapter", "monolithic_adapters": False,
-          "configurator": {"width_step": 0}}, "configurator.width_step"),
-    ], ids=["start_depth", "start_width_min", "start_width_step", "trial_intvl_s",
+        ({"configurator": {"width_step": 0}}, "configurator.width_step"),
+    ], ids=["start_depth", "start_width_min", "trial_intvl_s",
             "intvl_growth", "target_above_1", "target_below_0", "seed_negative", "seed_2_64",
             "share_negative", "share_nan", "share_inf", "shares_all_zero", "no_devices",
             "shares_sum_overflows", "relative_target_negative", "relative_target_zero",
             "relative_target_nan", "relative_target_inf", "learning_rate_inf",
             "concentration_inf", "teacher_seed_negative", "teacher_seed_2_64",
-            "stacked_fixed_width_step_zero"])
+            "width_step_zero"])
     def test_rejected_before_any_session(self, overrides, key, tmp_path, capsys):
         doc = small_session_doc(**{"mode": "autofed", "max_rounds": 1, **overrides})
         with pytest.raises(ConfigurationError, match=f"'{key}'"):
@@ -275,11 +273,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(trace) in err
 
-    def test_zero_width_step_exits_2_before_any_sweep_session(self, tmp_path, capsys):
-        # full_ft reads no width step, but the sweep's stacked fixed-adapter runs do
+    def test_zero_width_step_exits_2_before_any_sweep_session(self, tmp_path, capsys, monkeypatch):
+        def no_world(cfg):
+            raise AssertionError("a world was built for a config the parser refuses")
+
+        monkeypatch.setattr(session_mod, "build_world", no_world)
         path = tmp_path / "session.yaml"
         path.write_text(yaml.safe_dump(small_session_doc(
-            mode="full_ft", monolithic_adapters=False, configurator={"width_step": 0})))
+            mode="autofed", configurator={"width_step": 0})))
         out = tmp_path / "out"
         code = cli.main(["sweep", "--config", str(path), "--grid", "0:8", "--out", str(out)])
         assert code == EXIT_CONFIG_ERROR

@@ -165,7 +165,7 @@ class TestSessionStore:
 class TestLedger:
     def test_entries_are_the_store_arrays(self, small_world, builds):
         world, cfg = small_world, small_world.config
-        scheme = TuningScheme("adapter", AdapterConfig(2, 8, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(2, 8))
         model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
         track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
         store = PrefixStore(world.backbone)
@@ -223,7 +223,7 @@ class TestLedger:
         server, store = world.server, PrefixStore(world.backbone)
 
         def round_at(depth):
-            scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
+            scheme = TuningScheme("adapter", AdapterConfig(depth, 8))
             model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
             track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
             fed_mod.run_round(server, [track], cfg.participants_per_group,
@@ -248,7 +248,7 @@ class TestLedger:
     def test_release_frees_old_point_on_move(self, small_world):
         backbone = small_world.backbone
         tokens = SeededRng(5).integers(0, 24, size=(4, 8))
-        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(1, 8))
         model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(1))
         store, cache = PrefixStore(backbone), cache_mod.ActivationCache()
         store.activation(3, ("test", 0), tokens)  # the resume point stays live
@@ -277,7 +277,7 @@ class TestLedger:
     def test_other_tokens_raise(self, small_world):
         backbone = small_world.backbone
         tokens = SeededRng(5).integers(0, 24, size=(4, 8))
-        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(1, 8))
         model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(1))
         store, cache = PrefixStore(backbone), cache_mod.ActivationCache()
         cache_mod.fetch_or_recompute(cache, store, model, (7, 0), tokens, 1, 3)
@@ -308,7 +308,7 @@ class TestStoreUnit:
         backbone = build_model(spec, 1)
         store = PrefixStore(backbone)
         for depth in (1, 3):
-            scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
+            scheme = TuningScheme("adapter", AdapterConfig(depth, 8))
             model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(depth))
             resume = scheme.resume_layer(spec.num_layers, depth)
             assert resume == spec.num_layers - depth + 1
@@ -352,7 +352,7 @@ class TestStoreUnit:
 
     def test_adapted_model_rejected_as_backbone(self, spec):
         adapted = adapter_mod.materialize(
-            build_model(spec, 1), TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(0))
+            build_model(spec, 1), TuningScheme("adapter", AdapterConfig(1, 8)), rng=SeededRng(0))
         with pytest.raises(ContractViolation):
             PrefixStore(adapted)
 
@@ -409,7 +409,7 @@ class TestPrefetch:
     def test_a_round_builds_its_chunks_in_one_prefetch(self, small_world, builds, monkeypatch,
                                                        cache_enabled):
         world, cfg = small_world, small_world.config
-        scheme = TuningScheme("adapter", AdapterConfig(2, 8, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(2, 8))
         model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
         track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
         store = PrefixStore(world.backbone)
@@ -438,7 +438,7 @@ class TestPrefetch:
 class TestGraphFree:
     def test_flags_and_grads_untouched_and_no_graph(self, monkeypatch, tiny_model, tiny_tokens):
         model = adapter_mod.materialize(
-            tiny_model, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(2))
+            tiny_model, TuningScheme("adapter", AdapterConfig(1, 8)), rng=SeededRng(2))
         sentinel = np.full(model.cls_w.data.shape, 7.0)
         model.cls_w.grad = sentinel
         before = [(p.node, p.trainable, p.grad) for p in model.parameters()]
@@ -486,7 +486,7 @@ def test_first_store_resumed_evaluate_peaks_at_one_pass():
                      num_labels=4)
     backbone = build_model(spec, 4)
     model = adapter_mod.materialize(
-        backbone, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(1))
+        backbone, TuningScheme("adapter", AdapterConfig(1, 8)), rng=SeededRng(1))
     rng = SeededRng(5)
     tokens = rng.integers(0, spec.vocab, size=(164, spec.seqlen))
     labels = rng.integers(0, spec.num_labels, size=164)

@@ -15,9 +15,9 @@ from fedtune.tensor_nn import SeededRng
 from conftest import small_session_doc
 
 
-def _stack_bytes(model) -> dict[str, bytes]:
-    return {p.name: p.data.tobytes()
-            for block in model.blocks for meta in block.adapters for p in meta.all()}
+def _adapter_bytes(model) -> dict[str, bytes]:
+    return {p.name: p.data.tobytes() for block in model.blocks
+            if block.adapter is not None for p in block.adapter.all()}
 
 
 def _trained(model, seed: int):
@@ -29,7 +29,7 @@ def _trained(model, seed: int):
 
 
 def test_fedavg_of_identical_payloads_is_bit_exact(tiny_model):
-    scheme = TuningScheme("adapter", AdapterConfig(2, 16, 8))
+    scheme = TuningScheme("adapter", AdapterConfig(2, 16))
     model = _trained(adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1)), 2)
     payload = adapter_mod.extract_payload(model)
     # weights 7/21, 3/21, 11/21 are not exact in binary
@@ -45,22 +45,22 @@ def test_fedavg_of_identical_payloads_is_bit_exact(tiny_model):
 def test_deepen_and_widen_keep_trained_bytes():
     spec = ModelSpec(num_layers=3, hidden=8, heads=2, ffn_dim=16,
                      vocab=12, seqlen=5, num_labels=3)
-    unit = AdapterConfig(1, 16, 8)
-    model = _trained(adapter_mod.materialize(build_model(spec, 3), TuningScheme("adapter", unit),
+    config = AdapterConfig(1, 16)
+    model = _trained(adapter_mod.materialize(build_model(spec, 3), TuningScheme("adapter", config),
                                              rng=SeededRng(1)), 2)
-    trained = _stack_bytes(model)
+    trained = _adapter_bytes(model)
 
-    deeper = adapter_mod.deepen(model, 1, SeededRng(5), unit)
+    deeper = adapter_mod.deepen(model, 1, SeededRng(5), config)
     assert deeper.adapted_layers() == [2, 3]
-    after = _stack_bytes(deeper)
+    after = _adapter_bytes(deeper)
     assert {k: after[k] for k in trained} == trained
-    assert [m.width for m in deeper.blocks[1].adapters] == [8, 8]
+    assert deeper.blocks[1].adapter.w_down.data.shape == (8, 16)
 
+    # test_widen.py checks the widened bottlenecks' bytes
     wider = adapter_mod.widen(deeper, 8, SeededRng(6))
-    after_widen = _stack_bytes(wider)
-    assert {k: after_widen[k] for k in after} == after
-    assert all(len(wider.blocks[i].adapters) == 3 for i in (1, 2))
-    assert _stack_bytes(model) == trained  # the transforms do not write their input
+    assert [wider.blocks[i].adapter.w_down.data.shape for i in (1, 2)] == [(8, 24)] * 2
+    # the transforms do not write their input
+    assert _adapter_bytes(model) == trained and _adapter_bytes(deeper) == after
 
 
 @settings(max_examples=60, deadline=None)

@@ -73,17 +73,16 @@ class TestForward:
         a = build_model(tiny_spec, 5)
         b = build_model(tiny_spec, 5)
         # inserting a depth-0 config consumes no randomness and adds nothing
-        b = adapter_mod.materialize(b, TuningScheme("adapter", AdapterConfig(0, 8, 8)),
+        b = adapter_mod.materialize(b, TuningScheme("adapter", AdapterConfig(0, 8)),
                                     rng=SeededRng(99))
         assert np.array_equal(forward(a, tiny_tokens).data, forward(b, tiny_tokens).data)
 
     def test_zero_up_projection_is_residual_noop(self, tiny_model, tiny_tokens):
         base = forward(tiny_model, tiny_tokens).data
         adapted = adapter_mod.materialize(
-            tiny_model, TuningScheme("adapter", AdapterConfig(2, 8, 8)), rng=SeededRng(11))
-        for block in adapted.blocks:
-            for meta in block.adapters:
-                meta.w_up.data[:] = 0.0
+            tiny_model, TuningScheme("adapter", AdapterConfig(2, 8)), rng=SeededRng(11))
+        for layer in adapted.adapted_layers():
+            adapted.blocks[layer - 1].adapter.w_up.data[:] = 0.0
         assert np.array_equal(base, forward(adapted, tiny_tokens).data)
 
     def test_out_of_range_token(self, tiny_model):
@@ -121,7 +120,7 @@ class TestBoundary:
     @pytest.fixture
     def adapted(self, tiny_model):
         return adapter_mod.materialize(
-            tiny_model, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(7))
+            tiny_model, TuningScheme("adapter", AdapterConfig(1, 8)), rng=SeededRng(7))
 
     def test_boundary_zero_equals_full_forward(self, adapted, tiny_tokens):
         act = model_mod.compute_boundary_activation(adapted, tiny_tokens, 0)
@@ -133,7 +132,7 @@ class TestBoundary:
         spec = ModelSpec(num_layers=6, hidden=8, heads=2, ffn_dim=16,
                          vocab=12, seqlen=5, num_labels=3)
         model = adapter_mod.materialize(
-            build_model(spec, 3), TuningScheme("adapter", AdapterConfig(2, 8, 8)), rng=SeededRng(1))
+            build_model(spec, 3), TuningScheme("adapter", AdapterConfig(2, 8)), rng=SeededRng(1))
         act = model_mod.compute_boundary_activation(model, tiny_tokens, 4)
         assert np.array_equal(forward(model, tiny_tokens).data,
                               forward_from_boundary(model, 4, act).data)
@@ -157,7 +156,7 @@ class TestBoundary:
     def test_boundary_above_lowest_adapter_rejected(self, tiny_model, tiny_tokens):
         # adapters on both layers: resuming at layer 2 would skip layer 1's
         adapted = adapter_mod.materialize(
-            tiny_model, TuningScheme("adapter", AdapterConfig(2, 8, 8)), rng=SeededRng(7))
+            tiny_model, TuningScheme("adapter", AdapterConfig(2, 8)), rng=SeededRng(7))
         act = model_mod.compute_boundary_activation(adapted, tiny_tokens, 1)
         with pytest.raises(ContractViolation):
             forward_from_boundary(adapted, 2, act)
@@ -201,7 +200,7 @@ class TestResumePoint:
     @pytest.mark.parametrize("depth", range(4))
     def test_adapter_resume_bit_identical_at_every_depth(self, small_spec, tokens, depth):
         # the lowest adapter's input, one above the boundary b = D - depth; b itself at depth 0
-        scheme = TuningScheme("adapter", AdapterConfig(depth, 8, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(depth, 8))
         num_layers = small_spec.num_layers
         self.check_resume_rule(scheme, small_spec, tokens, min(num_layers - depth + 1, num_layers))
 
@@ -233,7 +232,7 @@ class TestResumePoint:
     def depth1(self, small_spec):
         """A depth-1 adapter model on the backbone, and an empty ledger and store."""
         backbone = build_model(small_spec, 2)
-        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(1, 8))
         model = adapter_mod.materialize(backbone, scheme, rng=SeededRng(1))
         return model, cache_mod.ActivationCache(), model_mod.PrefixStore(backbone)
 

@@ -30,7 +30,7 @@ def unpooled_forward(model, tokens):
             block.ffn_w2, block.ffn_b2)
         h = tn.layer_norm(tn.add(h, ffn_out), block.ln2_gain, block.ln2_shift,
                           model_mod.LN_EPS)
-        for meta in block.adapters:
+        if (meta := block.adapter) is not None:
             bottleneck = tn.relu(tn.linear_forward(h, meta.w_down, meta.b_down))
             h = tn.add(h, tn.linear_forward(bottleneck, meta.w_up, meta.b_up))
     return tn.linear_forward(tn.first_token(h), model.cls_w, model.cls_b)
@@ -39,7 +39,7 @@ def unpooled_forward(model, tokens):
 @pytest.fixture(scope="module")
 def mid_adapted():
     return adapter_mod.materialize(
-        build_model(MID, 1), TuningScheme("adapter", AdapterConfig(2, 16, 8)), rng=SeededRng(3))
+        build_model(MID, 1), TuningScheme("adapter", AdapterConfig(2, 16)), rng=SeededRng(3))
 
 
 @pytest.mark.parametrize("batch", [2, 7, 8, 32])
@@ -93,7 +93,7 @@ def test_store_keeps_one_position_at_the_top_layer(tiny_spec):
     below = store.activation(depth - 1, ("test", 0), tokens)
     assert top.shape == (4, 1, tiny_spec.hidden)
     assert below.shape == (4, tiny_spec.seqlen, tiny_spec.hidden)
-    model = adapter_mod.materialize(backbone, TuningScheme("adapter", AdapterConfig(1, 8, 8)),
+    model = adapter_mod.materialize(backbone, TuningScheme("adapter", AdapterConfig(1, 8)),
                                     rng=SeededRng(1))
     assert np.array_equal(model_mod.forward_from_boundary(model, depth, top).data,
                           forward(model, tokens).data)

@@ -60,7 +60,7 @@ class TestSessionDtypes:
         # (watermark D) runs on a server of its own over the same clients
         full_ft_server = fed_mod.ServerState(world.server.registry, world.server.rng_select)
         for server, scheme in ((full_ft_server, TuningScheme("full")),
-                               (world.server, TuningScheme("adapter", AdapterConfig(2, 8, 8)))):
+                               (world.server, TuningScheme("adapter", AdapterConfig(2, 8)))):
             track = _track(world, scheme)
             fed_mod.run_round(server, [track], cfg.participants_per_group,
                               epochs=1, lr=cfg.learning_rate, store=store)
@@ -102,7 +102,7 @@ class TestSessionDtypes:
 
     def test_float64_graph_stays_float64_through_backward(self, tiny_model, tiny_tokens):
         model = _as_float64(adapter_mod.materialize(
-            tiny_model, TuningScheme("adapter", AdapterConfig(1, 8, 8)), rng=SeededRng(7)))
+            tiny_model, TuningScheme("adapter", AdapterConfig(1, 8)), rng=SeededRng(7)))
         logits = forward(model, tiny_tokens)
         loss = tn.cross_entropy_loss(logits, np.array([0, 1, 2]))
         assert logits.data.dtype == loss.data.dtype == np.float64
@@ -124,11 +124,11 @@ class TestNoSilentCast:
             model_mod.forward_from_boundary(tiny_model, 1, act.astype(np.float64))
 
     def test_float64_payload_buffer_rejected(self, tiny_model):
-        scheme = TuningScheme("adapter", AdapterConfig(1, 8, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(1, 8))
         model = adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1))
         payload = adapter_mod.extract_payload(model)
         adapter_mod.load_payload(model, payload)
-        name = "block02.adapter00.w_up"
+        name = "block02.adapter.w_up"
         payload[name] = payload[name].astype(np.float64)
         with pytest.raises(ProtocolError, match=f"'{name}' dtype float64"):
             adapter_mod.load_payload(model, payload)

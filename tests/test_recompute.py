@@ -21,7 +21,7 @@ MID_SPEC = ModelSpec(num_layers=6, hidden=64, heads=4, ffn_dim=128, vocab=200, s
 
 SCHEMES = {
     "full_ft": TuningScheme("full"),
-    "adapter_2_16": TuningScheme("adapter", AdapterConfig(2, 16, 8)),
+    "adapter_2_16": TuningScheme("adapter", AdapterConfig(2, 16)),
 }
 
 

@@ -127,7 +127,7 @@ def test_report_per_client_adds_up_to_the_session(mode, tmp_path):
 
 
 # In round 1 the deeper track meets the target at clock 2.0733 and is emitted
-# first; the wider track meets it at clock 1.4867.
+# first; the wider track meets it at clock 1.4866.
 TARGETED = small_session_doc(seed=1, mode="autofed", max_rounds=20, target_accuracy=0.4,
                              configurator={"start_depth": 1, "trial_intvl_s": 0.5})
 
@@ -142,10 +142,10 @@ def test_time_to_target_is_the_earliest_eval_clock(targeted):
     result, _ = targeted
     evals = [(e["track"], e["clock"]) for e in trace_mod.events_of_kind(result.events, "eval")
              if e["accuracy"] >= 0.4]
-    assert evals == [("deeper", 2.0733493333333337), ("wider", 1.4866826666666668)]
+    assert evals == [("deeper", 2.0733493333333337), ("wider", 1.4865546666666667)]
     assert result.summary["reached"] and result.exit_code == session_mod.EXIT_OK
-    assert result.summary["time_to_target"] == 1.4866826666666668
-    assert session_mod.time_to_accuracy(result.events, 1.0, 0.4) == 1.4866826666666668
+    assert result.summary["time_to_target"] == 1.4865546666666667
+    assert session_mod.time_to_accuracy(result.events, 1.0, 0.4) == 1.4865546666666667
 
 
 FORGERIES = {

@@ -95,16 +95,15 @@ class TestFoldEqualsListFormula:
 
 class TestAggregationErrors:
     @pytest.mark.parametrize("other", [
-        TuningScheme("adapter", AdapterConfig(1, 16, 8)),   # one more unit: more names
-        TuningScheme("adapter", AdapterConfig(1, 16, 16)),  # same names, wider unit
-        TuningScheme("adapter", AdapterConfig(2, 8, 8)),    # one more layer: more names
+        TuningScheme("adapter", AdapterConfig(1, 16)),  # same names, wider bottleneck
+        TuningScheme("adapter", AdapterConfig(2, 8)),   # one more layer: more names
         TuningScheme("full"),
     ])
     def test_scheme_mismatch(self, tiny_model, other):
         """On one backbone, another scheme's buffers differ in names or shapes."""
         updates = [fed_mod.ClientUpdate(cid, adapter_mod.extract_payload(
             adapter_mod.materialize(tiny_model, scheme, rng=SeededRng(1))), 4)
-            for cid, scheme in ((1, TuningScheme("adapter", AdapterConfig(1, 8, 8))),
+            for cid, scheme in ((1, TuningScheme("adapter", AdapterConfig(1, 8))),
                                 (2, other))]
         with pytest.raises(AggregationError, match="client 2 payload does not match"):
             fold(updates)
@@ -160,7 +159,7 @@ def _track_round(world, track, group, store=None):
 
 class TestTrackRound:
     def test_group_order_changes_only_the_listing(self, small_world):
-        scheme = TuningScheme("adapter", AdapterConfig(2, 8, 8))
+        scheme = TuningScheme("adapter", AdapterConfig(2, 8))
         start = _trained_bytes(_track(small_world, scheme).model)
         results = []
         for group in ([5, 1, 7], [1, 7, 5]):
@@ -190,7 +189,7 @@ class TestTrackRound:
                 means.append(mean)
             _inner(mean, update)
 
-        track = _track(small_world, TuningScheme("adapter", AdapterConfig(2, 8, 8)))
+        track = _track(small_world, TuningScheme("adapter", AdapterConfig(2, 8)))
         model = track.model
         monkeypatch.setattr(adapter_mod, "materialize", counting_materialize)
         monkeypatch.setattr(fed_mod, "fedavg", recording_fedavg)

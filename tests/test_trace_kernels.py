@@ -7,7 +7,8 @@ mid-shape climb, must hold under each kernel. So must the tests that
 compare GEMMs of different shapes, which assert bit equality on SkylakeX
 alone (``conftest.assert_equal_on_skylakex``), and the per-kernel golden
 bits, and the equalities of stacked prefix passes and of the uncopied key
-view (``test_stacked_prefix.py``). Each kernel runs them all in one child
+view (``test_stacked_prefix.py``), and widening's kept bytes and zero-unit
+logits (``test_widen.py``). Each kernel runs them all in one child
 process under ``OPENBLAS_CORETYPE`` at one BLAS thread, as the benchmark
 runs; Prescott selects the Katmai kernel. Zen is left out, because it
 selects Haswell's kernel: the last test checks that it still does.
@@ -31,6 +32,7 @@ KERNEL_BOUND_TESTS = (
     "test_stacked_prefix.py::test_graph_free_multi_row_query_against_the_key_view_equals_the_copy",
     "test_stacked_prefix.py::test_graph_free_one_row_query_still_copies_the_keys",
     "test_stacked_prefix.py::test_recording_product_copies_the_keys",
+    "test_widen.py",
 )
 
 

@@ -222,9 +222,9 @@ def load_payload(model: ModelState, payload: dict[str, np.ndarray]) -> None:
     each buffer must have its parameter's shape and dtype; otherwise this
     raises ProtocolError. The copy goes into the parameter's own array, so
     a load allocates nothing, and arrays taken from the model before it
-    hold the payload's values afterwards. ``fed.run_track_round`` loads
-    the round's start values before every client after the first, then
-    the aggregated mean, into the track's one model. The payload's buffers
+    hold the payload's values afterwards. ``fed.run_round`` loads a
+    track's start values before every client after the first, then the
+    aggregated mean, into the track's one model. The payload's buffers
     are never kept.
     """
     trainable = {p.name: p for p in model.trainable_parameters()}

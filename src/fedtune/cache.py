@@ -14,7 +14,7 @@ device boundary b = D - watermark, the deepest frozen layer there.
 Configurations only grow, so the watermark never falls; ``fed.run_round``
 refuses a round whose watermark would fall (a ContractViolation), and when
 it rises, the boundary moves down and ``run_round`` clears every ledger
-(``expire``) before anyone trains, selected or not: those entries could
+(``expire``) before anyone trains, in a group or not: those entries could
 never hit again. That happens at most once per depth increase, i.e. at
 most D times.
 
@@ -32,8 +32,9 @@ D only for the pooled first token, so an entry at resume point D holds
 ``costmodel``'s docstring states both departures of the host from the device.
 
 The ledger decides what the emulated device recomputes; it does not decide
-when the host builds. After ``expire`` and client selection, ``fed.run_round``
-has the store build every batch its cached tracks' groups will ask for
+when the host builds. ``fed.run_round`` is given each track's group
+(``session.assign_groups`` draws them); after ``expire`` it has the store
+build every batch its cached tracks' groups will ask for
 (``PrefixStore.prefetch``), stacking same-shape batches into shared passes.
 A recompute then takes the chunk that prefetch built, and is counted and
 priced as a recompute all the same, so the counts and the emulated clock do

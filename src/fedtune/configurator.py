@@ -110,8 +110,8 @@ def evaluate_tracks(tracks: list[TrialTrack], store: model_mod.PrefixStore,
                     test_tokens, test_labels) -> list[float]:
     """Accuracy of every live track on the global test set, in track order.
 
-    Each track is scored on its ``model``, which ``fed.run_track_round``
-    left holding the track's aggregated mean, and resumes where its scheme
+    Each track is scored on its ``model``, which ``fed.run_round`` left
+    holding the track's aggregated mean, and resumes where its scheme
     resumes at its own tuning depth (``TuningScheme.resume_layer``: under
     adapters, the lowest adapter's input). The store first drops every
     resume point none of these tracks resumes from; evaluation then builds

@@ -1,8 +1,9 @@
 """The emulated price of a track round: its seconds, wire bytes and joules.
 
-``price_round`` is the one price of a round. ``fed.run_track_round`` gives
-it each participant's device, network and ``Work`` (its batches, counted by
-how the activation cache served them) and keeps no pricing arithmetic.
+``price_round`` is the one price of a round. ``fed.run_round`` gives it,
+for each track, each participant's device, network and ``Work`` (its
+batches, counted by how the activation cache served them) and keeps no
+pricing arithmetic.
 
 - Per-layer costs are uniform: one full-model training batch costs 3*L
   forward-layer units (forward L, backward 2L), so a unit is the device's

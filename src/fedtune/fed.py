@@ -8,19 +8,21 @@ which every participant trains. Configurations only grow, so the
 watermark never falls; ``run_round`` refuses a round that would lower it
 and clears every client's ledger when it rises.
 
-A track is its tuning scheme plus one model, which holds its latest FedAvg
-mean between rounds. A track round copies the start values out of the
-model once, then trains its group one client after another, in ascending
+Who trains where is not decided here: ``run_round`` trains the (track,
+group) pairs it is given (``session.assign_groups`` draws them). A track
+is its tuning scheme plus one model, which holds its latest FedAvg mean
+between rounds. A track's round copies the start values out of the model
+once, then trains its group one client after another, in ascending
 client id, on that model. As soon as a client finishes, its trained
 parameters (a payload: buffers keyed by parameter name) are folded into
 the round's anchored running mean (``fedavg``), so a round holds three
 payloads (the start values, the anchor and the running sum), not one per
 participant. Training only counts each client's batches; the round's
 time and energy are priced once from those counts (``costmodel.price_round``).
-The round's trace fields keep the selection order: participants, and the
-client energies, summed in that order. Every reduction (aggregation,
-selection, batch order, pricing) has a fixed order, so the results never
-depend on timing.
+The round's trace fields keep the group's given order: participants, and
+the client energies, summed in that order. Every reduction (aggregation,
+batch order, pricing) has a fixed order, so the results never depend on
+timing.
 """
 
 from __future__ import annotations
@@ -76,15 +78,6 @@ class ClientUpdate:
     num_samples: int
 
 
-def select_clients(registry: dict[int, ClientState], k: int, rng: SeededRng) -> list[int]:
-    """Uniform sample of k distinct client ids, deterministic under rng."""
-    ids = sorted(registry)
-    if k > len(ids):
-        raise SelectionError(f"cannot select {k} clients from a population of {len(ids)}")
-    order = rng.permutation(len(ids))
-    return [ids[int(i)] for i in order[:k]]
-
-
 def local_train(
     client: ClientState,
     model: ModelState,
@@ -98,8 +91,8 @@ def local_train(
     """Run E local passes of SGD over the client's fixed batches.
 
     ``model`` is the client's track's model, which shares the frozen
-    backbone and holds the round's start values (``run_track_round``
-    loads them before each client, so no earlier client's training carries
+    backbone and holds the round's start values (``run_round`` loads
+    them before each client, so no earlier client's training carries
     over). With a ``store`` (the session's; None trains without the cache)
     and a frozen prefix, the client's ledger decides per batch whether the
     bottom frozen path is recomputed (at most once per batch per watermark
@@ -201,126 +194,93 @@ def fedavg(mean: RunningMean, update: ClientUpdate) -> None:
     mean.folded_samples += update.num_samples
 
 
-def split_budget(total: int, groups: int) -> list[int]:
-    """Even split of the participant budget; remainder goes to the first group."""
-    base = total // groups
-    counts = [base] * groups
-    counts[0] += total - base * groups
-    return counts
-
-
-def run_track_round(
-    track,
-    group: list[int],
-    registry: dict[int, ClientState],
-    *,
-    epochs: int,
-    lr: float,
-    round_index: int,
-    depth_watermark: int,
-    store: PrefixStore | None,
-) -> dict:
-    """Round ``round_index`` of one track with a given group: train, aggregate, advance its clock.
-
-    ``track`` is a configurator.TrialTrack; between rounds its model holds
-    the track's latest mean. The round copies the start values out once.
-    The group trains on the model in ascending client id, each client from
-    the start values, and each trained payload is folded into the round's
-    ``RunningMean`` through ``fedavg`` before the next client loads. The
-    mean is loaded into the model, the one ``configurator.evaluate_tracks``
-    scores. ``costmodel.price_round`` then prices the round once, from each
-    participant's device, network and counted work. Returns the track's
-    ``round`` trace event, which lists the group in the order given;
-    ``max_depth`` is the watermark.
-    """
-    model = track.model
-    start = adapter_mod.extract_payload(model)
-    payload_size = costmodel.payload_bytes(sum(buf.size for buf in start.values()))
-    mean = RunningMean(sum(registry[cid].num_train_samples() for cid in group))
-    work: dict[int, Work] = {}
-    for position, cid in enumerate(sorted(group)):
-        if position:
-            # the first client finds the start values already loaded
-            adapter_mod.load_payload(model, start)
-        trained, n_samples, work[cid] = local_train(
-            registry[cid], model, track.scheme,
-            epochs=epochs, lr=lr, depth_watermark=depth_watermark, store=store)
-        fedavg(mean, ClientUpdate(cid, trained, n_samples))
-    adapter_mod.load_payload(model, mean.payload())
-    num_layers = model.spec.num_layers
-    round_seconds, client_energy = costmodel.price_round(
-        num_layers, track.scheme.tuning_depth(num_layers), depth_watermark, payload_size,
-        {str(cid): (registry[cid].device, registry[cid].net, work[cid]) for cid in group})
-    track.clock += round_seconds
-    return {"evt": "round", "round": round_index, "track": track.name,
-            "max_depth": depth_watermark, "clock": track.clock, "participants": group,
-            "payload_bytes": payload_size, "round_seconds": round_seconds,
-            "energy_j": sum(client_energy.values()),
-            "cache_hits": sum(w.hits for w in work.values()),
-            "cache_recomputes": sum(w.recomputes for w in work.values()),
-            "train_samples": mean.total_samples, "client_energy": client_energy}
-
-
 def run_round(
     server: ServerState,
-    tracks: list,
-    total_participants: int,
+    assignments: list[tuple],
     *,
     epochs: int,
     lr: float,
     store: PrefixStore | None,
 ) -> list[dict]:
-    """One synchronous round: select, split, and run every live track's round.
+    """One synchronous round: each (track, group) pair of ``assignments`` trains its track.
 
-    ``tracks`` are configurator.TrialTrack objects: one for a fixed
-    configuration, up to three while the configurator searches. All live
-    tracks advance together: one selection is split into consecutive
-    groups (``split_budget``), and each track runs ``run_track_round`` with
-    its group, moving its ``clock`` by its own emulated round time.
+    Each track is a configurator.TrialTrack, paired with the client ids
+    that train it: one pair for a fixed configuration, up to three while
+    the configurator searches (``session.assign_groups`` draws them). All
+    the tracks advance together. Between rounds a track's model holds its
+    latest mean. Each pair's round copies the start values out of the model
+    once; the group trains on the model in ascending client id, each client
+    from the start values, and each trained payload is folded into the
+    round's ``RunningMean`` through ``fedavg`` before the next client loads.
+    The mean is loaded into the model, the one
+    ``configurator.evaluate_tracks`` scores. ``costmodel.price_round`` then
+    prices the track's round once, from each participant's device, network
+    and counted work, and the track's ``clock`` moves by that time.
 
     The round's watermark is its deepest tuning depth. One below
     ``server.depth_watermark`` is a ContractViolation, raised before any
     ledger, store chunk or round index changes; one above it clears every
-    client's ledger (``cache.expire``), selected or not, and becomes the
+    client's ledger (``cache.expire``), in a group or not, and becomes the
     server's. ``store`` is the session's frozen-prefix store, which the
-    clients' caches refer into, or None to train without the cache. After
-    the clients are selected, the store builds every batch of every
-    selected client of a cached track at that track's resume point, in one
-    ``prefetch`` per resume point, so same-shape batches share passes; the
-    ledgers then find those chunks built, and count hits and recomputes as
-    before. Returns each track's ``round`` event, in track order.
+    clients' caches refer into, or None to train without the cache. Before
+    anyone trains, the store builds every batch of every client of a
+    cached track at that track's resume point, in one ``prefetch`` per
+    resume point, so same-shape batches share passes; the ledgers then
+    find those chunks built, and count hits and recomputes as before.
+    Returns each track's ``round`` event, in assignment order; it lists the
+    group in the order given, and ``max_depth`` is the watermark.
     """
-    if not tracks:
+    if not assignments:
         raise SelectionError("run_round requires at least one track")
+    registry = server.registry
     round_index = server.round_index + 1
-    num_layers = tracks[0].model.spec.num_layers
-    max_depth = max(t.scheme.tuning_depth(num_layers) for t in tracks)
+    num_layers = assignments[0][0].model.spec.num_layers
+    max_depth = max(track.scheme.tuning_depth(num_layers) for track, _ in assignments)
     if max_depth < server.depth_watermark:
         raise ContractViolation(
             f"depth watermark {max_depth} fell below {server.depth_watermark}")
     if max_depth > server.depth_watermark:
         # a ledger held below the watermark can never hit again
-        for client in server.registry.values():
+        for client in registry.values():
             cache_mod.expire(client.cache, store)
         server.depth_watermark = max_depth
-    selected = select_clients(server.registry, total_participants, server.rng_select)
-    groups, cursor = [], 0
-    for group_size in split_budget(total_participants, len(tracks)):
-        groups.append(selected[cursor:cursor + group_size])
-        cursor += group_size
     if store is not None:
         wanted: dict[int, list] = {}
-        for track, group in zip(tracks, groups):
+        for track, group in assignments:
             resume = track.scheme.resume_layer(num_layers, max_depth)
             if resume is not None:
                 wanted.setdefault(resume, []).extend(
                     ((cid, batch.batch_id), batch.tokens)
-                    for cid in group for batch in server.registry[cid].train_batches)
+                    for cid in group for batch in registry[cid].train_batches)
         for resume, items in wanted.items():
             store.prefetch(resume, items)
-    events = [
-        run_track_round(track, group, server.registry, epochs=epochs, lr=lr,
-                        round_index=round_index, depth_watermark=max_depth, store=store)
-        for track, group in zip(tracks, groups)]
+    events = []
+    for track, group in assignments:
+        model = track.model
+        start = adapter_mod.extract_payload(model)
+        payload_size = costmodel.payload_bytes(sum(buf.size for buf in start.values()))
+        mean = RunningMean(sum(registry[cid].num_train_samples() for cid in group))
+        work: dict[int, Work] = {}
+        for position, cid in enumerate(sorted(group)):
+            if position:
+                # the first client finds the start values already loaded
+                adapter_mod.load_payload(model, start)
+            trained, n_samples, work[cid] = local_train(
+                registry[cid], model, track.scheme,
+                epochs=epochs, lr=lr, depth_watermark=max_depth, store=store)
+            fedavg(mean, ClientUpdate(cid, trained, n_samples))
+        adapter_mod.load_payload(model, mean.payload())
+        round_seconds, client_energy = costmodel.price_round(
+            num_layers, track.scheme.tuning_depth(num_layers), max_depth, payload_size,
+            {str(cid): (registry[cid].device, registry[cid].net, work[cid]) for cid in group})
+        track.clock += round_seconds
+        events.append(
+            {"evt": "round", "round": round_index, "track": track.name,
+             "max_depth": max_depth, "clock": track.clock, "participants": group,
+             "payload_bytes": payload_size, "round_seconds": round_seconds,
+             "energy_j": sum(client_energy.values()),
+             "cache_hits": sum(w.hits for w in work.values()),
+             "cache_recomputes": sum(w.recomputes for w in work.values()),
+             "train_samples": mean.total_samples, "client_energy": client_energy})
     server.round_index = round_index
     return events

@@ -8,7 +8,10 @@ emitted trace is byte-identical across runs. A running session is one
 ``start_session`` builds one current track at the mode's start scheme
 (``_start_scheme``); ``autofed`` grows its trial tracks from it with the
 ``configurator.dispatch`` a decision makes, and the fixed baselines train
-it alone. The configurator's decision logic lives in ``configurator.py``.
+it alone. Who trains where is decided once, in ``step``: ``assign_groups``
+draws each round's clients and gives each live track its group, and
+``fed.run_round`` trains the pairs. The configurator's decision logic lives
+in ``configurator.py``.
 
 The trace is the session's one record. Its closing summary is a function of
 the events before it (``_summary``), and ``report`` derives it again from
@@ -36,7 +39,7 @@ from . import trace as trace_mod
 from .adapter import AdapterConfig, TuningScheme
 from .configurator import ConfiguratorParams, TrialTrack
 from .costmodel import BUILTIN_DEVICE_PROFILES, DeviceProfile, NetworkProfile
-from .errors import ConfigurationError, TraceParseError
+from .errors import ConfigurationError, SelectionError, TraceParseError
 from .fed import Batch, ClientState, ServerState
 from .model import ModelSpec
 from .tensor_nn import SeededRng
@@ -148,18 +151,17 @@ def _coerce(hint, value, path: str, fallback):
         for key, entry in out.items():
             _require(entry.name == key, f"{path}.{key}.name", f"must equal its key '{key}'")
         return out
-    # bool(value) and int(value) would take "false" as True and 2.9 as 2
+    # bool(value), int(value) and float(value) would take "false" as True, 2.9 as 2
+    # and "40" as 40
     if hint is bool or isinstance(value, bool):
         _require(hint is bool and isinstance(value, bool), path,
                  f"expected {hint.__name__}, got {value!r}")
         return value
+    if hint in (int, float):
+        _require(isinstance(value, (int, float)), path, f"expected {hint.__name__}, got {value!r}")
     if hint is int and isinstance(value, float):
         _require(value.is_integer(), path, f"expected int, got {value!r}")
-    try:
-        return hint(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"field '{path}': expected {hint.__name__}, got {value!r}") from None
+    return hint(value)
 
 
 def config_from_dict(doc: dict) -> SessionConfig:
@@ -386,19 +388,43 @@ def _emit_dispatch(writer, session: Session, clock: float) -> None:
                  "tracks": tracks})
 
 
+def assign_groups(world: World, tracks: list[TrialTrack]) -> list[tuple[TrialTrack, list[int]]]:
+    """Who trains which track this round: each track in order, paired with its group.
+
+    The round's 3N clients are a uniform sample of distinct ids, the first
+    3N of one permutation of the sorted population drawn from
+    ``server.rng_select``; more than the population is a SelectionError.
+    The selection is cut into consecutive groups, one per track, as even
+    as they can be, and the remainder goes to the first group.
+    """
+    total, ids = world.config.participants_total(), sorted(world.server.registry)
+    if total > len(ids):
+        raise SelectionError(f"cannot select {total} clients from a population of {len(ids)}")
+    selected = [ids[int(i)] for i in world.server.rng_select.permutation(len(ids))[:total]]
+    assignments, cursor = [], 0
+    for position, track in enumerate(tracks):
+        size = total // len(tracks) + (0 if position else total % len(tracks))
+        assignments.append((track, selected[cursor:cursor + size]))
+        cursor += size
+    return assignments
+
+
 def step(session: Session, writer) -> bool:
     """One round of every live track, their evaluation, then a decision if one is due.
 
-    Each track advances its own emulated clock and is scored on the global
-    test set. Returns True once some track meets the target accuracy. In
-    ``autofed`` a decision is due when the current track's clock is more
-    than ``session.trial_intvl`` past the last decision's (``t_trial``);
+    Who trains where is decided here, once: ``assign_groups`` draws the
+    round's clients and splits them into one group per track, and
+    ``fed.run_round`` trains those pairs. Each track advances its own
+    emulated clock and is scored on the global test set. Returns True
+    once some track meets the target accuracy. In ``autofed`` a decision
+    is due when the current track's clock is more than
+    ``session.trial_intvl`` past the last decision's (``t_trial``);
     ``configurator.dispatch`` then replaces the tracks. Nothing is
     totalled here: ``writer`` receives every event the summary derives from.
     """
     world, cfg = session.world, session.world.config
     rounds = fed_mod.run_round(
-        world.server, session.tracks, cfg.participants_total(),
+        world.server, assign_groups(world, session.tracks),
         epochs=cfg.local_epochs, lr=cfg.learning_rate,
         store=session.store if cfg.cache_enabled else None)
     for event in rounds:

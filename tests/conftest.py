@@ -192,6 +192,16 @@ def small_session_doc(**overrides) -> dict:
     return doc
 
 
+def drawn_group(world, track, size: int) -> list:
+    """``track`` paired with the first ``size`` clients of the world's next selection draw.
+
+    ``session.assign_groups`` cuts one permutation of the population, so
+    these are the clients a draw of ``size`` takes; ``size`` is at most 3N.
+    """
+    [(track, group)] = session_mod.assign_groups(world, [track])
+    return [(track, group[:size])]
+
+
 @pytest.fixture
 def small_world():
     cfg = session_mod.config_from_dict(small_session_doc())

@@ -93,7 +93,7 @@ CATALOGUE = (
     Mutant(
         # the trace does not change: stale entries are recomputed as integrity failures
         "ledgers_kept_when_watermark_rises", "src/fedtune/fed.py",
-        "        for client in server.registry.values():\n"
+        "        for client in registry.values():\n"
         "            cache_mod.expire(client.cache, store)\n",
         "",
         ("tests/test_eval_store.py::TestLedger::test_ledgers_hold_nothing_below_the_watermark",)),
@@ -186,6 +186,28 @@ CATALOGUE = (
         "            raise ContractViolation(f\"prefix store chunk {key!r} was built for other tokens\")\n",
         "",
         ("tests/test_eval_store.py::TestLedger::test_other_tokens_raise",)),
+    Mutant(
+        "run_round_draws_a_selection", "src/fedtune/fed.py",
+        "    round_index = server.round_index + 1\n",
+        "    round_index = server.round_index + 1\n"
+        "    server.rng_select.permutation(len(registry))\n",
+        ("tests/test_who_trains_where.py::test_a_hand_built_assignment_trains_exactly_what_it_names",)),
+    Mutant(
+        # every small golden's 3N = 6 splits evenly over two or three tracks
+        "split_remainder_to_the_last_group", "src/fedtune/session.py",
+        "size = total // len(tracks) + (0 if position else total % len(tracks))",
+        "size = total // len(tracks) + (total % len(tracks) if position == len(tracks) - 1 else 0)",
+        ("tests/test_who_trains_where.py::test_one_draw_is_split_with_the_remainder_first",
+         "tests/test_who_trains_where.py::"
+         "test_a_sessions_rounds_train_one_draw_split_with_the_remainder_first",
+         "tests/test_mid_shape_golden.py::test_mid_shape_climb_digest_is_pinned")),
+    Mutant(
+        "quoted_numbers_accepted", "src/fedtune/session.py",
+        "    if hint in (int, float):\n"
+        "        _require(isinstance(value, (int, float)), path, "
+        "f\"expected {hint.__name__}, got {value!r}\")\n",
+        "",
+        ("tests/test_config_cli.py::TestUnknownKeys::test_bool_and_int_fields_are_strict",)),
 )
 
 

@@ -92,6 +92,11 @@ class TestUnknownKeys:
         (small_session_doc(mode="autofed", configurator={"start_depth": 1.5}),
          "configurator.start_depth"),
         (small_session_doc(learning_rate=True), "learning_rate"),
+        # int(value) and float(value) would read a quoted number
+        (small_session_doc(num_clients="40"), "num_clients"),
+        (small_session_doc(learning_rate="0.1"), "learning_rate"),
+        (small_session_doc(devices={"tx2": "1"}), "devices.tx2"),
+        (small_session_doc(relative_targets=["0.9"]), "relative_targets"),
     ])
     def test_bool_and_int_fields_are_strict(self, doc, key):
         with pytest.raises(ConfigurationError, match=f"'{key}'"):

@@ -19,7 +19,7 @@ from fedtune.errors import ContractViolation, DataError, EvaluationError
 from fedtune.model import ModelSpec, PrefixStore, build_model, evaluate
 from fedtune.tensor_nn import SeededRng
 
-from conftest import small_session_doc
+from conftest import drawn_group, small_session_doc
 
 # climbs (0, 8) -> (1, 8) -> (2, 8) -> (3, 8) -> (3, 16) on a 3-layer model
 CLIMBING_DOC = small_session_doc(mode="autofed", max_rounds=12,
@@ -169,7 +169,8 @@ class TestLedger:
         model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
         track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
         store = PrefixStore(world.backbone)
-        [event] = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
+        [event] = fed_mod.run_round(world.server,
+                                    drawn_group(world, track, cfg.participants_per_group),
                                     epochs=1, lr=cfg.learning_rate, store=store)
         built = len(builds)
         clients = [world.server.registry[cid] for cid in event["participants"]]
@@ -188,12 +189,13 @@ class TestLedger:
         """After each round a ledger is empty or at the watermark; ledgers = training chunks."""
         checked = []
 
-        def checking_run_round(server, tracks, *args, _inner=fed_mod.run_round, **kwargs):
+        def checking_run_round(server, assignments, *args, _inner=fed_mod.run_round, **kwargs):
+            tracks = [track for track, _ in assignments]
             num_layers = tracks[0].model.spec.num_layers
             depth = max(t.scheme.tuning_depth(num_layers) for t in tracks)
             rising = depth > server.depth_watermark
             stale = [c.id for c in server.registry.values() if rising and c.cache.entries]
-            rounds = _inner(server, tracks, *args, **kwargs)
+            rounds = _inner(server, assignments, *args, **kwargs)
             store = kwargs["store"]
             entries = {(key, id(e.activations)): e for c in server.registry.values()
                        for key, e in c.cache.entries.items()}
@@ -226,7 +228,7 @@ class TestLedger:
             scheme = TuningScheme("adapter", AdapterConfig(depth, 8))
             model = adapter_mod.materialize(world.backbone, scheme, rng=world.adapter_rng)
             track = conf_mod.TrialTrack(conf_mod.TRACK_CURRENT, scheme, model)
-            fed_mod.run_round(server, [track], cfg.participants_per_group,
+            fed_mod.run_round(server, drawn_group(world, track, cfg.participants_per_group),
                               epochs=1, lr=cfg.learning_rate, store=store)
 
         def held():
@@ -421,7 +423,8 @@ class TestPrefetch:
             in_prefetch.append(chunks_built(builds) - before)
 
         monkeypatch.setattr(store, "prefetch", counting_prefetch)
-        [event] = fed_mod.run_round(world.server, [track], cfg.participants_per_group,
+        [event] = fed_mod.run_round(world.server,
+                                    drawn_group(world, track, cfg.participants_per_group),
                                     epochs=2, lr=cfg.learning_rate,
                                     store=store if cache_enabled else None)
         if cache_enabled:

@@ -13,6 +13,8 @@ from fedtune.errors import ContractViolation, ProtocolError
 from fedtune.model import PASS_SAMPLES, ModelSpec, PrefixStore, build_model, forward
 from fedtune.tensor_nn import SeededRng
 
+from conftest import drawn_group
+
 F32 = np.dtype(np.float32)
 
 
@@ -62,7 +64,7 @@ class TestSessionDtypes:
         for server, scheme in ((full_ft_server, TuningScheme("full")),
                                (world.server, TuningScheme("adapter", AdapterConfig(2, 8)))):
             track = _track(world, scheme)
-            fed_mod.run_round(server, [track], cfg.participants_per_group,
+            fed_mod.run_round(server, drawn_group(world, track, cfg.participants_per_group),
                               epochs=1, lr=cfg.learning_rate, store=store)
             tracks.append(track)
         conf_mod.evaluate_tracks(tracks, store, world.test_tokens, world.test_labels)

@@ -17,7 +17,7 @@ from fedtune.errors import AggregationError
 from fedtune.model import PrefixStore
 from fedtune.tensor_nn import SeededRng
 
-from conftest import small_session_doc
+from conftest import drawn_group, small_session_doc
 
 SHAPES = {"a.w": (3, 4), "a.b": (5,)}
 
@@ -150,11 +150,10 @@ def _track(world, scheme):
 
 
 def _track_round(world, track, group, store=None):
-    return fed_mod.run_track_round(
-        track, group, world.server.registry, epochs=1,
-        lr=world.config.learning_rate, round_index=1,
-        depth_watermark=track.scheme.tuning_depth(world.config.model.num_layers),
-        store=store or PrefixStore(world.backbone))
+    [event] = fed_mod.run_round(world.server, [(track, group)], epochs=1,
+                                lr=world.config.learning_rate,
+                                store=store or PrefixStore(world.backbone))
+    return event
 
 
 class TestTrackRound:
@@ -215,13 +214,15 @@ def _trained_bytes(model) -> dict[str, bytes]:
 
 def _round_peak(participants: int) -> tuple[int, int]:
     """tracemalloc peak of one full fine-tuning round, and the track's payload bytes."""
-    cfg = session_mod.config_from_dict(small_session_doc(mode="full_ft", num_clients=12))
+    # 3N = 12: the round can draw the whole population
+    cfg = session_mod.config_from_dict(small_session_doc(mode="full_ft", num_clients=12,
+                                                         participants_per_group=4))
     world = session_mod.build_world(cfg)
     track = _track(world, TuningScheme("full"))
     store = PrefixStore(world.backbone)
     tracemalloc.start()
     try:
-        fed_mod.run_round(world.server, [track], participants,
+        fed_mod.run_round(world.server, drawn_group(world, track, participants),
                           epochs=1, lr=cfg.learning_rate, store=store)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

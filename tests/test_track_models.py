@@ -36,7 +36,7 @@ def redispatched():
     world = session_mod.build_world(cfg)
     first = session_mod.start_session(world).tracks
     store = PrefixStore(world.backbone)
-    fed_mod.run_round(world.server, first, cfg.participants_total(),
+    fed_mod.run_round(world.server, session_mod.assign_groups(world, first),
                       epochs=1, lr=cfg.learning_rate, store=store)
     winner = first[1]
     assert winner.name == conf_mod.TRACK_DEEPER
@@ -67,10 +67,8 @@ def test_a_deeper_round_leaves_the_current_track_alone(redispatched):
     current, deeper, wider = tracks
     before = {t.name: _snapshot(t) for t in (current, wider)}
     trained_from = _snapshot(deeper)
-    depth = deeper.scheme.tuning_depth(world.config.model.num_layers)
-    fed_mod.run_track_round(deeper, [0, 1], world.server.registry, epochs=1,
-                            lr=world.config.learning_rate, round_index=1,
-                            depth_watermark=depth, store=store)
+    fed_mod.run_round(world.server, [(deeper, [0, 1])], epochs=1,
+                      lr=world.config.learning_rate, store=store)
     assert _snapshot(deeper) != trained_from  # the round did train
     for track in (current, wider):
         assert _snapshot(track) == before[track.name], track.name
